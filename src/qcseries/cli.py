@@ -45,11 +45,16 @@ class UsageError(Exception):
 
 
 def _bound(value: int | None, quick_default: int, full_default: int,
-           cap: int, quick: bool, what: str) -> int:
+           cap: int, quick: bool, what: str, low: int = 0) -> int:
+    """Preset or explicit bound, checked against [low, cap].
+
+    `low` is the smallest bound at which the runner makes a comparison, so
+    a bound below it is a usage error rather than a vacuous pass.
+    """
     if value is None:
         value = quick_default if quick else full_default
-    if value < 0:
-        raise UsageError(f"{what} must be >= 0")
+    if value < low:
+        raise UsageError(f"{what} must be >= {low}")
     if value > cap:
         raise UsageError(f"{what} exceeds the cap {cap}")
     return value
@@ -208,7 +213,7 @@ def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
     reports = []
     for n in ns:
         cap = 3 if n == 3 else 6
-        d_max = min(_bound(args.max_d, 4, 5, 6, quick, "--max-d"), cap)
+        d_max = min(_bound(args.max_d, 4, 5, 6, quick, "--max-d", low=1), cap)
         setup = projgw.ProjSetup(n)
         reports.append(projgw.verify_theorem_3_3(setup, d_max, "direct"))
         reports.append(projgw.verify_theorem_3_3(setup, d_max, "residue"))
@@ -237,7 +242,7 @@ def _check_euler_prefactor(args, quick: bool) -> list[VerificationReport]:
         ns = [args.n]
     else:
         ns = [1] if quick else [1, 2]
-    d_max = _bound(args.max_d, 2, 3, 4, quick, "--max-d")
+    d_max = _bound(args.max_d, 2, 3, 4, quick, "--max-d", low=1)
     reports = []
     for n in ns:
         setup = projgw.ProjSetup(n)
@@ -257,7 +262,7 @@ def _check_euler_prefactor(args, quick: bool) -> list[VerificationReport]:
 
 
 def _check_lemma34(args, quick: bool) -> list[VerificationReport]:
-    n_max = _bound(args.max, 3, 4, 5, quick, "--max")
+    n_max = _bound(args.max, 3, 4, 5, quick, "--max", low=1)
     reports = []
     for total in range(1, n_max + 1):
         for i in range(total // 2 + 1):
@@ -267,7 +272,7 @@ def _check_lemma34(args, quick: bool) -> list[VerificationReport]:
 
 def _check_toda_operators(args, quick: bool) -> list[VerificationReport]:
     if args.max is not None:
-        n_plain = n_eq = _bound(args.max, 0, 0, 10, quick, "--max")
+        n_plain = n_eq = _bound(args.max, 0, 0, 10, quick, "--max", low=1)
     else:
         n_plain, n_eq = (6, 6) if quick else (12, 8)
     return [
@@ -313,6 +318,19 @@ def cmd_verify(args, quick: bool) -> tuple[list[str], int]:
         except PoleError as exc:
             broken = VerificationReport(name, {})
             broken.fail("evaluation", f"pole: {exc}", "finite value")
+            reports.append(broken)
+        except UsageError:
+            raise
+        except Exception as exc:
+            # one broken runner must not hide the other checks' reports; the
+            # traceback goes to stderr, the deterministic payload stays clean
+            # (imported only here, so that CLI start-up does not pay for it)
+            import traceback
+
+            print(f"error: check {name} raised", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            broken = VerificationReport(name, {})
+            broken.fail("runner", f"{type(exc).__name__}: {exc}", "no exception")
             reports.append(broken)
     if args.falsify:
         control = VerificationReport("falsified-control", {})

@@ -14,10 +14,19 @@ Design notes that the rest of the package relies on:
   drives leading-term selection, canonical text output, and the sign
   normalization of denominators.
 * `RatFunc` stores its denominator as a multiset of primitive factors and
-  cancels by exact trial division only.  There is no multivariate gcd;
+  cancels them by exact trial division.  There is no multivariate gcd;
   equality is decided by cross-multiplication, which the factored form makes
   cheap.  All denominators arising in this package are products of linear
   forms, so trial division recovers fully reduced quotients.
+* Before each trial division a line screen restricts the integer numerator
+  N and the primitive factor f to one line modulo the prime 2^61 - 1.  By
+  Gauss's lemma, f dividing N over Q makes the quotient integral, so the
+  restricted f must divide the restricted N.  A nonzero remainder on the
+  line therefore proves that f does not divide N, and the division is
+  skipped; any other outcome runs the exact division.  The screen can only
+  reject, so it never changes a result, only the work spent reaching it.
+  `divide_exact` uses the same lemma to stay in integer arithmetic when the
+  divisor is primitive.
 * `partial_fractions` splits a fraction with distinct linear factors in one
   distinguished variable into first-order terms, evaluating each deleted
   product at the corresponding root.
@@ -28,7 +37,8 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -55,37 +65,100 @@ def _grlex(mono: Mono) -> tuple[int, Mono]:
     return (sum(mono), mono)
 
 
-# fixed odd-prime evaluation point for the divisibility pre-filter; any
-# integers work, small ones keep the evaluated values short
-_EVAL_POINT = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# -- line screen for trial division ---------------------------------------------
+
+_SCREEN_PRIME = (1 << 61) - 1
+_MASK64 = (1 << 64) - 1
 
 
-def _primitive_value_at_point(poly: "MultiPoly") -> int | None:
-    """Value of poly divided by its content at the fixed integer point.
+@lru_cache(maxsize=None)
+def _screen_point(n: int) -> tuple[int, ...]:
+    """Fixed point P of F_p^n, nonzero coordinates, splitmix64 of the index.
 
-    Returns None when the poly has fractional coefficients, is zero, or has
-    more variables than the point covers.  For primitive integer polynomials
-    f and g, the quotient f/g (when it divides exactly over the rationals)
-    has integer coefficients, so g's value must divide f's value; a failed
-    integer divisibility test therefore rules out exact division without
-    running it.
+    Scattered coordinates matter: a homogeneous polynomial at a point in
+    arithmetic progression is its value at small integers, which vanishes on
+    a hyperplane far more often than chance.
     """
-    if len(poly.registry) > len(_EVAL_POINT):
+    point = []
+    for i in range(n):
+        z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        point.append((z ^ (z >> 31)) % (_SCREEN_PRIME - 1) + 1)
+    return tuple(point)
+
+
+def _restrict_to_line(poly: "MultiPoly", j: int) -> list[int] | None:
+    """Coefficients in s, lowest first, of poly on the line x_j = P_j*s, x_i = P_i.
+
+    Reduced mod p; None when a coefficient is a Fraction, since the screen
+    then has no verdict.  A term's value at P carries P_j^(m_j), exactly the
+    power of P_j that x_j = P_j*s contributes, so summing the terms' values
+    at P by m_j gives the restriction without inverting anything.
+    """
+    terms = poly.terms
+    if not all(type(c) is int for c in terms.values()):
         return None
-    total = 0
-    content = 0
-    for m, c in poly.terms.items():
-        if isinstance(c, Fraction):
-            return None
-        v = c
-        for p, e in zip(_EVAL_POINT, m):
-            if e:
-                v *= p ** e
-        total += v
-        content = gcd(content, c)
-    if content == 0:
-        return None
-    return total // content
+    top = max(map(sum, terms))
+    tables = []
+    for x in _screen_point(len(poly.registry)):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % _SCREEN_PRIME)
+        tables.append(row)
+    line = [0] * (top + 1)
+    for m, c in terms.items():
+        line[m[j]] += c * prod(map(list.__getitem__, tables, m))
+    return [c % _SCREEN_PRIME for c in line]
+
+
+def _remainder_is_nonzero(num: list[int], den: list[int]) -> bool:
+    """Whether num mod den is nonzero in F_p[s]; False when den is constant."""
+    d = len(den) - 1
+    while d >= 0 and den[d] == 0:
+        d -= 1
+    if d <= 0:
+        return False
+    r = list(num)
+    inv = pow(den[d], -1, _SCREEN_PRIME)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k] * inv % _SCREEN_PRIME
+        if c:
+            for i in range(d):
+                r[k - d + i] = (r[k - d + i] - c * den[i]) % _SCREEN_PRIME
+    return any(r[:d])
+
+
+class _LineScreen:
+    """One-sided test that a primitive factor f does not divide an integer N.
+
+    f and N are restricted to the line through the screen point P parallel
+    to f's highest-index variable, modulo the prime p = 2^61 - 1.  If f
+    divides N over Q, Gauss's lemma makes the quotient integral, so the
+    restriction of f divides that of N in F_p[s].  A nonzero remainder
+    therefore proves that f does not divide N; anything else (zero
+    remainder, f constant on the line, a Fraction coefficient) is no verdict
+    and leaves the decision to exact division.  N's restriction is built
+    lazily, once per line.
+    """
+
+    __slots__ = ("num", "lines")
+
+    def __init__(self, num: "MultiPoly"):
+        self.num = num
+        self.lines: dict[int, list[int] | None] = {}
+
+    def rejects(self, f: "MultiPoly") -> bool:
+        # a constant f (never a stored factor) restricts to a constant on
+        # any line, which gives no verdict
+        j = max((i for m in f.terms for i, e in enumerate(m) if e), default=0)
+        fline = _restrict_to_line(f, j)
+        if fline is None:
+            return False
+        if j not in self.lines:
+            self.lines[j] = _restrict_to_line(self.num, j)
+        line = self.lines[j]
+        return line is not None and _remainder_is_nonzero(line, fline)
 
 
 class VarRegistry:
@@ -379,6 +452,12 @@ class MultiPoly:
             return self.scale(Fraction(1) / g.const_value())
         glead, gc = g.leading()
         rest = [(m, c) for m, c in g.terms.items() if m != glead]
+        # an integer dividend over a primitive integer divisor has an integral
+        # quotient if any (Gauss's lemma), so a leading coefficient that does
+        # not divide in Z already proves failure
+        integral = (all(type(c) is int for c in g.terms.values())
+                    and gcd(*g.terms.values()) == 1
+                    and all(type(c) is int for c in self.terms.values()))
         r = dict(self.terms)
         q: dict[Mono, Coeff] = {}
         # max-heap on the graded order via negated keys; stale entries are
@@ -394,9 +473,14 @@ class MultiPoly:
             diff = tuple(a - b for a, b in zip(rlead, glead))
             if any(e < 0 for e in diff):
                 return None
-            c = r[rlead] * Fraction(1)
-            c = c / gc
-            c = _as_coeff(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            if integral:
+                c, rem = divmod(r[rlead], gc)
+                if rem:
+                    return None
+            else:
+                c = r[rlead] * Fraction(1)
+                c = c / gc
+                c = _as_coeff(c) if isinstance(c, Fraction) and c.denominator == 1 else c
             q[diff] = c
             del r[rlead]
             for m, gcoef in rest:
@@ -628,21 +712,20 @@ class RatFunc:
         if scalar == 0 or num.is_zero:
             return RatFunc.zero(registry)
         out: list[tuple[MultiPoly, int]] = []
-        # one numerator evaluation screens every candidate factor below
-        fval = _primitive_value_at_point(num)
+        # the screen proves most non-divisors without dividing; it is rebuilt
+        # only when a division succeeds and the numerator changes
+        screen = _LineScreen(num)
         for k in sorted(fac):
             f, mult = fac[k]
-            gval = _primitive_value_at_point(f) if fval is not None else None
             while mult > 0:
-                if fval is not None and gval not in (None, 0) and fval % gval:
+                if screen.rejects(f):
                     break
                 q = num.divide_exact(f)
                 if q is None:
                     break
                 num = q
                 mult -= 1
-                if fval is not None:
-                    fval = _primitive_value_at_point(num)
+                screen = _LineScreen(num)
             if mult > 0:
                 out.append((f, mult))
         # division of primitives yields a primitive, but renormalize cheaply

@@ -6,7 +6,10 @@ stderr diagnostics are exercised exactly as a shell user would see them.
 
 import json
 
+import pytest
+
 from qcseries import cli
+from qcseries.report import VerificationReport
 
 
 def run(capsys, *argv):
@@ -224,3 +227,58 @@ def test_negative_bound_rejected(capsys):
     code, _, err = run(capsys, "verify", "batyrev", "--max", "-1")
     assert code == 2
     assert ">= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "toda-operators", "--max", "0"),
+        ("verify", "lemma34", "--max", "0"),
+        ("verify", "euler-prefactor", "--max-d", "0"),
+        ("verify", "proj-recursion", "--max-d", "0"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_bound_below_runner_minimum_is_usage_error(capsys, argv):
+    # below these minimums a runner would compare nothing (or crash), so a
+    # pass there would be vacuous
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[2]} must be >= 1\n"
+
+
+# -- runner failures -----------------------------------------------------------------
+
+
+def test_unexpected_runner_error_becomes_fail_report(capsys, monkeypatch):
+    def passing(name):
+        def runner(args, quick):
+            report = VerificationReport(name, {})
+            report.check_equal("stub", 1, 1)
+            return [report]
+        return runner
+
+    def broken(args, quick):
+        raise RuntimeError("planted")
+
+    def runners():
+        table = {name: passing(name) for name in cli.VERIFY_CHECKS}
+        table["lemma34"] = broken
+        return table
+
+    monkeypatch.setattr(cli, "_runners", runners)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1
+    blocks = out.split("\n\n")[1:]
+    assert len(blocks) == len(cli.VERIFY_CHECKS)
+    assert blocks[cli.VERIFY_CHECKS.index("lemma34")].splitlines() == [
+        "check lemma34",
+        "status fail",
+        "failure runner | RuntimeError: planted | no exception",
+    ]
+    # the other checks still report, and the traceback stays off stdout
+    assert sum("status pass" in b for b in blocks) == len(cli.VERIFY_CHECKS) - 1
+    assert "Traceback" not in out
+    assert err.startswith("error: check lemma34 raised\n")
+    assert "RuntimeError: planted" in err

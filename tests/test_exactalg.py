@@ -306,3 +306,99 @@ def test_partial_fractions_recombine_exactly(shifts, numcoeffs):
     decomp = partial_fractions(RatFunc.from_scalar(reg, Fraction(1, 3)), fz, numerator)
     target = RatFunc.from_poly(numerator) / fz.expand() / Fraction(1, 3)
     assert recombine(decomp, reg) == target
+
+
+# -- trial-division screen and the integer division path -------------------------
+
+
+def linear_forms():
+    return st.tuples(
+        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-6, 6)
+    ).map(lambda t: PREG.linear({"x": t[0], "y": t[1], "z": t[2]}, t[3])).filter(
+        lambda f: not f.is_const
+    )
+
+
+def quadratic_forms():
+    quad = st.dictionaries(
+        st.sampled_from([(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=3,
+    )
+    return st.tuples(quad, linear_forms()).map(
+        lambda t: MultiPoly(PREG, t[0]) + t[1]
+    )
+
+
+def int_polys():
+    return st.dictionaries(monos(maxdeg=2), st.integers(-9, 9), min_size=1, max_size=5).map(
+        lambda d: PREG.zero() + MultiPoly(PREG, d)
+    ).filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(linear_forms(), quadratic_forms()), st.one_of(int_polys(), nonzero_polys()),
+       st.integers(1, 3))
+def test_true_factor_always_cancels(f, q, k):
+    # the screen may only reject: k copies of f in the numerator must all
+    # cancel against k + 1 in the denominator, leaving exactly q/f
+    f = f.primitive()[1]
+    if q.divide_exact(f) is not None:
+        return
+    got = RatFunc.from_factored(f**k * q, [f] * (k + 1))
+    assert got.factors == ((f, 1),)
+    assert got.numerator == q
+
+
+def to_sympy(p, symbols):
+    import sympy
+
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(symbols, mono):
+            term *= s**e
+        total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(linear_forms(), min_size=2, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                  st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=5,
+    ),
+)
+def test_reduced_sums_match_sympy_cancel(pool, terms):
+    # sum of c * a / (b * e) over linear forms from a small pool, so shared and
+    # cancelling factors are common; the reduced denominator must be sympy's
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y z")
+    ours = RatFunc.zero(PREG)
+    theirs = sympy.Integer(0)
+    for a, b, e, c in terms:
+        na, fb, fe = (pool[i % len(pool)] for i in (a, b, e))
+        ours = ours + RatFunc.from_factored(na.scale(c), [fb, fe])
+        theirs += c * to_sympy(na, symbols) / (to_sympy(fb, symbols) * to_sympy(fe, symbols))
+    num, den = sympy.fraction(sympy.cancel(theirs))
+    our_num = to_sympy(ours.numerator, symbols)
+    our_den = to_sympy(ours.denominator, symbols)
+    assert sympy.expand(our_num * den - num * our_den) == 0
+    assert sympy.cancel(our_den / den).is_number
+
+
+def test_divide_exact_fraction_and_nonprimitive_paths():
+    x, y = PREG.var("x"), PREG.var("y")
+    half = x.scale(Fraction(1, 2)) + y
+    # Fraction coefficients on either side keep the rational path
+    assert ((x + y) * half).divide_exact(half) == x + y
+    assert ((x + y) * half).divide_exact(x + y) == half
+    assert ((x + y) ** 2).divide_exact(half) is None
+    # a non-primitive integer divisor has a non-integral quotient
+    assert ((x + 1) ** 2).divide_exact(2 * x + 2) == (x + 1).scale(Fraction(1, 2))
+    assert ((x + 1) ** 2).divide_exact(2 * x + 4) is None
+    # the integer path gives up on the first non-dividing leading coefficient
+    assert (3 * x**2 + y).divide_exact(2 * x + y) is None
+    assert (6 * x**2 + 3 * x * y).divide_exact(2 * x + y) == 3 * x
