@@ -21,8 +21,6 @@ from .exactalg import (
     homogeneous_degree,
     parse_text,
     partial_fractions,
-    poly_arith,
-    rat_arith,
     recombine,
     shifted_factorial,
     substitute,
@@ -42,8 +40,6 @@ __all__ = [
     "homogeneous_degree",
     "parse_text",
     "partial_fractions",
-    "poly_arith",
-    "rat_arith",
     "recombine",
     "shifted_factorial",
     "substitute",

@@ -173,7 +173,21 @@ def _series_toda(args, quick: bool, equivariant: bool) -> list[str]:
     return lines
 
 
+# the options each series target reads; passing any other is a usage error
+_SERIES_OPTIONS = {
+    "proj": ("n", "max_d", "chart"),
+    "flag-a1": ("max_d", "convention"),
+    "flag-a2": ("max", "convention"),
+    "toda": ("max", "chart"),
+    "toda-eq": ("max", "chart"),
+}
+
+
 def cmd_series(args, quick: bool) -> tuple[list[str], int]:
+    for dest in ("n", "max_d", "max", "chart", "convention"):
+        if getattr(args, dest) is not None and dest not in _SERIES_OPTIONS[args.target]:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"series {args.target} does not take {flag}")
     if args.target == "proj":
         lines = _series_proj(args, quick)
     elif args.target == "flag-a1":

@@ -291,11 +291,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return Fraction(next(iter(self.terms.values())))
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def degree_in(self, name: str) -> int:
         if self.is_zero:
             return 0
@@ -755,9 +750,6 @@ class RatFunc:
             self._den = den
         return self._den
 
-    def is_poly(self) -> bool:
-        return not self.factors
-
     def as_poly(self) -> MultiPoly:
         if self.factors:
             raise ValueError("rational function has a nontrivial denominator")
@@ -940,35 +932,9 @@ class RatFunc:
 # -- module-level convenience functions ----------------------------------------
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Ring operation on polynomials: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
-def rat_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Field operation on rational functions: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown rational operation {op!r}")
-
-
 def substitute(f: RatFunc | MultiPoly, bindings: Mapping[str, object],
                target: VarRegistry | None = None) -> RatFunc:
     """Exact evaluation homomorphism on a polynomial or rational function."""
-    if isinstance(f, MultiPoly):
-        return f.substitute(bindings, target)
     return f.substitute(bindings, target)
 
 

@@ -116,34 +116,6 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
     return value
 
 
-def coeff_C_w(setup: FlagSetup, w: WeylElement, alpha: Root, k: int,
-              prune: bool = True) -> RatFunc:
-    """Recursion coefficient at w: the w-image of the identity coefficient."""
-    return setup.system.act_on_ratfunc(w, coeff_C_id(setup, alpha, k, prune))
-
-
-@dataclass(eq=False)
-class CoeffC:
-    """One recursion coefficient with its homogeneity degree pinned."""
-
-    alpha: Root
-    k: int
-    w: WeylElement
-    value: RatFunc
-    degree: int
-
-    def __post_init__(self):
-        if homogeneous_degree(self.value) != self.degree:
-            raise ValueError("coefficient is not homogeneous of the claimed degree")
-
-
-def coeff_entry(setup: FlagSetup, w: WeylElement, alpha: Root,
-                k: int) -> CoeffC:
-    base = coeff_C_id(setup, alpha, k)
-    deg = homogeneous_degree(base)
-    return CoeffC(alpha, k, w, setup.system.act_on_ratfunc(w, base), deg)
-
-
 # -- the solver ----------------------------------------------------------------------
 
 
@@ -169,6 +141,60 @@ def _beta_range(bmax: tuple[int, ...]):
     betas = list(itertools.product(*(range(b + 1) for b in bmax)))
     betas.sort(key=lambda b: (sum(b), b))
     return betas
+
+
+def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
+                     convention: str = "lemma37"):
+    """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
+
+    Returns (w, terms) per element of `elements`; each term is
+    (cocoords, k, lower_w, weight, shift).  The term adds weight times the
+    table at lower_w, read at the multidegree k*cocoords lower and then
+    substituted by shift.  Covers run over every positive root alpha and
+    every k that fits under bmax.
+    """
+    system = setup.system
+    steps = []
+    for alpha in system.positive_roots:
+        cocoords = system.coroot_coords(alpha)
+        k_cap = min(
+            (b // c for b, c in zip(bmax, cocoords) if c), default=0
+        )
+        refl = system.reflection(alpha)
+        for k in range(1, k_cap + 1):
+            base = coeff_C_id(setup, alpha, k)
+            steps.append((alpha, k, cocoords, refl, base))
+
+    per_w = []
+    for w in elements:
+        terms = []
+        for alpha, k, cocoords, refl, base in steps:
+            image = w.act(alpha)
+            image_form = setup.root_form(image)
+            pole_form = image_form if convention == "lemma37" else setup.root_form(alpha)
+            weight = (
+                system.act_on_ratfunc(w, base)
+                / RatFunc.from_poly(setup.h.scale(k) + pole_form)
+            )
+            shift = {"h": image_form.scale(Fraction(-1, k))}
+            # applying w to the identity-element relation turns its s_alpha
+            # factor into the table at w followed by the reflection, so that
+            # is the table the (w, alpha, k) term must read
+            terms.append((cocoords, k, w * refl, weight, shift))
+        per_w.append((w, terms))
+    return per_w
+
+
+def _recursion_sum(reg: VarRegistry, terms, beta: tuple[int, ...],
+                   tables) -> RatFunc:
+    """Right side of the recursion at multidegree beta; tables[w][beta] are lower values."""
+    acc = RatFunc.zero(reg)
+    for cocoords, k, lower_w, weight, shift in terms:
+        prev = tuple(b - k * c for b, c in zip(beta, cocoords))
+        if any(p < 0 for p in prev):
+            continue
+        acc = acc + weight * substitute(tables[lower_w][prev], shift)
+    return acc
 
 
 def solve_flag_recursion(setup: FlagSetup, beta_max,
@@ -198,51 +224,17 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     reg = setup.registry
     one = RatFunc.one(reg)
 
-    steps = []
-    for alpha in system.positive_roots:
-        cocoords = system.coroot_coords(alpha)
-        k_cap = min(
-            (b // c for b, c in zip(bmax, cocoords) if c), default=0
-        )
-        refl = system.reflection(alpha)
-        for k in range(1, k_cap + 1):
-            base = coeff_C_id(setup, alpha, k)
-            steps.append((alpha, k, cocoords, refl, base))
-
     tables: dict[WeylElement, dict[tuple[int, ...], RatFunc]] = {
         w: {(0,) * system.rank: one} for w in system.weyl_elements
     }
-    per_w = []
-    for w in system.weyl_elements:
-        terms = []
-        for alpha, k, cocoords, refl, base in steps:
-            image = w.act(alpha)
-            image_form = setup.root_form(image)
-            pole_form = image_form if convention == "lemma37" else setup.root_form(alpha)
-            weight = (
-                system.act_on_ratfunc(w, base)
-                / RatFunc.from_poly(setup.h.scale(k) + pole_form)
-            )
-            shift = {"h": image_form.scale(Fraction(-1, k))}
-            # applying w to the identity-element relation turns its s_alpha
-            # factor into the table at w followed by the reflection, so that
-            # is the table the (w, alpha, k) term must read
-            terms.append((cocoords, k, w * refl, weight, shift))
-        per_w.append((w, terms))
-
+    per_w = _recursion_terms(setup, bmax, system.weyl_elements, convention)
     for beta in _beta_range(bmax):
         if not any(beta):
             continue
         if total_max is not None and sum(beta) > total_max:
             continue
         for w, terms in per_w:
-            acc = RatFunc.zero(reg)
-            for cocoords, k, lower_w, weight, shift in terms:
-                prev = tuple(b - k * c for b, c in zip(beta, cocoords))
-                if any(p < 0 for p in prev):
-                    continue
-                acc = acc + weight * substitute(tables[lower_w][prev], shift)
-            tables[w][beta] = acc
+            tables[w][beta] = _recursion_sum(reg, terms, beta, tables)
     return [
         FlagSeriesTable(setup, w, tables[w]) for w in system.weyl_elements
     ]
@@ -335,7 +327,12 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
 
 
 def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
-    """Closed rank-two tables substituted into the reflection recursion."""
+    """Closed rank-two tables substituted into the reflection recursion.
+
+    The terms are the solver's own at the identity element; the lower
+    values are the closed coefficients moved by the reflections they are
+    read through.
+    """
     report = VerificationReport("a2-recursion", {"max_total": n_max})
     with timed(report):
         if n_max < 0:
@@ -343,44 +340,27 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
         setup = _a2_setup()
         system = setup.system
         reg = setup.registry
-        one = RatFunc.one(reg)
-        h = setup.h
-        roots_k = [Root((1, 0)), Root((0, 1)), A2_THETA]
-        refls = [system.reflection(a) for a in roots_k]
-        forms = [setup.root_form(a) for a in roots_k]
+        ((_, terms),) = _recursion_terms(setup, (n_max, n_max), [system.identity])
 
-        closed: dict[tuple[int, int], RatFunc] = {}
-        acted: dict[int, dict[tuple[int, int], RatFunc]] = {0: {}, 1: {}, 2: {}}
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                closed[(i, j)] = a2_closed_coeff(setup, i, j)
-                for r, w in enumerate(refls):
-                    acted[r][(i, j)] = system.act_on_ratfunc(w, closed[(i, j)])
-
-        coeffs = {
-            (r, k): coeff_C_id(setup, roots_k[r], k)
-            for r in range(3)
-            for k in range(1, n_max + 1)
+        closed = {
+            (i, j): a2_closed_coeff(setup, i, j)
+            for i in range(n_max + 1)
+            for j in range(n_max + 1 - i)
+        }
+        lowers = {lower_w for _, _, lower_w, _, _ in terms}
+        acted = {
+            w: {ij: system.act_on_ratfunc(w, c) for ij, c in closed.items()}
+            for w in lowers
         }
 
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                if i == 0 and j == 0:
-                    report.check_equal("i=0 j=0", closed[(0, 0)], one)
-                    continue
-                acc = RatFunc.zero(reg)
-                for r, (alpha_form, refl) in enumerate(zip(forms, refls)):
-                    da, db = ((1, 0), (0, 1), (1, 1))[r]
-                    k = 1
-                    while i - k * da >= 0 and j - k * db >= 0:
-                        lower = acted[r][(i - k * da, j - k * db)]
-                        shifted = substitute(
-                            lower, {"h": alpha_form.scale(Fraction(-1, k))}
-                        )
-                        pole = RatFunc.from_poly(h.scale(k) + alpha_form)
-                        acc = acc + coeffs[(r, k)] / pole * shifted
-                        k += 1
-                report.check_equal(f"i={i} j={j}", closed[(i, j)], acc)
+        for i, j in closed:
+            if i == 0 and j == 0:
+                report.check_equal("i=0 j=0", closed[(0, 0)], RatFunc.one(reg))
+                continue
+            report.check_equal(
+                f"i={i} j={j}", closed[(i, j)],
+                _recursion_sum(reg, terms, (i, j), acted),
+            )
     return report
 
 
@@ -452,66 +432,6 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
             )
             report.check_equal(f"pole r={r} k={k} via coeff", residue, via_coeff)
     return report
-
-
-# -- type-A flag cohomology ------------------------------------------------------
-
-
-class FlagChartA:
-    """Cohomology chart for full type-A flags: u_0..u_n over lambda_0..lambda_n."""
-
-    __slots__ = ("n", "system", "registry")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("flag chart needs rank >= 1")
-        self.n = n
-        self.system = RootSystem(CartanMatrix.type_A(n))
-        self.registry = VarRegistry(
-            [f"lambda_{i}" for i in range(n + 1)]
-            + [f"u_{p}" for p in range(n + 1)]
-        )
-
-    def lam(self, i: int) -> MultiPoly:
-        return self.registry.var(f"lambda_{i}")
-
-    def u(self, p: int) -> MultiPoly:
-        return self.registry.var(f"u_{p}")
-
-
-@dataclass(eq=False)
-class FlagClass:
-    """Polynomial in the u variables, restrictable at every Weyl fixed point."""
-
-    chart: FlagChartA
-    poly: MultiPoly
-
-    def restrict(self, w: WeylElement) -> RatFunc:
-        pi = self.chart.system.weyl_permutation(w)
-        bindings = {
-            f"u_{p}": self.chart.lam(pi[p]) for p in range(self.chart.n + 1)
-        }
-        return substitute(self.poly, bindings)
-
-
-def phi_w(chart: FlagChartA, w: WeylElement) -> FlagClass:
-    """Fixed-point class at w: product of (u_p - lambda_{w(q)}) over p < q."""
-    pi = chart.system.weyl_permutation(w)
-    out = chart.registry.one()
-    for p in range(chart.n + 1):
-        for q in range(p + 1, chart.n + 1):
-            out = out * (chart.u(p) - chart.lam(pi[q]))
-    return FlagClass(chart, out)
-
-
-def flag_euler(chart: FlagChartA, w: WeylElement) -> MultiPoly:
-    """Euler class at the w fixed point: product of lambda differences."""
-    pi = chart.system.weyl_permutation(w)
-    out = chart.registry.one()
-    for p in range(chart.n + 1):
-        for q in range(p + 1, chart.n + 1):
-            out = out * (chart.lam(pi[p]) - chart.lam(pi[q]))
-    return out
 
 
 def _pole_weight(setup: FlagSetup, r: int, k: int) -> RatFunc:

@@ -7,11 +7,6 @@ coefficient linking adjacent fixed points along a line covered k-fold plus an
 h-substitution.  Verification routines check, with exact arithmetic, that the
 two routes agree and that the well-known first-order and Euler-class
 prefactor identities hold.
-
-Cohomology classes are represented by their canonical polynomial of degree
-at most n in the hyperplane class p; products are reduced back to canonical
-form by interpolation through the n+1 fixed-point values, which sidesteps
-polynomial division with symbolic coefficients.
 """
 
 from __future__ import annotations
@@ -57,113 +52,6 @@ class ProjSetup:
         return range(self.n + 1)
 
 
-def _p_coeffs(setup: ProjSetup, poly: MultiPoly) -> list[MultiPoly]:
-    """Split a polynomial by powers of p (index n+1 in the registry)."""
-    pi = setup.registry.index("p")
-    buckets: dict[int, dict] = {}
-    for mono, c in poly.terms.items():
-        e = mono[pi]
-        rest = mono[:pi] + (0,) + mono[pi + 1 :]
-        buckets.setdefault(e, {})[rest] = c
-    out = []
-    for e in range(setup.n + 1):
-        out.append(MultiPoly(setup.registry, buckets.get(e, {})))
-    if any(e > setup.n for e in buckets):
-        raise ValueError("degree in p exceeds n")
-    return out
-
-
-class CohomClass:
-    """Canonical representative: polynomial of degree <= n in p, coefficients in the lambda field."""
-
-    __slots__ = ("setup", "coeffs")
-
-    def __init__(self, setup: ProjSetup, coeffs):
-        coeffs = tuple(RatFunc.coerce(setup.registry, c) for c in coeffs)
-        if len(coeffs) != setup.n + 1:
-            raise ValueError("need exactly n+1 coefficients")
-        for c in coeffs:
-            if any(f.degree_in("p") or f.degree_in("q")
-                   for f in (c.num, c.denominator)):
-                raise ValueError("coefficients must be free of p and q")
-        self.setup = setup
-        self.coeffs = coeffs
-
-    @staticmethod
-    def const(setup: ProjSetup, value) -> "CohomClass":
-        return CohomClass(setup, [value] + [0] * setup.n)
-
-    @staticmethod
-    def from_values(setup: ProjSetup, values) -> "CohomClass":
-        """The unique canonical class with the given fixed-point restrictions."""
-        values = [RatFunc.coerce(setup.registry, v) for v in values]
-        if len(values) != setup.n + 1:
-            raise ValueError("need one value per fixed point")
-        coeffs = [RatFunc.zero(setup.registry) for _ in setup.points()]
-        for i in setup.points():
-            weight = values[i] / RatFunc.from_poly(euler_e(setup, i))
-            for e, part in enumerate(_p_coeffs(setup, _phi_poly(setup, i))):
-                if not part.is_zero:
-                    coeffs[e] = coeffs[e] + weight * part
-        return CohomClass(setup, coeffs)
-
-    def value_at(self, i: int) -> RatFunc:
-        lam = self.setup.lam(i)
-        acc = RatFunc.zero(self.setup.registry)
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
-
-    def values(self) -> list[RatFunc]:
-        return [self.value_at(i) for i in self.setup.points()]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CohomClass)
-            and self.setup is other.setup
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "CohomClass") -> "CohomClass":
-        return CohomClass(
-            self.setup, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "CohomClass") -> "CohomClass":
-        return CohomClass(
-            self.setup, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "CohomClass") -> "CohomClass":
-        # reduce modulo prod(p - lambda_i) by interpolation through the values
-        return CohomClass.from_values(
-            self.setup,
-            [a * b for a, b in zip(self.values(), other.values())],
-        )
-
-    def text(self) -> str:
-        return "; ".join(
-            f"p^{e}: {c.text()}" for e, c in enumerate(self.coeffs)
-        )
-
-
-def _phi_poly(setup: ProjSetup, i: int) -> MultiPoly:
-    p = setup.registry.var("p")
-    out = setup.registry.one()
-    for b in setup.points():
-        if b != i:
-            out = out * (p - setup.lam(b))
-    return out
-
-
-def phi(setup: ProjSetup, i: int) -> CohomClass:
-    """Fixed-point class: product of (p - lambda_b) over b != i."""
-    setup.lam(i)
-    return CohomClass(setup, _p_coeffs(setup, _phi_poly(setup, i)))
-
-
 def euler_e(setup: ProjSetup, i: int) -> MultiPoly:
     """Euler class of the tangent space at the i-th fixed point."""
     out = setup.registry.one()
@@ -171,23 +59,6 @@ def euler_e(setup: ProjSetup, i: int) -> MultiPoly:
         if b != i:
             out = out * (setup.lam(i) - setup.lam(b))
     return out
-
-
-def integrate(setup: ProjSetup, f: CohomClass) -> RatFunc:
-    """Sum of fixed-point values over Euler classes."""
-    acc = RatFunc.zero(setup.registry)
-    for i in setup.points():
-        acc = acc + f.value_at(i) / RatFunc.from_poly(euler_e(setup, i))
-    return acc
-
-
-def pairing(setup: ProjSetup, f: CohomClass, g: CohomClass) -> RatFunc:
-    acc = RatFunc.zero(setup.registry)
-    for i in setup.points():
-        acc = acc + (f.value_at(i) * g.value_at(i)) / RatFunc.from_poly(
-            euler_e(setup, i)
-        )
-    return acc
 
 
 # -- closed-form series coefficients ------------------------------------------------
@@ -211,25 +82,6 @@ def closed_b(setup: ProjSetup, i: int, d: int) -> RatFunc:
 def closed_B(setup: ProjSetup, i: int, d: int) -> RatFunc:
     """Coefficient in the unscaled normalization; equals closed_b divided by h^d."""
     return closed_b(setup, i, d) / RatFunc.from_poly(setup.h) ** d
-
-
-def normalized_coeff(setup: ProjSetup, i: int, d: int) -> RatFunc:
-    """Coefficient of the series normalized by the full fixed-point pairing.
-
-    Product over all b and m=0..d with the single (b,m)=(i,0) factor removed;
-    equals closed_B divided by the Euler class at i.
-    """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    setup.lam(i)
-    dens = []
-    for b in setup.points():
-        base = setup.lam(i) - setup.lam(b)
-        for m in range(0, d + 1):
-            if b == i and m == 0:
-                continue
-            dens.append(base + setup.h.scale(m))
-    return RatFunc.from_factored(setup.registry.one(), dens)
 
 
 def recursion_coeff(setup: ProjSetup, i: int, j: int, k: int) -> RatFunc:
@@ -266,77 +118,34 @@ class ProjSeriesTable:
     coeffs: dict[int, RatFunc]
 
     def __post_init__(self):
-        if self.form not in ("b", "B", "u", "normalized"):
+        if self.form not in ("b", "B"):
             raise ValueError(f"unknown normalization {self.form!r}")
-        if self.form != "normalized" and 0 in self.coeffs:
-            if self.coeffs[0] != RatFunc.one(self.setup.registry):
-                raise ValueError("degree-0 coefficient must be 1")
+        if 0 in self.coeffs and self.coeffs[0] != RatFunc.one(self.setup.registry):
+            raise ValueError("degree-0 coefficient must be 1")
 
     def coefficient(self, d: int) -> RatFunc:
         return self.coeffs[d]
 
-    def converted(self, form: str) -> "ProjSeriesTable":
-        """Rescale between the h-power normalizations (b = B * h^d; u treated as b)."""
-        src = "b" if self.form in ("b", "u") else self.form
-        dst = "b" if form in ("b", "u") else form
-        if "normalized" in (src, dst):
-            raise ValueError("normalized tables only convert via explicit Euler factors")
-        h = RatFunc.from_poly(self.setup.h)
-        out = {}
-        for d, c in self.coeffs.items():
-            if src == dst:
-                out[d] = c
-            elif (src, dst) == ("b", "B"):
-                out[d] = c / h**d
-            else:
-                out[d] = c * h**d
-        return ProjSeriesTable(self.setup, self.i, form, out)
 
-
-def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
-    """Build all tables from degree 0 upward using only the recursion data."""
-    if d_max < 0:
-        raise ValueError("degree bound must be >= 0")
-    reg = setup.registry
-    one = RatFunc.one(reg)
-    if setup.n == 0:
-        # no lines between distinct fixed points, hence no recursion terms;
-        # the exponential closed form is exact here
-        h = RatFunc.from_poly(setup.h)
-        coeffs = {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}
-        return [ProjSeriesTable(setup, 0, "B", coeffs)]
-    ccache = {
+def _coupling_table(setup: ProjSetup, k_max: int) -> dict[tuple[int, int, int], RatFunc]:
+    """recursion_coeff(i, j, k) for every ordered pair of fixed points and k <= k_max."""
+    return {
         (i, j, k): recursion_coeff(setup, i, j, k)
         for i in setup.points()
         for j in setup.points()
         if j != i
-        for k in range(1, d_max + 1)
+        for k in range(1, k_max + 1)
     }
-    tables: list[dict[int, RatFunc]] = [{0: one} for _ in setup.points()]
-    for d in range(1, d_max + 1):
-        for i in setup.points():
-            acc = RatFunc.zero(reg)
-            for j in setup.points():
-                if j == i:
-                    continue
-                shift_base = setup.lam(j) - setup.lam(i)
-                for k in range(1, d + 1):
-                    pole = RatFunc.from_poly(
-                        setup.lam(i) - setup.lam(j) + setup.h.scale(k)
-                    )
-                    lower = substitute(
-                        tables[j][d - k], {"h": shift_base.scale(Fraction(1, k))}
-                    )
-                    acc = acc + ccache[(i, j, k)] / pole * lower
-            tables[i][d] = acc
-    return [ProjSeriesTable(setup, i, "b", tables[i]) for i in setup.points()]
 
 
-# -- verification --------------------------------------------------------------------
+def _recursion_sum(setup: ProjSetup, i: int, d: int, lower,
+                   coupling: dict[tuple[int, int, int], RatFunc]) -> RatFunc:
+    """Right side of the degree-d recursion at fixed point i.
 
-
-def _recursion_rhs(setup: ProjSetup, i: int, d: int) -> RatFunc:
-    """Right side of the coefficient recursion with closed forms substituted in."""
+    lower(j, e) returns the degree-e coefficient at fixed point j; it is
+    only asked for e < d.  The sum runs j-outer, k-inner with incremental
+    cancellation, which keeps the numerators small.
+    """
     acc = RatFunc.zero(setup.registry)
     for j in setup.points():
         if j == i:
@@ -344,11 +153,35 @@ def _recursion_rhs(setup: ProjSetup, i: int, d: int) -> RatFunc:
         shift_base = setup.lam(j) - setup.lam(i)
         for k in range(1, d + 1):
             pole = RatFunc.from_poly(setup.lam(i) - setup.lam(j) + setup.h.scale(k))
-            lower = substitute(
-                closed_b(setup, j, d - k), {"h": shift_base.scale(Fraction(1, k))}
+            shifted = substitute(
+                lower(j, d - k), {"h": shift_base.scale(Fraction(1, k))}
             )
-            acc = acc + recursion_coeff(setup, i, j, k) / pole * lower
+            acc = acc + coupling[(i, j, k)] / pole * shifted
     return acc
+
+
+def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
+    """Build all tables from degree 0 upward using only the recursion data."""
+    if d_max < 0:
+        raise ValueError("degree bound must be >= 0")
+    one = RatFunc.one(setup.registry)
+    if setup.n == 0:
+        # no lines between distinct fixed points, hence no recursion terms;
+        # the exponential closed form is exact here
+        h = RatFunc.from_poly(setup.h)
+        coeffs = {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}
+        return [ProjSeriesTable(setup, 0, "B", coeffs)]
+    coupling = _coupling_table(setup, d_max)
+    tables: list[dict[int, RatFunc]] = [{0: one} for _ in setup.points()]
+    for d in range(1, d_max + 1):
+        for i in setup.points():
+            tables[i][d] = _recursion_sum(
+                setup, i, d, lambda j, e: tables[j][e], coupling
+            )
+    return [ProjSeriesTable(setup, i, "b", tables[i]) for i in setup.points()]
+
+
+# -- verification --------------------------------------------------------------------
 
 
 def verify_theorem_3_3(setup: ProjSetup, d_max: int,
@@ -375,13 +208,19 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
                     f"d={d}", table.coefficient(d), one / (h**d * factorial(d))
                 )
             return report
+        if method == "direct":
+            coupling = _coupling_table(setup, d_max)
         for i in setup.points():
             for d in range(1, d_max + 1):
                 if method == "direct":
+                    # the closed form supplies the lower degrees as well
                     report.check_equal(
                         f"i={i} d={d}",
                         closed_b(setup, i, d),
-                        _recursion_rhs(setup, i, d),
+                        _recursion_sum(
+                            setup, i, d,
+                            lambda j, e: closed_b(setup, j, e), coupling,
+                        ),
                     )
                 else:
                     _residue_check(setup, i, d, report)

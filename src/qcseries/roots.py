@@ -355,24 +355,3 @@ class RootSystem:
             cur = target.var(f"lambda_{i}")
             out[f"alpha_{i}"] = prev - cur if part == "part1" else cur - prev
         return out
-
-    def weyl_permutation(self, w: WeylElement) -> tuple[int, ...]:
-        """Type A only: w as a permutation of indices 0..rank, pi[a] = image of a.
-
-        Under either lambda chart the simple reflection s_i swaps
-        lambda_{i-1} and lambda_i; composing transpositions along a reduced
-        word gives the permutation with chart(w(gamma)) = chart(gamma) with
-        every lambda_a renamed to lambda_{pi[a]}.
-        """
-        self._require_type_A()
-        n = self.rank + 1
-        pi = list(range(n))
-
-        def transpose(i: int) -> None:
-            pi[i - 1], pi[i] = pi[i], pi[i - 1]
-
-        # swapping positions right-composes, so walk the word left to right:
-        # pi = ((id o t_{i1}) o t_{i2}) o ... = t_{i1} o ... o t_{ik}
-        for letter in w.reduced_word():
-            transpose(letter)
-        return tuple(pi)

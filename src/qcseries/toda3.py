@@ -26,7 +26,6 @@ from .exactalg import (
     MultiPoly,
     RatFunc,
     VarRegistry,
-    shifted_factorial,
     substitute,
 )
 from .report import VerificationReport, timed
@@ -370,27 +369,22 @@ def batyrev_b(i: int, j: int) -> Fraction:
 
 
 def closed_a_equivariant(i: int, j: int) -> RatFunc:
-    """Weighted coefficient: shifted factorials of the two weights and their sum.
+    """Weighted coefficient: the rank-two flag closed form over h^(i+j).
 
-    Includes the 1/h^(i+j) normalization, so the h=1, zero-weight limit is
-    the plain coefficient.
+    The 1/h^(i+j) normalization makes the h=1, zero-weight limit the plain
+    coefficient.
     """
-    reg = ALPHA_REGISTRY
     if i < 0 or j < 0:
-        return RatFunc.zero(reg)
-    a1 = reg.var("alpha_1")
-    a2 = reg.var("alpha_2")
-    th = a1 + a2
-    h = reg.var("h")
-    num = shifted_factorial(reg, i + j, th, h)
-    dens: list[MultiPoly] = [h] * (i + j)
-    for m in range(1, i + 1):
-        dens.append(h.scale(m) + a1)
-        dens.append(h.scale(m) + th)
-    for m in range(1, j + 1):
-        dens.append(h.scale(m) + a2)
-        dens.append(h.scale(m) + th)
-    return RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
+        return RatFunc.zero(ALPHA_REGISTRY)
+    setup = flaggw._a2_setup()
+    return flaggw.a2_closed_coeff(setup, i, j) * RatFunc.from_factored(
+        setup.registry.one(), [setup.h] * (i + j)
+    )
+
+
+@cache
+def _lambda_coeff(i: int, j: int) -> RatFunc:
+    return substitute(closed_a_equivariant(i, j), ALPHA_TO_LAMBDA, LAMBDA_REGISTRY)
 
 
 def closed_solution(order: int, equivariant: bool = True) -> BiSeries:
@@ -400,9 +394,7 @@ def closed_solution(order: int, equivariant: bool = True) -> BiSeries:
     for i in range(order + 1):
         for j in range(order + 1 - i):
             if equivariant:
-                coeffs[(i, j)] = substitute(
-                    closed_a_equivariant(i, j), ALPHA_TO_LAMBDA, reg
-                )
+                coeffs[(i, j)] = _lambda_coeff(i, j)
             else:
                 coeffs[(i, j)] = RatFunc.from_scalar(reg, closed_a(i, j))
     return BiSeries(reg, order, coeffs)
@@ -454,11 +446,6 @@ def verify_recursions_plain(n_max: int) -> VerificationReport:
                     ) / (i * i - i * j + j * j)
                     report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a)
     return report
-
-
-@cache
-def _lambda_coeff(i: int, j: int) -> RatFunc:
-    return substitute(closed_a_equivariant(i, j), ALPHA_TO_LAMBDA, LAMBDA_REGISTRY)
 
 
 def verify_recursions_equivariant(n_max: int) -> VerificationReport:

@@ -5,6 +5,10 @@ stderr diagnostics are exercised exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +227,24 @@ def test_chart_rejected_off_target(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "flag-a1", "--chart", "part1"),
+        ("series", "toda", "--convention", "theorem38"),
+        ("series", "toda-eq", "--n", "2"),
+        ("series", "proj", "--max", "2"),
+        ("series", "flag-a2", "--max-d", "2"),
+    ],
+    ids=lambda argv: argv[2],
+)
+def test_series_option_its_target_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: series {argv[1]} does not take {argv[2]}\n"
+
+
 def test_negative_bound_rejected(capsys):
     code, _, err = run(capsys, "verify", "batyrev", "--max", "-1")
     assert code == 2
@@ -282,3 +304,21 @@ def test_unexpected_runner_error_becomes_fail_report(capsys, monkeypatch):
     assert "Traceback" not in out
     assert err.startswith("error: check lemma34 raised\n")
     assert "RuntimeError: planted" in err
+
+
+# -- benchmark trace mode ------------------------------------------------------------
+
+
+def test_benchmark_trace_mode_finds_every_traced_function():
+    # perfbench/child.py wraps qcseries functions by name, so a rename or a
+    # deletion among them breaks the traced benchmark run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "trace",
+         "verify", "a2-recursion", "--max", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = [ln for ln in proc.stderr.splitlines() if ln.startswith("PERFBENCH ")]
+    assert len(stats) == 1

@@ -1,29 +1,25 @@
-"""Flag-space recursion coefficients, solver tables, and cohomology charts."""
+"""Flag-space recursion coefficients, solver tables, and the rank-two closed form."""
 
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from qcseries.exactalg import RatFunc, homogeneous_degree, substitute
+from qcseries import flaggw
+from qcseries.exactalg import RatFunc, VarRegistry, homogeneous_degree, substitute
 from qcseries.flaggw import (
     A2_THETA,
-    CoeffC,
-    FlagChartA,
     FlagSetup,
     FlagSeriesTable,
     _pole_weight,
     a2_closed_coeff,
     coeff_C_id,
-    coeff_C_w,
-    coeff_entry,
-    flag_euler,
-    phi_w,
     solve_flag_recursion,
     verify_a1_crosscheck,
     verify_a2_theorem_3_2,
     verify_lemma_3_4,
 )
+from qcseries.projgw import ProjSetup, euler_e
 from qcseries.roots import CartanMatrix, Root, RootSystem
 
 A1 = FlagSetup(RootSystem(CartanMatrix.type_A(1)))
@@ -93,17 +89,21 @@ def test_acted_coefficients():
     s1 = system.simple_reflections[0]
     al1, al2 = system.simple_roots
     reg = A2.registry
-    assert coeff_C_w(A2, system.identity, A2_THETA, 2) == coeff_C_id(A2, A2_THETA, 2)
-    assert coeff_C_w(A2, s1, al1, 1) == RatFunc.one(reg)
+
+    def acted(w, alpha, k):
+        return system.act_on_ratfunc(w, coeff_C_id(A2, alpha, k))
+
+    assert acted(system.identity, A2_THETA, 2) == coeff_C_id(A2, A2_THETA, 2)
+    assert acted(s1, al1, 1) == RatFunc.one(reg)
     theta_form = reg.var("alpha_1") + reg.var("alpha_2")
-    assert coeff_C_w(A2, s1, al2, 2) == RatFunc.one(reg) / RatFunc.from_poly(theta_form)
+    assert acted(s1, al2, 2) == RatFunc.one(reg) / RatFunc.from_poly(theta_form)
 
 
 def test_coeff_entry_type_checks_degree():
-    entry = coeff_entry(A2, A2.system.identity, A2_THETA, 2)
-    assert entry.degree == homogeneous_degree(entry.value) == -3
-    with pytest.raises(ValueError):
-        CoeffC(A2_THETA, 2, A2.system.identity, entry.value, 0)
+    # C(alpha, k) has degree 1 - k * height(alpha), at every Weyl element
+    for w in A2.system.weyl_elements:
+        value = A2.system.act_on_ratfunc(w, coeff_C_id(A2, A2_THETA, 2))
+        assert homogeneous_degree(value) == -3
 
 
 # -- the solver -----------------------------------------------------------------------
@@ -213,6 +213,20 @@ def test_verify_a2_recursion_report():
     assert rep.ok, rep.render()
 
 
+def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
+    # the check reads its lower bidegrees from a2_closed_coeff, so a wrong
+    # value there must break the recursion one step up
+    closed = flaggw.a2_closed_coeff
+
+    def perturbed_at_1_0(setup, i, j):
+        value = closed(setup, i, j)
+        return value + 1 if (i, j) == (1, 0) else value
+
+    monkeypatch.setattr(flaggw, "a2_closed_coeff", perturbed_at_1_0)
+    rep = verify_a2_theorem_3_2(2)
+    assert rep.status == "fail"
+
+
 def test_verify_pole_cancellation_cases():
     for i, j in ((0, 0), (0, 1), (1, 1), (1, 2)):
         rep = verify_lemma_3_4(i, j)
@@ -221,40 +235,28 @@ def test_verify_pole_cancellation_cases():
         verify_lemma_3_4(2, 1)
 
 
-# -- type-A cohomology chart ----------------------------------------------------------
+# -- Euler classes in the type-A lambda chart -----------------------------------------
 
 
-def test_phi_restriction_is_diagonal():
-    chart = FlagChartA(2)
-    elements = chart.system.weyl_elements
-    for w in elements:
-        ew = flag_euler(chart, w)
-        for v in elements:
-            got = phi_w(chart, v).restrict(w)
-            if v == w:
-                assert got == RatFunc.from_poly(ew)
-            else:
-                assert got.is_zero
+def lambda_euler(system, target, w):
+    chart = system.lambda_chart(target, "part1")
+    return system.euler_class(system.alpha_registry(()), w).substitute(chart, target).as_poly()
 
 
 def test_phi_rank_one_matches_projective_chart():
-    chart = FlagChartA(1)
-    idw = chart.system.identity
-    s1 = chart.system.simple_reflections[0]
-    assert phi_w(chart, idw).poly == chart.u(0) - chart.lam(1)
-    assert phi_w(chart, s1).poly == chart.u(0) - chart.lam(0)
-    assert flag_euler(chart, idw) == chart.lam(0) - chart.lam(1)
-    assert flag_euler(chart, s1) == chart.lam(1) - chart.lam(0)
+    # the flag variety of A1 is P^1: its two Euler classes are those of projgw
+    system = A1.system
+    p1 = ProjSetup(1)
+    assert lambda_euler(system, p1.registry, system.identity) == euler_e(p1, 0)
+    assert lambda_euler(system, p1.registry, system.simple_reflections[0]) == euler_e(p1, 1)
 
 
 def test_flag_euler_matches_root_product():
-    chart = FlagChartA(2)
-    system = chart.system
-    lam_bindings = system.lambda_chart(chart.registry, "part1")
+    # in the lambda chart the product of positive roots is the Vandermonde
+    # product, and w multiplies it by its sign
+    system = A2.system
+    target = VarRegistry([f"lambda_{i}" for i in range(3)])
+    lam = [target.var(f"lambda_{i}") for i in range(3)]
+    vandermonde = (lam[0] - lam[1]) * (lam[0] - lam[2]) * (lam[1] - lam[2])
     for w in system.weyl_elements:
-        via_roots = substitute(
-            RatFunc.from_poly(system.euler_class(system.alpha_registry(()), w)),
-            lam_bindings,
-            chart.registry,
-        )
-        assert RatFunc.from_poly(flag_euler(chart, w)) == via_roots
+        assert lambda_euler(system, target, w) == vandermonde.scale((-1) ** w.length())

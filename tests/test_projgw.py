@@ -1,22 +1,18 @@
-"""Projective-space series: fixed-point algebra, closed forms, recursion."""
+"""Projective-space series: Euler classes, closed forms, recursion."""
 
 from fractions import Fraction
 
 import pytest
 
+from qcseries import projgw
 from qcseries.exactalg import RatFunc, homogeneous_degree, substitute
 from qcseries.projgw import (
-    CohomClass,
     ProjSetup,
     ProjSeriesTable,
     closed_B,
     closed_b,
     euler_e,
     euler_prefactor_identity,
-    integrate,
-    normalized_coeff,
-    pairing,
-    phi,
     recursion_coeff,
     solve_recursion,
     verify_first_order_split,
@@ -27,70 +23,72 @@ P1 = ProjSetup(1)
 P2 = ProjSetup(2)
 
 
-def lam(setup, i):
-    return RatFunc.from_poly(setup.lam(i))
+def euler_rf(setup, i):
+    return RatFunc.from_poly(euler_e(setup, i))
 
 
-# -- fixed-point algebra -------------------------------------------------------------
+def point_class_at(setup, i, j):
+    # the point class of i is prod_{b != i} (u - lambda_b); its value at the
+    # fixed point j is euler_e(i) with lambda_i moved to lambda_j
+    return substitute(euler_rf(setup, i), {f"lambda_{i}": setup.lam(j)})
+
+
+def localize(setup, values):
+    # fixed-point formula: the integral of a class is sum_i value_i / e_i
+    acc = RatFunc.zero(setup.registry)
+    for i in setup.points():
+        acc = acc + values[i] / euler_rf(setup, i)
+    return acc
+
+
+# -- Euler classes -------------------------------------------------------------------
 
 
 def test_phi_and_euler_basics():
-    f = phi(P1, 0)
-    assert f.coeffs[1] == RatFunc.one(P1.registry)
-    assert f.coeffs[0] == -lam(P1, 1)
     assert euler_e(P1, 0) == P1.lam(0) - P1.lam(1)
     assert euler_e(P2, 1) == (P2.lam(1) - P2.lam(0)) * (P2.lam(1) - P2.lam(2))
+    assert euler_e(ProjSetup(0), 0) == ProjSetup(0).registry.one()
 
 
 def test_phi_vanishes_off_its_point():
     for setup in (P1, P2):
         for i in setup.points():
-            f = phi(setup, i)
             for j in setup.points():
-                expected = euler_e(setup, i) if j == i else setup.registry.zero()
-                assert f.value_at(j) == RatFunc.from_poly(expected)
+                expected = euler_rf(setup, i) if j == i else RatFunc.zero(setup.registry)
+                assert point_class_at(setup, i, j) == expected
 
 
 def test_integrate_point_classes_and_constants():
     for setup in (P1, P2):
         for i in setup.points():
-            assert integrate(setup, phi(setup, i)) == RatFunc.one(setup.registry)
+            values = [point_class_at(setup, i, j) for j in setup.points()]
+            assert localize(setup, values) == RatFunc.one(setup.registry)
         # constants have no top-degree part
-        assert integrate(setup, CohomClass.const(setup, 1)).is_zero
+        assert localize(setup, [RatFunc.one(setup.registry)] * (setup.n + 1)).is_zero
     p0 = ProjSetup(0)
-    assert integrate(p0, CohomClass.const(p0, 1)) == RatFunc.one(p0.registry)
+    assert localize(p0, [RatFunc.one(p0.registry)]) == RatFunc.one(p0.registry)
 
 
 def test_integrate_top_power_is_one():
     # sum of lambda_i^n over Euler classes collapses to 1
-    for setup in (P1, P2):
-        top = CohomClass(setup, [0] * setup.n + [1])
-        assert integrate(setup, top) == RatFunc.one(setup.registry)
+    for setup in (P1, P2, ProjSetup(3)):
+        values = [RatFunc.from_poly(setup.lam(i)) ** setup.n for i in setup.points()]
+        assert localize(setup, values) == RatFunc.one(setup.registry)
 
 
 def test_pairing_diagonalizes_point_classes():
     for setup in (P1, P2):
         for i in setup.points():
             for j in setup.points():
-                got = pairing(setup, phi(setup, i), phi(setup, j))
+                values = [
+                    point_class_at(setup, i, m) * point_class_at(setup, j, m)
+                    for m in setup.points()
+                ]
+                got = localize(setup, values)
                 if i == j:
-                    assert got == RatFunc.from_poly(euler_e(setup, i))
+                    assert got == euler_rf(setup, i)
                 else:
                     assert got.is_zero
-
-
-def test_from_values_round_trip_and_products():
-    f = CohomClass(P2, [1, lam(P2, 0), RatFunc.from_scalar(P2.registry, Fraction(1, 3))])
-    assert CohomClass.from_values(P2, f.values()) == f
-    p = CohomClass(P2, [0, 1, 0])
-    sq = p * p
-    for i in P2.points():
-        assert sq.value_at(i) == lam(P2, i) ** 2
-
-
-def test_class_coefficients_reject_p_and_q():
-    with pytest.raises(ValueError):
-        CohomClass(P1, [RatFunc.from_poly(P1.registry.var("q")), 0])
 
 
 # -- closed forms --------------------------------------------------------------------
@@ -123,15 +121,15 @@ def test_closed_B_and_normalized_scalings():
     for setup, i, d in ((P1, 0, 2), (P2, 1, 3)):
         h = RatFunc.from_poly(setup.h)
         assert closed_B(setup, i, d) * h**d == closed_b(setup, i, d)
-        assert normalized_coeff(setup, i, d) * RatFunc.from_poly(
-            euler_e(setup, i)
-        ) == closed_B(setup, i, d)
+        # dividing by the Euler class lowers the degree by the dimension
+        normalized = closed_B(setup, i, d) / euler_rf(setup, i)
+        assert homogeneous_degree(normalized) == -d * setup.n - d - setup.n
 
 
 def test_normalized_coeff_first_degree():
     a = P1.lam(0) - P1.lam(1)
     want = RatFunc.from_factored(P1.registry.one(), [a, a + P1.h, P1.h])
-    assert normalized_coeff(P1, 0, 1) == want
+    assert closed_B(P1, 0, 1) / euler_rf(P1, 0) == want
 
 
 def test_recursion_coeff_rank_one_values():
@@ -201,11 +199,11 @@ def test_solver_dimension_zero_is_exponential():
 
 
 def test_table_form_conversions():
-    tables = solve_recursion(P1, 2)
-    t = tables[0]
-    big = t.converted("B")
-    assert big.coefficient(2) == closed_B(P1, 0, 2)
-    assert big.converted("b").coefficient(2) == t.coefficient(2)
+    # a solver table in the b form becomes the B form on dividing by h^d
+    h = RatFunc.from_poly(P1.h)
+    for t in solve_recursion(P1, 2):
+        assert t.form == "b"
+        assert t.coefficient(2) / h**2 == closed_B(P1, t.i, 2)
     with pytest.raises(ValueError):
         ProjSeriesTable(P1, 0, "b", {0: closed_b(P1, 0, 1)})
     with pytest.raises(ValueError):
@@ -221,6 +219,21 @@ def test_verify_recursion_direct_and_residue():
         assert rep.ok and rep.status == "pass"
     rep = verify_theorem_3_3(P2, 2, method="residue")
     assert rep.ok
+
+
+def test_verify_recursion_direct_fails_on_a_wrong_lower_coefficient(monkeypatch):
+    # the direct check reads its lower degrees from closed_b, so one wrong
+    # lower value must surface at the degree that reads it
+    closed = projgw.closed_b
+
+    def doubled_at_1_1(setup, i, d):
+        value = closed(setup, i, d)
+        return value * 2 if (i, d) == (1, 1) else value
+
+    monkeypatch.setattr(projgw, "closed_b", doubled_at_1_1)
+    rep = verify_theorem_3_3(ProjSetup(1), 2, "direct")
+    assert rep.status == "fail"
+    assert "i=0 d=2" in [loc for loc, _, _ in rep.failures]
 
 
 def test_verify_recursion_dimension_zero():

@@ -134,12 +134,24 @@ def test_lambda_chart_rejects_non_type_a():
 
 @pytest.mark.parametrize("system", [A2, A3], ids=["A2", "A3"])
 def test_weyl_permutation_matches_chart(system):
+    # in the part1 chart w sends alpha_i = lambda_{i-1} - lambda_i to
+    # lambda_pi(i-1) - lambda_pi(i); read pi off the simple roots, then the
+    # Euler class must become the product over the permuted pairs
     n = system.rank + 1
     lam = VarRegistry([f"lambda_{i}" for i in range(n)])
     chart = system.lambda_chart(lam, "part1")
     reg = system.alpha_registry(extra=[])
+    diffs = {
+        lam.var(f"lambda_{a}") - lam.var(f"lambda_{b}"): (a, b)
+        for a in range(n) for b in range(n) if a != b
+    }
     for w in system.weyl_elements:
-        pi = system.weyl_permutation(w)
+        pi = []
+        for alpha in system.simple_roots:
+            image = system.root_form(reg, w.act(alpha)).substitute(chart, target=lam)
+            a, b = diffs[image.as_poly()]
+            assert pi[-1:] in ([], [a])
+            pi[-1:] = [a, b]
         assert sorted(pi) == list(range(n))
         imaged = system.euler_class(reg, w).substitute(chart, target=lam).as_poly()
         expected = lam.one()
