@@ -17,7 +17,7 @@ from math import factorial
 from typing import Sequence
 
 from . import flaggw, projgw, toda3
-from .exactalg import PoleError, RatFunc, VarRegistry, substitute
+from .exactalg import PoleError, VarRegistry, substitute
 from .report import VerificationReport, timed
 
 SERIES_TARGETS = ("proj", "flag-a1", "flag-a2", "toda", "toda-eq")
@@ -160,34 +160,53 @@ def _series_toda(args, quick: bool, equivariant: bool) -> list[str]:
             raise UsageError("only the equivariant table admits the part3 chart")
         lines.append(f"param chart={args.chart}")
     lines.append(f"param max={n_max}")
+    if equivariant and args.chart is None:
+        coeff = toda3.closed_a_equivariant
+    else:
+        # the solution series is written over the part3 chart already
+        coeff = toda3.closed_solution(n_max, equivariant).coefficient
     for i in range(n_max + 1):
         for j in range(n_max + 1 - i):
-            if equivariant:
-                f = toda3.closed_a_equivariant(i, j)
-                if args.chart is not None:
-                    f = substitute(f, toda3.ALPHA_TO_LAMBDA, toda3.LAMBDA_REGISTRY)
-                text = f.text()
-            else:
-                text = str(toda3.closed_a(i, j))
-            lines.append(f"row i={i} j={j} {text}")
+            lines.append(f"row i={i} j={j} {coeff(i, j).text()}")
     return lines
 
 
-# the options each series target reads; passing any other is a usage error
-_SERIES_OPTIONS = {
-    "proj": ("n", "max_d", "chart"),
-    "flag-a1": ("max_d", "convention"),
-    "flag-a2": ("max", "convention"),
-    "toda": ("max", "chart"),
-    "toda-eq": ("max", "chart"),
+# the options each series target and each verify check reads; passing any
+# other is a usage error (`verify all` reads the union)
+_OPTIONS = {
+    "series": {
+        "proj": ("n", "max_d", "chart"),
+        "flag-a1": ("max_d", "convention"),
+        "flag-a2": ("max", "convention"),
+        "toda": ("max", "chart"),
+        "toda-eq": ("max", "chart"),
+    },
+    "verify": {
+        "proj-recursion": ("n", "max_d"),
+        "euler-prefactor": ("n", "max_d"),
+        "a1-cross": ("max_d",),
+        "a2-recursion": ("max",),
+        "lemma34": ("max",),
+        "toda-plain": ("max",),
+        "toda-eq": ("max",),
+        "toda-operators": ("max",),
+        "batyrev": ("max",),
+        "corollary35": ("max",),
+    },
 }
 
 
-def cmd_series(args, quick: bool) -> tuple[list[str], int]:
+def _reject_unread_options(args) -> None:
+    table = _OPTIONS[args.command]
+    name = args.target if args.command == "series" else args.check
+    reads = set().union(*table.values()) if name == "all" else table[name]
     for dest in ("n", "max_d", "max", "chart", "convention"):
-        if getattr(args, dest) is not None and dest not in _SERIES_OPTIONS[args.target]:
+        if getattr(args, dest, None) is not None and dest not in reads:
             flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"series {args.target} does not take {flag}")
+            raise UsageError(f"{args.command} {name} does not take {flag}")
+
+
+def cmd_series(args, quick: bool) -> tuple[list[str], int]:
     if args.target == "proj":
         lines = _series_proj(args, quick)
     elif args.target == "flag-a1":
@@ -417,6 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     quick = args.level == "quick"
     try:
+        _reject_unread_options(args)
         if args.command == "series":
             try:
                 lines, code = cmd_series(args, quick)

@@ -110,16 +110,13 @@ def recursion_coeff(setup: ProjSetup, i: int, j: int, k: int) -> RatFunc:
 
 @dataclass
 class ProjSeriesTable:
-    """Per fixed point: map q-degree -> coefficient, under a named normalization."""
+    """Per fixed point: map q-degree -> coefficient."""
 
     setup: ProjSetup
     i: int
-    form: str
     coeffs: dict[int, RatFunc]
 
     def __post_init__(self):
-        if self.form not in ("b", "B"):
-            raise ValueError(f"unknown normalization {self.form!r}")
         if 0 in self.coeffs and self.coeffs[0] != RatFunc.one(self.setup.registry):
             raise ValueError("degree-0 coefficient must be 1")
 
@@ -161,7 +158,11 @@ def _recursion_sum(setup: ProjSetup, i: int, d: int, lower,
 
 
 def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
-    """Build all tables from degree 0 upward using only the recursion data."""
+    """Build all tables from degree 0 upward using only the recursion data.
+
+    The tables are in the b normalization of `closed_b`, except in dimension
+    0, whose single table is in the B normalization of `closed_B`.
+    """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
     one = RatFunc.one(setup.registry)
@@ -170,7 +171,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
         # the exponential closed form is exact here
         h = RatFunc.from_poly(setup.h)
         coeffs = {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}
-        return [ProjSeriesTable(setup, 0, "B", coeffs)]
+        return [ProjSeriesTable(setup, 0, coeffs)]
     coupling = _coupling_table(setup, d_max)
     tables: list[dict[int, RatFunc]] = [{0: one} for _ in setup.points()]
     for d in range(1, d_max + 1):
@@ -178,7 +179,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
             tables[i][d] = _recursion_sum(
                 setup, i, d, lambda j, e: tables[j][e], coupling
             )
-    return [ProjSeriesTable(setup, i, "b", tables[i]) for i in setup.points()]
+    return [ProjSeriesTable(setup, i, tables[i]) for i in setup.points()]
 
 
 # -- verification --------------------------------------------------------------------
@@ -200,13 +201,9 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
             raise ValueError(f"unknown method {method!r}")
         if setup.n == 0:
             report.note("no recursion terms in dimension 0; exponential form checked")
-            h = RatFunc.from_poly(setup.h)
-            one = RatFunc.one(setup.registry)
             table = solve_recursion(setup, d_max)[0]
             for d in range(d_max + 1):
-                report.check_equal(
-                    f"d={d}", table.coefficient(d), one / (h**d * factorial(d))
-                )
+                report.check_equal(f"d={d}", table.coefficient(d), closed_B(setup, 0, d))
             return report
         if method == "direct":
             coupling = _coupling_table(setup, d_max)

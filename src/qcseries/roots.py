@@ -171,13 +171,11 @@ class WeylElement:
 class RootSystem:
     """Finite crystallographic root system with its Weyl group enumerated."""
 
-    def __init__(self, cartan: CartanMatrix,
-                 max_positive: int = MAX_POSITIVE_ROOTS,
-                 max_weyl: int = MAX_WEYL_ELEMENTS):
+    def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.rank = cartan.rank
-        self._generate_roots(max_positive)
-        self._enumerate_weyl(max_weyl)
+        self._generate_roots()
+        self._enumerate_weyl()
 
     # -- generation -----------------------------------------------------
 
@@ -192,7 +190,7 @@ class RootSystem:
         new_b[i] -= copair
         return tuple(new_c), tuple(new_b)
 
-    def _generate_roots(self, max_positive: int) -> None:
+    def _generate_roots(self) -> None:
         r = self.rank
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         queue: list[tuple[int, ...]] = []
@@ -207,7 +205,7 @@ class RootSystem:
                 if nc not in seen:
                     seen[nc] = nb
                     queue.append(nc)
-                    if len(seen) > 2 * max_positive:
+                    if len(seen) > 2 * MAX_POSITIVE_ROOTS:
                         raise ValueError("positive root cap exceeded; input not finite type?")
         positives = []
         for coords in seen:
@@ -216,7 +214,7 @@ class RootSystem:
                 positives.append(root)
             elif not (-root).is_positive:
                 raise ValueError("generated a root with mixed signs; invalid Cartan matrix")
-        if len(positives) > max_positive:
+        if len(positives) > MAX_POSITIVE_ROOTS:
             raise ValueError("positive root cap exceeded")
         positives.sort(key=lambda g: (g.height, g.coords))
         self.positive_roots: tuple[Root, ...] = tuple(positives)
@@ -233,7 +231,7 @@ class RootSystem:
             if self.pairing(g, g) != 2:
                 raise AssertionError("coroot bookkeeping failed: <g, g_check> != 2")
 
-    def _enumerate_weyl(self, max_weyl: int) -> None:
+    def _enumerate_weyl(self) -> None:
         n = len(self.roots)
         self._elements: dict[tuple[int, ...], WeylElement] = {}
         ident = self._element(tuple(range(n)))
@@ -258,7 +256,7 @@ class RootSystem:
                         seen.add(ws.perm)
                         nxt.append(ws)
                         order.append(ws)
-                        if len(order) > max_weyl:
+                        if len(order) > MAX_WEYL_ELEMENTS:
                             raise ValueError("Weyl element cap exceeded")
             frontier = nxt
         order.sort(key=lambda w: (w.length(), w.reduced_word()))

@@ -11,7 +11,9 @@ The solutions are double series with coefficients given in closed form
 three ways (plain, binomial-sum, equivariant); verification routines check
 the hand-derived coefficient recursions and, independently, that the built
 operators annihilate the closed series through the certified truncation
-order.
+order.  The coefficient identities are coded once, in the weights lambda_0,
+lambda_1, lambda_2 and h: the plain flavor runs them at zero weights and
+h = 1 over the rationals.
 """
 
 from __future__ import annotations
@@ -33,31 +35,16 @@ from . import flaggw
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
-ALPHA_REGISTRY = VarRegistry(["alpha_1", "alpha_2", "h"])
+ALPHA_REGISTRY = flaggw._a2_setup().registry
 
 # weight chart linking the two coefficient registries
-ALPHA_TO_LAMBDA = {
-    "alpha_1": LAMBDA_REGISTRY.var("lambda_1") - LAMBDA_REGISTRY.var("lambda_0"),
-    "alpha_2": LAMBDA_REGISTRY.var("lambda_2") - LAMBDA_REGISTRY.var("lambda_1"),
-}
+ALPHA_TO_LAMBDA = flaggw._a2_setup().system.lambda_chart(LAMBDA_REGISTRY, "part3")
 
 
 # -- the matrix side -------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class CharPolyCoeffs:
-    """Coefficients of the deformed characteristic polynomial."""
-
-    p1: MultiPoly
-    p2: MultiPoly
-    p3: MultiPoly
-
-    def all(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        return (self.p1, self.p2, self.p3)
-
-
-def char_poly() -> CharPolyCoeffs:
+def char_poly() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """Trace, second minors, and determinant of the deformed triangular matrix."""
     reg = UV_REGISTRY
     u = [reg.var(f"u_{i}") for i in range(3)]
@@ -76,7 +63,7 @@ def char_poly() -> CharPolyCoeffs:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    out = CharPolyCoeffs(p1, p2, p3)
+    out = (p1, p2, p3)
     # undeformed limit must give the elementary symmetric functions
     zero_v = {"v_1": RatFunc.zero(reg), "v_2": RatFunc.zero(reg)}
     sym = [
@@ -84,7 +71,7 @@ def char_poly() -> CharPolyCoeffs:
         u[0] * u[1] + u[0] * u[2] + u[1] * u[2],
         u[0] * u[1] * u[2],
     ]
-    for p, s in zip(out.all(), sym):
+    for p, s in zip(out, sym):
         if substitute(p, zero_v) != RatFunc.from_poly(s):
             raise AssertionError("deformation does not vanish at v = 0")
     return out
@@ -336,17 +323,17 @@ def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperato
             op = op + term
         return op
 
-    cp = char_poly()
+    p1, p2, p3 = char_poly()
     sigma = [
         lam[0] + lam[1] + lam[2],
         lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2],
         lam[0] * lam[1] * lam[2],
     ]
-    d1 = realize(cp.p1) - TodaOperator.const(reg, sigma[0])
+    d1 = realize(p1) - TodaOperator.const(reg, sigma[0])
     if not d1.is_zero:
         raise AssertionError("the trace operator must vanish in ratio coordinates")
-    d2 = realize(cp.p2) - TodaOperator.const(reg, sigma[1])
-    d3 = realize(cp.p3) - TodaOperator.const(reg, sigma[2])
+    d2 = realize(p2) - TodaOperator.const(reg, sigma[1])
+    d3 = realize(p3) - TodaOperator.const(reg, sigma[2])
     return d2, d3
 
 
@@ -403,48 +390,65 @@ def closed_solution(order: int, equivariant: bool = True) -> BiSeries:
 # -- verification: coefficient recursions ----------------------------------------------
 
 
+def _check_identities(report: VerificationReport, n_max: int, a, weights,
+                      rebuild_max: int) -> None:
+    """The lattice coefficient identities at weights (lambda_0, lambda_1, lambda_2, h).
+
+    a(i, j) is the coefficient lookup, zero outside the quadrant; values and
+    weights are Fractions or RatFuncs alike.
+    """
+    l0, l1, l2, h = weights
+    al1, al2 = l1 - l0, l2 - l1
+    theta = al1 + al2
+    rebuilt = {(0, 0): 1}
+    for i in range(n_max + 1):
+        for j in range(n_max + 1 - i):
+            loc = f"i={i} j={j}"
+            if (i, j) == (0, 0):
+                report.check_equal("i=0 j=0 base", a(0, 0), 1)
+                continue
+            bracket = h * h * (i * i - i * j + j * j) + al1 * h * i + al2 * h * j
+            report.check_equal(
+                f"{loc} second-order", bracket * a(i, j), a(i - 1, j) + a(i, j - 1)
+            )
+            eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l0 * l1 * l2
+            report.check_equal(
+                f"{loc} third-order",
+                eig3 * a(i, j),
+                (l0 - h * i) * a(i, j - 1) + (l2 + h * j) * a(i - 1, j),
+            )
+            if i >= 1 and j >= 1:
+                report.check_equal(
+                    f"{loc} cross-ratio",
+                    (h * i) * (h * i + al1) * (h * i + theta) * a(i, j - 1),
+                    (h * j) * (h * j + al2) * (h * j + theta) * a(i - 1, j),
+                )
+            if j == 0:
+                row = 1
+                for m in range(1, i + 1):
+                    row = row / (h * m) / (h * m + al1)
+                report.check_equal(f"{loc} row", a(i, 0), row)
+            # uniqueness scaffold: the second-order recursion pins every
+            # coefficient once the base is fixed
+            if i + j <= rebuild_max:
+                rebuilt[(i, j)] = (
+                    rebuilt.get((i - 1, j), 0) + rebuilt.get((i, j - 1), 0)
+                ) / bracket
+                report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a(i, j))
+
+
 def verify_recursions_plain(n_max: int) -> VerificationReport:
     """Hand-derived identities for the plain coefficients, exact over Q."""
     report = VerificationReport("toda-plain", {"max_total": n_max})
     with timed(report):
-        rebuilt: dict[tuple[int, int], Fraction] = {}
+        flat = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+        _check_identities(report, n_max, closed_a, flat, rebuild_max=8)
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):
-                a = closed_a(i, j)
-                loc = f"i={i} j={j}"
-                if (i, j) == (0, 0):
-                    report.check_equal("i=0 j=0 base", a, Fraction(1))
-                    rebuilt[(0, 0)] = Fraction(1)
-                    continue
-                report.check_equal(
-                    f"{loc} second-order",
-                    (i * i - i * j + j * j) * a,
-                    closed_a(i - 1, j) + closed_a(i, j - 1),
-                )
-                report.check_equal(
-                    f"{loc} third-order",
-                    i * j * (i - j) * a,
-                    -i * closed_a(i, j - 1) + j * closed_a(i - 1, j),
-                )
-                if i >= 1 and j >= 1:
+                if (i, j) != (0, 0):
                     report.check_equal(
-                        f"{loc} cross-ratio",
-                        i**3 * closed_a(i, j - 1),
-                        j**3 * closed_a(i - 1, j),
+                        f"i={i} j={j} symmetry", closed_a(i, j), closed_a(j, i)
                     )
-                if j == 0:
-                    report.check_equal(
-                        f"{loc} row", a, Fraction(1, factorial(i) ** 2)
-                    )
-                report.check_equal(f"{loc} symmetry", a, closed_a(j, i))
-                # uniqueness scaffold: the second-order recursion pins every
-                # coefficient once the base is fixed
-                if i + j <= 8:
-                    rebuilt[(i, j)] = (
-                        rebuilt.get((i - 1, j), Fraction(0))
-                        + rebuilt.get((i, j - 1), Fraction(0))
-                    ) / (i * i - i * j + j * j)
-                    report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a)
     return report
 
 
@@ -452,62 +456,10 @@ def verify_recursions_equivariant(n_max: int) -> VerificationReport:
     """Weighted coefficient identities over the lambda chart, exact."""
     report = VerificationReport("toda-eq", {"max_total": n_max})
     with timed(report):
-        reg = LAMBDA_REGISTRY
-        l0, l1, l2, h = (RatFunc.from_poly(reg.var(n)) for n in reg.names)
-        al1, al2 = l1 - l0, l2 - l1
-        zero = RatFunc.zero(reg)
-        one = RatFunc.one(reg)
-
-        def a(i: int, j: int) -> RatFunc:
-            if i < 0 or j < 0:
-                return zero
-            return _lambda_coeff(i, j)
-
-        rebuilt: dict[tuple[int, int], RatFunc] = {(0, 0): one}
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                loc = f"i={i} j={j}"
-                if (i, j) == (0, 0):
-                    report.check_equal("i=0 j=0 base", a(0, 0), one)
-                    continue
-                bracket = h * h * (i * i - i * j + j * j) + al1 * h * i + al2 * h * j
-                report.check_equal(
-                    f"{loc} second-order", bracket * a(i, j), a(i - 1, j) + a(i, j - 1)
-                )
-                eig3 = (
-                    (h * i - l0) * (h * (i - j) + l1) * (h * j + l2)
-                    + l0 * l1 * l2
-                )
-                report.check_equal(
-                    f"{loc} third-order",
-                    eig3 * a(i, j),
-                    (l0 - h * i) * a(i, j - 1) + (l2 + h * j) * a(i - 1, j),
-                )
-                if i >= 1 and j >= 1:
-                    theta = al1 + al2
-                    report.check_equal(
-                        f"{loc} cross-ratio",
-                        (h * i) * (h * i + al1) * (h * i + theta) * a(i, j - 1),
-                        (h * j) * (h * j + al2) * (h * j + theta) * a(i - 1, j),
-                    )
-                if j == 0:
-                    ah = ALPHA_REGISTRY.var("h")
-                    closed_row = RatFunc.from_factored(
-                        ALPHA_REGISTRY.one(),
-                        [ah] * i
-                        + [ah.scale(m) + ALPHA_REGISTRY.var("alpha_1")
-                           for m in range(1, i + 1)],
-                        scale=factorial(i),
-                    )
-                    report.check_equal(
-                        f"{loc} row", a(i, 0),
-                        substitute(closed_row, ALPHA_TO_LAMBDA, reg),
-                    )
-                if i + j <= 5:
-                    rebuilt[(i, j)] = (
-                        rebuilt.get((i - 1, j), zero) + rebuilt.get((i, j - 1), zero)
-                    ) / bracket
-                    report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a(i, j))
+        weights = tuple(
+            RatFunc.from_poly(LAMBDA_REGISTRY.var(n)) for n in LAMBDA_REGISTRY
+        )
+        _check_identities(report, n_max, _lambda_coeff, weights, rebuild_max=5)
 
         # symmetry in the weight registry: swap both indices and weights
         swap = {

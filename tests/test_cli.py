@@ -245,6 +245,24 @@ def test_series_option_its_target_does_not_read_is_usage_error(capsys, argv):
     assert err == f"error: series {argv[1]} does not take {argv[2]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "batyrev", "--chart", "part1"),
+        ("verify", "batyrev", "--n", "3"),
+        ("verify", "toda-plain", "--max-d", "2"),
+        ("verify", "a1-cross", "--max", "2"),
+        ("verify", "all", "--chart", "part1"),
+    ],
+    ids=lambda argv: f"{argv[1]} {argv[2]}",
+)
+def test_verify_option_its_check_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {argv[1]} does not take {argv[2]}\n"
+
+
 def test_negative_bound_rejected(capsys):
     code, _, err = run(capsys, "verify", "batyrev", "--max", "-1")
     assert code == 2

@@ -184,7 +184,6 @@ def test_solver_matches_closed_forms():
     for setup, dmax in ((P1, 4), (P2, 3)):
         tables = solve_recursion(setup, dmax)
         for t in tables:
-            assert t.form == "b"
             for d in range(dmax + 1):
                 assert t.coefficient(d) == closed_b(setup, t.i, d)
 
@@ -192,7 +191,8 @@ def test_solver_matches_closed_forms():
 def test_solver_dimension_zero_is_exponential():
     p0 = ProjSetup(0)
     (table,) = solve_recursion(p0, 3)
-    assert table.form == "B"
+    for d in range(4):
+        assert table.coefficient(d) == closed_B(p0, 0, d)
     h = RatFunc.from_poly(p0.h)
     assert table.coefficient(2) == RatFunc.one(p0.registry) / (h**2 * 2)
     assert table.coefficient(3) == RatFunc.one(p0.registry) / (h**3 * 6)
@@ -202,12 +202,9 @@ def test_table_form_conversions():
     # a solver table in the b form becomes the B form on dividing by h^d
     h = RatFunc.from_poly(P1.h)
     for t in solve_recursion(P1, 2):
-        assert t.form == "b"
         assert t.coefficient(2) / h**2 == closed_B(P1, t.i, 2)
     with pytest.raises(ValueError):
-        ProjSeriesTable(P1, 0, "b", {0: closed_b(P1, 0, 1)})
-    with pytest.raises(ValueError):
-        ProjSeriesTable(P1, 0, "weird", {})
+        ProjSeriesTable(P1, 0, {0: closed_b(P1, 0, 1)})
 
 
 # -- verification reports ------------------------------------------------------------

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from qcseries import toda3
 from qcseries.exactalg import RatFunc, substitute
 from qcseries.toda3 import (
     ALPHA_REGISTRY,
@@ -46,10 +47,10 @@ def test_char_poly_matches_minor_expansion():
     reg = UV_REGISTRY
     u0, u1, u2 = (reg.var(f"u_{i}") for i in range(3))
     v1, v2 = reg.var("v_1"), reg.var("v_2")
-    cp = char_poly()
-    assert cp.p1 == u0 + u1 + u2
-    assert cp.p2 == u0 * u1 + u0 * u2 + u1 * u2 + v1 + v2
-    assert cp.p3 == u0 * u1 * u2 + u0 * v2 + u2 * v1
+    p1, p2, p3 = char_poly()
+    assert p1 == u0 + u1 + u2
+    assert p2 == u0 * u1 + u0 * u2 + u1 * u2 + v1 + v2
+    assert p3 == u0 * u1 * u2 + u0 * v2 + u2 * v1
 
 
 # -- operator normal form --------------------------------------------------------------
@@ -241,6 +242,27 @@ def test_plain_recursions_hold():
 def test_equivariant_recursions_hold():
     report = verify_recursions_equivariant(4)
     assert report.ok
+
+
+def test_plain_recursions_fail_on_a_wrong_coefficient(monkeypatch):
+    closed = toda3.closed_a
+    monkeypatch.setattr(
+        toda3, "closed_a", lambda i, j: closed(i, j) + (1 if (i, j) == (2, 1) else 0)
+    )
+    report = verify_recursions_plain(4)
+    assert report.status == "fail"
+    assert any(loc.startswith("i=2 j=1 ") for loc, _, _ in report.failures)
+
+
+def test_equivariant_recursions_fail_on_a_wrong_coefficient(monkeypatch):
+    coeff = toda3._lambda_coeff
+    monkeypatch.setattr(
+        toda3, "_lambda_coeff",
+        lambda i, j: coeff(i, j) * (2 if (i, j) == (1, 1) else 1),
+    )
+    report = verify_recursions_equivariant(3)
+    assert report.status == "fail"
+    assert any(loc.startswith("i=1 j=1 ") for loc, _, _ in report.failures)
 
 
 def test_operator_annihilation_both_modes():
