@@ -26,7 +26,9 @@ from .exactalg import (
     substitute,
 )
 from .report import VerificationReport
-from . import cli, exactalg, flaggw, projgw, report, roots, toda3
+# cli is not imported here: `python -m qcseries.cli` would otherwise find it
+# already imported and warn; `from qcseries import cli` still works
+from . import exactalg, flaggw, projgw, report, roots, toda3
 
 __version__ = "0.1.0"
 

@@ -196,6 +196,10 @@ _OPTIONS = {
 }
 
 
+# the dimensions each verify check that reads --n accepts
+_VERIFY_N = {"proj-recursion": range(0, 4), "euler-prefactor": range(1, 3)}
+
+
 def _reject_unread_options(args) -> None:
     table = _OPTIONS[args.command]
     name = args.target if args.command == "series" else args.check
@@ -204,6 +208,13 @@ def _reject_unread_options(args) -> None:
         if getattr(args, dest, None) is not None and dest not in reads:
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{args.command} {name} does not take {flag}")
+    if args.command == "verify" and args.n is not None:
+        # before any check runs, so `verify all` does no work it then discards
+        for check, accepted in _VERIFY_N.items():
+            if name in ("all", check) and args.n not in accepted:
+                raise UsageError(
+                    f"--n must be in {accepted[0]}..{accepted[-1]} for {check}"
+                )
 
 
 def cmd_series(args, quick: bool) -> tuple[list[str], int]:
@@ -238,8 +249,6 @@ def _combine(name: str, params: dict,
 
 def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
     if args.n is not None:
-        if args.n < 0 or args.n > 3:
-            raise UsageError("--n must be in 0..3")
         ns = [args.n]
     else:
         ns = [0, 1, 2] if quick else [0, 1, 2, 3]
@@ -270,8 +279,6 @@ def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
 
 def _check_euler_prefactor(args, quick: bool) -> list[VerificationReport]:
     if args.n is not None:
-        if args.n not in (1, 2):
-            raise UsageError("--n must be 1 or 2 for this check")
         ns = [args.n]
     else:
         ns = [1] if quick else [1, 2]

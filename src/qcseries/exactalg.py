@@ -1,18 +1,30 @@
 """Exact sparse multivariate polynomial and rational-function arithmetic.
 
 Everything here is exact: coefficients are arbitrary-precision rationals
-(`int` or `fractions.Fraction`), a polynomial is a sparse map from exponent
-vectors to nonzero coefficients, and a rational function is a quotient kept
-in a lightly normalized form.  No floating point, no external CAS.
+(`int` or `fractions.Fraction`), a polynomial is a sparse map from monomials
+to nonzero coefficients, and a rational function is a quotient kept in a
+lightly normalized form.  No floating point, no external CAS.
 
 Design notes that the rest of the package relies on:
 
 * A `VarRegistry` fixes the ordered variable set.  Polynomials over
   different registries never mix; attempting to combine them raises
   ``ValueError``.
-* The monomial order is graded lexicographic over the registry order.  It
-  drives leading-term selection, canonical text output, and the sign
-  normalization of denominators.
+* Each monomial is packed into one int (Monagan & Pearce, CASC 2007): 16-bit
+  fields, the total degree in the top one, then one per variable with the
+  first registry variable most significant.  The top bit of every field is
+  a guard that stays 0, so a total degree is at most `MAX_DEGREE` (32767).
+  A monomial product is then an int sum, and x^a divides x^b exactly when
+  b - a is nonnegative with every guard bit clear, since an exponent that
+  would go negative borrows into its guard bit.  The constructor rejects an
+  exponent vector past the bound with ``ValueError``; `*` and `**` raise
+  ``OverflowError`` before building a product past it, so no field ever
+  wraps.  `MultiPoly(registry, terms)` takes exponent tuples, and
+  `MultiPoly.monomials()` gives them back.
+* The monomial order is graded lexicographic over the registry order, which
+  is plain int order on packed monomials.  It drives leading-term
+  selection, canonical text output, and the sign normalization of
+  denominators.
 * `RatFunc` stores its denominator as a multiset of primitive factors and
   cancels them by exact trial division.  There is no multivariate gcd;
   equality is decided by cross-multiplication, which the factored form makes
@@ -36,10 +48,11 @@ from __future__ import annotations
 
 import heapq
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, ...]
@@ -61,8 +74,12 @@ def _as_coeff(c) -> Coeff:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _grlex(mono: Mono) -> tuple[int, Mono]:
-    return (sum(mono), mono)
+# -- packed monomials --------------------------------------------------------------
+
+# one struct "H" per field; the top bit of every field is a guard that stays 0,
+# so a monomial's total degree, and with it every exponent, is at most MAX_DEGREE
+_FIELD_BITS = 16
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
 # -- line screen for trial division ---------------------------------------------
@@ -99,16 +116,18 @@ def _restrict_to_line(poly: "MultiPoly", j: int) -> list[int] | None:
     terms = poly.terms
     if not all(type(c) is int for c in terms.values()):
         return None
-    top = max(map(sum, terms))
+    reg = poly.registry
+    top = max(terms) >> reg._deg_shift
     tables = []
-    for x in _screen_point(len(poly.registry)):
+    for x in _screen_point(len(reg)):
         row = [1]
         for _ in range(top):
             row.append(row[-1] * x % _SCREEN_PRIME)
         tables.append(row)
     line = [0] * (top + 1)
     for m, c in terms.items():
-        line[m[j]] += c * prod(map(list.__getitem__, tables, m))
+        mono = reg._unpack(m)
+        line[mono[j]] += c * prod(map(list.__getitem__, tables, mono))
     return [c % _SCREEN_PRIME for c in line]
 
 
@@ -151,7 +170,8 @@ class _LineScreen:
     def rejects(self, f: "MultiPoly") -> bool:
         # a constant f (never a stored factor) restricts to a constant on
         # any line, which gives no verdict
-        j = max((i for m in f.terms for i, e in enumerate(m) if e), default=0)
+        occurs = f.registry._unpack(_union(f))
+        j = max((i for i, e in enumerate(occurs) if e), default=0)
         fline = _restrict_to_line(f, j)
         if fline is None:
             return False
@@ -165,10 +185,13 @@ class VarRegistry:
     """Ordered, immutable set of variable names.
 
     The ordering is load-bearing: it fixes the monomial order and therefore
-    every canonical form downstream.
+    every canonical form downstream.  It also fixes the packed monomial
+    layout: the total degree in the top field, then one field per variable,
+    variable 0 most significant.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_deg_shift", "_lex_mask", "_guard", "_fields",
+                 "_nbytes", "_var_monos")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -179,6 +202,23 @@ class VarRegistry:
                 raise ValueError(f"invalid variable name {nm!r}")
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
+        n = len(names)
+        self._deg_shift = n * _FIELD_BITS
+        self._lex_mask = (1 << self._deg_shift) - 1
+        self._guard = sum(1 << (k * _FIELD_BITS + _FIELD_BITS - 1) for k in range(n + 1))
+        # the packed int's big-endian bytes are the fields, degree first
+        self._fields = struct.Struct(f">{n + 1}H")
+        self._nbytes = self._fields.size
+        self._var_monos = tuple(
+            self._pack([int(j == i) for j in range(n)]) for i in range(n)
+        )
+
+    def _pack(self, mono: Mono) -> int:
+        """One int for an exponent vector whose total degree is at most MAX_DEGREE."""
+        return int.from_bytes(self._fields.pack(sum(mono), *mono), "big")
+
+    def _unpack(self, m: int) -> Mono:
+        return self._fields.unpack(m.to_bytes(self._nbytes, "big"))[1:]
 
     def index(self, name: str) -> int:
         try:
@@ -214,28 +254,22 @@ class VarRegistry:
 
     def const(self, c: Coeff) -> "MultiPoly":
         c = _as_coeff(c)
-        n = len(self.names)
-        return MultiPoly._raw(self, {} if c == 0 else {(0,) * n: c})
+        return MultiPoly._raw(self, {} if c == 0 else {0: c})
 
     def var(self, name: str) -> "MultiPoly":
-        mono = [0] * len(self.names)
-        mono[self.index(name)] = 1
-        return MultiPoly._raw(self, {tuple(mono): 1})
+        return MultiPoly._raw(self, {self._var_monos[self.index(name)]: 1})
 
     def linear(self, coeffs: Mapping[str, Coeff], const: Coeff = 0) -> "MultiPoly":
         """Linear form sum(coeffs[name] * name) + const."""
-        terms: dict[Mono, Coeff] = {}
-        n = len(self.names)
+        terms: dict[int, Coeff] = {}
         for nm, c in coeffs.items():
             c = _as_coeff(c)
             if c == 0:
                 continue
-            mono = [0] * n
-            mono[self.index(nm)] = 1
-            terms[tuple(mono)] = c
+            terms[self._var_monos[self.index(nm)]] = c
         const = _as_coeff(const)
         if const != 0:
-            terms[(0,) * n] = const
+            terms[0] = const
         return MultiPoly._raw(self, terms)
 
 
@@ -244,14 +278,26 @@ def _check_same_registry(a: "MultiPoly | RatFunc", b: "MultiPoly | RatFunc") -> 
         raise ValueError("registry mismatch between operands")
 
 
+def _union(p: "MultiPoly") -> int:
+    """Packed monomial whose fields are nonzero where some term's field is."""
+    seen = 0
+    for m in p.terms:
+        seen |= m
+    return seen
+
+
 class MultiPoly:
-    """Sparse exact polynomial: exponent vector -> nonzero rational coefficient."""
+    """Sparse exact polynomial: packed monomial -> nonzero rational coefficient.
+
+    `terms` is keyed by the registry's packed ints; `monomials()` yields the
+    exponent tuples.
+    """
 
     __slots__ = ("registry", "terms", "_key")
 
     def __init__(self, registry: VarRegistry, terms: Mapping[Mono, Coeff]):
         n = len(registry)
-        clean: dict[Mono, Coeff] = {}
+        clean: dict[int, Coeff] = {}
         for mono, c in terms.items():
             c = _as_coeff(c)
             if c == 0:
@@ -259,15 +305,18 @@ class MultiPoly:
             mono = tuple(mono)
             if len(mono) != n or any((not isinstance(e, int)) or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
-            if mono in clean:
+            if sum(mono) > MAX_DEGREE:
+                raise ValueError(f"exponent vector {mono!r} exceeds total degree {MAX_DEGREE}")
+            m = registry._pack(mono)
+            if m in clean:
                 raise ValueError(f"duplicate exponent vector {mono!r}")
-            clean[mono] = c
+            clean[m] = c
         self.registry = registry
         self.terms = clean
         self._key = None
 
     @staticmethod
-    def _raw(registry: VarRegistry, terms: dict[Mono, Coeff]) -> "MultiPoly":
+    def _raw(registry: VarRegistry, terms: dict[int, Coeff]) -> "MultiPoly":
         p = object.__new__(MultiPoly)
         p.registry = registry
         p.terms = terms
@@ -282,7 +331,7 @@ class MultiPoly:
 
     @property
     def is_const(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return not any(self.terms)
 
     def const_value(self) -> Fraction:
         if self.is_zero:
@@ -295,21 +344,33 @@ class MultiPoly:
         if self.is_zero:
             return 0
         i = self.registry.index(name)
-        return max(m[i] for m in self.terms)
+        return max(mono[i] for mono, _ in self.monomials())
+
+    def monomials(self) -> Iterator[tuple[Mono, Coeff]]:
+        """(exponent tuple, coefficient) pairs, in storage order."""
+        unpack = self.registry._unpack
+        for m, c in self.terms.items():
+            yield unpack(m), c
 
     def leading(self) -> tuple[Mono, Coeff]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_grlex)
-        return mono, self.terms[mono]
+        m = max(self.terms)
+        return self.registry._unpack(m), self.terms[m]
 
     def key(self) -> tuple:
-        """Canonical hashable key; also a deterministic sort key."""
+        """Canonical hashable key; also a deterministic sort key.
+
+        Terms are listed in lex order of their exponent vectors, each under
+        its packed monomial without the degree field, which orders like the
+        vector itself.
+        """
         if self._key is None:
+            lex = self.registry._lex_mask
             items = []
-            for mono in sorted(self.terms):
-                c = Fraction(self.terms[mono])
-                items.append((mono, c.numerator, c.denominator))
+            for m, c in sorted((m & lex, c) for m, c in self.terms.items()):
+                c = Fraction(c)
+                items.append((m, c.numerator, c.denominator))
             self._key = tuple(items)
         return self._key
 
@@ -380,10 +441,14 @@ class MultiPoly:
             return self.registry.zero()
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Mono, Coeff] = {}
+        ds = self.registry._deg_shift
+        if (max(a) >> ds) + (max(b) >> ds) > MAX_DEGREE:
+            raise OverflowError(f"product exceeds total degree {MAX_DEGREE}")
+        out: dict[int, Coeff] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                # no field carries: the degree bound keeps every guard bit 0
+                m = ma + mb
                 c = ca * cb
                 acc = out.get(m)
                 if acc is None:
@@ -401,6 +466,8 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
+        if n and self.terms and (max(self.terms) >> self.registry._deg_shift) * n > MAX_DEGREE:
+            raise OverflowError(f"power exceeds total degree {MAX_DEGREE}")
         result = self.registry.one()
         base = self
         while n:
@@ -425,12 +492,12 @@ class MultiPoly:
             if isinstance(c, Fraction):
                 den_lcm = lcm(den_lcm, c.denominator)
         num_gcd = 0
-        ints: dict[Mono, int] = {}
+        ints: dict[int, int] = {}
         for m, c in self.terms.items():
             v = int(c * den_lcm)
             ints[m] = v
             num_gcd = gcd(num_gcd, v)
-        lead = max(ints, key=_grlex)
+        lead = max(ints)
         if ints[lead] < 0:
             num_gcd = -num_gcd
         prim = MultiPoly._raw(self.registry, {m: v // num_gcd for m, v in ints.items()})
@@ -445,7 +512,8 @@ class MultiPoly:
             return self
         if g.is_const:
             return self.scale(Fraction(1) / g.const_value())
-        glead, gc = g.leading()
+        glead = max(g.terms)
+        gc = g.terms[glead]
         rest = [(m, c) for m, c in g.terms.items() if m != glead]
         # an integer dividend over a primitive integer divisor has an integral
         # quotient if any (Gauss's lemma), so a leading coefficient that does
@@ -453,20 +521,22 @@ class MultiPoly:
         integral = (all(type(c) is int for c in g.terms.values())
                     and gcd(*g.terms.values()) == 1
                     and all(type(c) is int for c in self.terms.values()))
+        guard = self.registry._guard
         r = dict(self.terms)
-        q: dict[Mono, Coeff] = {}
-        # max-heap on the graded order via negated keys; stale entries are
-        # skipped, and every monomial entering r is pushed exactly once more
-        heap = [
-            (-sum(m), tuple(-e for e in m), m) for m in r
-        ]
+        q: dict[int, Coeff] = {}
+        # max-heap on the graded order via negated packed monomials; stale
+        # entries are skipped, and every monomial entering r is pushed
+        # exactly once more
+        heap = [-m for m in r]
         heapq.heapify(heap)
         while heap:
-            rlead = heapq.heappop(heap)[2]
+            rlead = -heapq.heappop(heap)
             if rlead not in r:
                 continue
-            diff = tuple(a - b for a, b in zip(rlead, glead))
-            if any(e < 0 for e in diff):
+            # glead divides rlead iff no field borrows; a borrow sets the
+            # guard bit of the lowest field that underflows
+            diff = rlead - glead
+            if diff < 0 or diff & guard:
                 return None
             if integral:
                 c, rem = divmod(r[rlead], gc)
@@ -479,7 +549,7 @@ class MultiPoly:
             q[diff] = c
             del r[rlead]
             for m, gcoef in rest:
-                mm = tuple(a + b for a, b in zip(diff, m))
+                mm = diff + m
                 fresh = mm not in r
                 acc = r.get(mm, 0) - c * gcoef
                 if acc == 0:
@@ -487,9 +557,7 @@ class MultiPoly:
                 else:
                     r[mm] = acc
                     if fresh:
-                        heapq.heappush(
-                            heap, (-sum(mm), tuple(-e for e in mm), mm)
-                        )
+                        heapq.heappush(heap, -mm)
         return MultiPoly._raw(self.registry, q)
 
     def weighted_degree_if_homogeneous(self, weights: Mapping[str, int] | None = None):
@@ -501,8 +569,8 @@ class MultiPoly:
         else:
             wvec = [weights.get(nm, 0) for nm in self.registry.names]
         deg = None
-        for m in self.terms:
-            d = sum(e * w for e, w in zip(m, wvec))
+        for mono, _ in self.monomials():
+            d = sum(e * w for e, w in zip(mono, wvec))
             if deg is None:
                 deg = d
             elif d != deg:
@@ -521,11 +589,8 @@ class MultiPoly:
         """
         target = target if target is not None else self.registry
         n_t = len(target)
-        occurs = [False] * len(self.registry)
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    occurs[i] = True
+        unpack = self.registry._unpack
+        occurs = unpack(_union(self))
         bound: dict[int, RatFunc] = {}
         resid: dict[int, int] = {}
         for i, nm in enumerate(self.registry.names):
@@ -548,12 +613,14 @@ class MultiPoly:
             return got
 
         total = RatFunc.zero(target)
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        lex = self.registry._lex_mask
+        for m in sorted(self.terms, key=lex.__and__):
+            c = self.terms[m]
+            mono = unpack(m)
             tm = [0] * n_t
             for i, j in resid.items():
                 tm[j] = mono[i]
-            acc = RatFunc.from_poly(MultiPoly._raw(target, {tuple(tm): c}))
+            acc = RatFunc.from_poly(MultiPoly._raw(target, {target._pack(tm): c}))
             for i in bound:
                 e = mono[i]
                 if e:
@@ -581,8 +648,9 @@ def _poly_text(p: MultiPoly) -> str:
     if p.is_zero:
         return "0"
     chunks: list[str] = []
-    for mono in sorted(p.terms, key=_grlex, reverse=True):
-        c = Fraction(p.terms[mono])
+    for m in sorted(p.terms, reverse=True):
+        c = Fraction(p.terms[m])
+        mono = p.registry._unpack(m)
         parts = []
         for e, nm in zip(mono, p.registry.names):
             if e == 1:
@@ -915,6 +983,9 @@ class RatFunc:
         for f, m in self.factors:
             ft = _poly_text(f)
             bare = re.fullmatch(r"[A-Za-z_]\w*(\^\d+)?", ft) is not None
+            if bare and pieces and re.search(r"[A-Za-z_]\w*\Z", pieces[-1]):
+                # juxtaposed, two names would read as one
+                ft = f"*{ft}"
             if bare and m == 1:
                 pieces.append(ft)
             elif bare and "^" not in ft:
@@ -1002,10 +1073,11 @@ class LinearFactorization:
         for f in factors:
             _check_same_registry(factors[0], f)
             lin: Coeff = 0
-            const_terms: dict[Mono, Coeff] = {}
-            for mono, c in f.terms.items():
+            const_terms: dict[int, Coeff] = {}
+            for m, c in f.terms.items():
+                mono = registry._unpack(m)
                 if mono[vi] == 0:
-                    const_terms[mono] = c
+                    const_terms[m] = c
                 elif mono[vi] == 1 and sum(mono) == 1:
                     lin = c
                 else:

@@ -315,7 +315,7 @@ def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperato
 
     def realize(p: MultiPoly) -> TodaOperator:
         op = TodaOperator.zero(reg)
-        for mono, c in p.terms.items():
+        for mono, c in p.monomials():
             term = TodaOperator.const(reg, c)
             for name, power in zip(UV_REGISTRY.names, mono):
                 for _ in range(power):

@@ -288,6 +288,29 @@ def test_bound_below_runner_minimum_is_usage_error(capsys, argv):
     assert err == f"error: {argv[2]} must be >= 1\n"
 
 
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_verify_all_names_the_check_that_rejects_n(capsys, n):
+    # proj-recursion accepts n in 0..3 but euler-prefactor only 1 and 2; the
+    # error names the check and comes before any check runs
+    code, out, err = run(capsys, "verify", "all", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be in 1..2 for euler-prefactor\n"
+
+
+@pytest.mark.parametrize("module", ["qcseries", "qcseries.cli"])
+def test_module_entry_points_run_cleanly(module):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "batyrev"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "status pass" in proc.stdout
+
+
 # -- runner failures -----------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcseries.exactalg import (
+    MAX_DEGREE,
     LinearFactorization,
     MultiPoly,
     PoleError,
@@ -64,6 +65,46 @@ def test_divide_exact_roundtrip_and_failure():
     q = p.divide_exact(H + ALPHA)
     assert q == (H + ALPHA) ** 2 * (2 * H + ALPHA)
     assert p.divide_exact(H - ALPHA) is None
+
+
+def test_degree_overflow_raises_and_never_wraps():
+    # every packed field has a guard bit; a monomial past MAX_DEGREE must be
+    # refused, never wrapped into another monomial
+    assert MultiPoly(REG, {(MAX_DEGREE, 0): 1}).degree_in("alpha") == MAX_DEGREE
+    for mono in [(MAX_DEGREE + 1, 0), (0, 1 << 16), (20000, 20000)]:
+        with pytest.raises(ValueError):
+            MultiPoly(REG, {mono: 1})
+    top = ALPHA**MAX_DEGREE
+    assert list(top.monomials()) == [((MAX_DEGREE, 0), 1)]
+    with pytest.raises(OverflowError):
+        ALPHA ** (1 << 15)
+    with pytest.raises(OverflowError):
+        (ALPHA**2 + H) ** (MAX_DEGREE // 2 + 1)
+    with pytest.raises(OverflowError):
+        top * H
+    with pytest.raises(OverflowError):
+        H ** 20000 * (ALPHA**20000 + 1)
+    assert (top * 2 + H).divide_exact(H) is None
+    assert top.divide_exact(ALPHA ** (MAX_DEGREE - 1)) == ALPHA
+
+
+def test_factor_order_is_lex_in_exponent_vectors():
+    # factors sort by key(), whose terms run in lex order of the exponent
+    # vectors: y^2 = (0, 2) comes before x = (1, 0), although the graded order
+    # puts x first
+    x, y = PREG.var("x"), PREG.var("y")
+    f = RatFunc.from_factored(PREG.one(), [x + x**2, y**2 + x**3])
+    assert f.text() == "1/((x^3 + y^2)(x^2 + x))"
+
+
+def test_divisibility_test_sees_every_field():
+    # a field of the dividend below the divisor's fails the division even when
+    # the total degree and the higher fields would allow it
+    x, y, z = PREG.var("x"), PREG.var("y"), PREG.var("z")
+    assert (x**3).divide_exact(x * y) is None
+    assert (x**2 * z).divide_exact(y * z) is None
+    assert (y**5).divide_exact(z) is None
+    assert (x * y * z**4).divide_exact(x * z**2) == y * z**2
 
 
 # -- rational functions ------------------------------------------------------
@@ -355,7 +396,7 @@ def to_sympy(p, symbols):
     import sympy
 
     total = sympy.Integer(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         c = Fraction(c)
         term = sympy.Rational(c.numerator, c.denominator)
         for s, e in zip(symbols, mono):
@@ -404,3 +445,119 @@ def test_divide_exact_fraction_and_nonprimitive_paths():
     # the integer path gives up on the first non-dividing leading coefficient
     assert (3 * x**2 + y).divide_exact(2 * x + y) is None
     assert (6 * x**2 + 3 * x * y).divide_exact(2 * x + y) == 3 * x
+
+
+# -- differential tests against sympy, registries of 2 to 7 variables --------------
+
+SYMPY_REGS = [VarRegistry([f"x{i}" for i in range(n)]) for n in range(2, 8)]
+
+
+@st.composite
+def registry_polys(draw, reg=None, min_size=0, max_size=4, maxdeg=3, coeff=None):
+    reg = draw(st.sampled_from(SYMPY_REGS)) if reg is None else reg
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, maxdeg)] * len(reg)), coeffs() if coeff is None else coeff,
+        min_size=min_size, max_size=max_size,
+    ))
+    return reg.zero() + MultiPoly(reg, terms)
+
+
+def nonzero_registry_polys(reg):
+    return registry_polys(reg, min_size=1).filter(lambda p: not p.is_zero)
+
+
+def sympy_of(p):
+    import sympy
+
+    return to_sympy(p, sympy.symbols(p.registry.names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(registry_polys())
+    b = data.draw(registry_polys(a.registry))
+    assert sympy.expand(sympy_of(a * b) - sympy_of(a) * sympy_of(b)) == 0
+    assert sympy_of(a**2) == sympy.expand(sympy_of(a) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_quotients_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    f = data.draw(nonzero_registry_polys(data.draw(st.sampled_from(SYMPY_REGS))))
+    q = data.draw(registry_polys(f.registry))
+    assert (f * q).divide_exact(f) == q
+    _, rem = sympy.div(sympy_of(f * q), sympy_of(f), *sympy.symbols(f.registry.names),
+                       domain="QQ")
+    assert rem == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divide_exact_fails_exactly_when_sympy_leaves_a_remainder(data):
+    # f*q + e is divisible by f exactly when e is; e is small, so both
+    # outcomes occur
+    sympy = pytest.importorskip("sympy")
+    reg = data.draw(st.sampled_from(SYMPY_REGS))
+    f = data.draw(nonzero_registry_polys(reg).filter(lambda p: not p.is_const))
+    q = data.draw(registry_polys(reg))
+    e = data.draw(registry_polys(reg, max_size=2))
+    num = f * q + e
+    got = num.divide_exact(f)
+    _, rem = sympy.div(sympy_of(num), sympy_of(f), *sympy.symbols(reg.names), domain="QQ")
+    assert (got is None) == (rem != 0)
+    if got is not None:
+        assert got * f == num
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_matches_sympy(data):
+    # each variable is kept, bound to a small constant or bound to a small
+    # polynomial; sympy substitutes simultaneously
+    sympy = pytest.importorskip("sympy")
+    reg = data.draw(st.sampled_from(SYMPY_REGS))
+    p = data.draw(registry_polys(reg, maxdeg=2))
+    values = st.one_of(
+        st.none(), st.integers(-3, 3), registry_polys(reg, max_size=2, maxdeg=1),
+    )
+    bindings = {nm: v for nm in reg.names if (v := data.draw(values)) is not None}
+    got = p.substitute(bindings)
+    symbols = dict(zip(reg.names, sympy.symbols(reg.names)))
+    want = sympy_of(p).subs(
+        {symbols[nm]: sympy_of(v) if isinstance(v, MultiPoly) else v
+         for nm, v in bindings.items()},
+        simultaneous=True,
+    )
+    assert sympy.expand(sympy_of(got.numerator) - want * sympy_of(got.denominator)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_text_round_trip_matches_sympy(data):
+    # parse_text reads text() back to the same function, and so does sympy
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor, implicit_multiplication, parse_expr, standard_transformations,
+    )
+
+    reg = data.draw(st.sampled_from(SYMPY_REGS))
+    num = data.draw(registry_polys(reg, maxdeg=2))
+    dens = data.draw(st.lists(
+        registry_polys(reg, min_size=1, max_size=3, maxdeg=1,
+                       coeff=st.integers(-3, 3)).filter(lambda p: not p.is_zero),
+        min_size=0, max_size=3,
+    ))
+    scale = data.draw(st.integers(1, 4))
+    f = RatFunc.from_factored(num, dens, scale)
+    text = f.text()
+    assert parse_text(reg, text) == f
+    symbols = dict(zip(reg.names, sympy.symbols(reg.names)))
+    read = parse_expr(
+        text, local_dict=symbols,
+        transformations=standard_transformations + (implicit_multiplication, convert_xor),
+    )
+    want = sympy_of(num) / (scale * sympy.Mul(*[sympy_of(d) for d in dens]))
+    assert sympy.cancel(read - want) == 0
