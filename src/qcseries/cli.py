@@ -85,11 +85,11 @@ def q_series_text(texts: Sequence[str]) -> str:
 
 
 def _proj_chart(n: int, part: str):
-    """Bindings from the fixed-point weight variables to root variables."""
+    """Bindings from the weights lambda_a - lambda_0 of `ProjSetup` to root variables."""
     names = ["alpha"] if n == 1 else [f"alpha_{i}" for i in range(1, n + 1)]
     target = VarRegistry(names + ["h"])
     alphas = [target.var(nm) for nm in names]
-    bindings = {"lambda_0": target.zero()}
+    bindings = {}
     acc = target.zero()
     for i in range(1, n + 1):
         acc = acc - alphas[i - 1] if part == "part1" else acc + alphas[i - 1]
@@ -97,50 +97,51 @@ def _proj_chart(n: int, part: str):
     return target, bindings
 
 
+def _proj_cap(n: int) -> int:
+    """Largest --max-d for projective space of dimension n."""
+    return 3 if n == 3 else 6
+
+
 def _series_proj(args, quick: bool) -> list[str]:
     n = 1 if args.n is None else args.n
     if n < 0 or n > 3:
         raise UsageError("series proj supports n in 0..3")
-    cap = 3 if n == 3 else 6
-    d_max = _bound(args.max_d, 3, 3, cap, quick, "--max-d")
+    d_max = _bound(args.max_d, 3, 3, _proj_cap(n), quick, "--max-d")
     if args.chart is not None and n == 0:
         raise UsageError("no root chart in dimension 0")
     lines = ["target proj"]
     if args.chart is not None:
         lines.append(f"param chart={args.chart}")
     lines += [f"param max_d={d_max}", f"param n={n}"]
-    tables = projgw.solve_recursion(projgw.ProjSetup(n), d_max)
-    chart = None
+    setup = projgw.ProjSetup(n)
+    tables = projgw.solve_recursion(setup, d_max)
     if args.chart is not None:
-        chart = _proj_chart(n, args.chart)
+        target, bindings = _proj_chart(n, args.chart)
+    else:
+        target, bindings = setup.registry, setup.to_lambda()
     rows, sums = [], []
     for table in sorted(tables, key=lambda t: t.i):
         texts = []
         for d in range(d_max + 1):
-            f = table.coefficient(d)
-            if chart is not None:
-                f = substitute(f, chart[1], chart[0])
-            texts.append(f.text())
+            texts.append(substitute(table.coefficient(d), bindings, target).text())
             rows.append(f"row i={table.i} d={d} {texts[-1]}")
         sums.append(f"series i={table.i} {q_series_text(texts)}")
     return lines + rows + sums
 
 
 def _series_flag(args, quick: bool, rank: int) -> list[str]:
-    convention = args.convention or "lemma37"
+    # the golden format names the pole convention, of which one is left
     if rank == 1:
         d_max = _bound(args.max_d, 3, 3, 8, quick, "--max-d")
-        setup = flaggw._a1_setup()
-        tables = flaggw.solve_flag_recursion(setup, (d_max,), convention)
-        lines = ["target flag-a1", f"param convention={convention}",
+        tables = flaggw.solve_flag_recursion(flaggw._a1_setup(), (d_max,))
+        lines = ["target flag-a1", "param convention=lemma37",
                  f"param max_d={d_max}"]
     else:
         n_max = _bound(args.max, 3, 3, 5, quick, "--max")
-        setup = flaggw._a2_setup()
         tables = flaggw.solve_flag_recursion(
-            setup, (n_max, n_max), convention, total_max=n_max
+            flaggw._a2_setup(), (n_max, n_max), total_max=n_max
         )
-        lines = ["target flag-a2", f"param convention={convention}",
+        lines = ["target flag-a2", "param convention=lemma37",
                  f"param max={n_max}"]
     for table in tables:
         word = table.w.word_text()
@@ -176,8 +177,8 @@ def _series_toda(args, quick: bool, equivariant: bool) -> list[str]:
 _OPTIONS = {
     "series": {
         "proj": ("n", "max_d", "chart"),
-        "flag-a1": ("max_d", "convention"),
-        "flag-a2": ("max", "convention"),
+        "flag-a1": ("max_d",),
+        "flag-a2": ("max",),
         "toda": ("max", "chart"),
         "toda-eq": ("max", "chart"),
     },
@@ -204,7 +205,7 @@ def _reject_unread_options(args) -> None:
     table = _OPTIONS[args.command]
     name = args.target if args.command == "series" else args.check
     reads = set().union(*table.values()) if name == "all" else table[name]
-    for dest in ("n", "max_d", "max", "chart", "convention"):
+    for dest in ("n", "max_d", "max", "chart"):
         if getattr(args, dest, None) is not None and dest not in reads:
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{args.command} {name} does not take {flag}")
@@ -252,10 +253,15 @@ def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
         ns = [args.n]
     else:
         ns = [0, 1, 2] if quick else [0, 1, 2, 3]
+    # the presets clamp to each dimension's cap, an explicit bound must fit
+    # it; every bound is checked before any dimension runs
+    bounds = [
+        _bound(args.max_d, min(4, _proj_cap(n)), min(5, _proj_cap(n)),
+               _proj_cap(n), quick, "--max-d", low=1)
+        for n in ns
+    ]
     reports = []
-    for n in ns:
-        cap = 3 if n == 3 else 6
-        d_max = min(_bound(args.max_d, 4, 5, 6, quick, "--max-d", low=1), cap)
+    for n, d_max in zip(ns, bounds):
         setup = projgw.ProjSetup(n)
         reports.append(projgw.verify_theorem_3_3(setup, d_max, "direct"))
         reports.append(projgw.verify_theorem_3_3(setup, d_max, "residue"))
@@ -415,15 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total-degree or order bound")
         p.add_argument("--level", choices=LEVELS, default="quick",
                        help="preset bounds when flags are omitted")
-        p.add_argument("--chart", choices=("part1", "part3"), default=None,
-                       help="rewrite weights in root variables")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p_series = sub.add_parser("series", help="print a coefficient table")
     p_series.add_argument("target", choices=SERIES_TARGETS)
     common(p_series)
-    p_series.add_argument("--convention", choices=flaggw.CONVENTIONS,
-                          default=None, help="flag-recursion denominator switch")
+    p_series.add_argument("--chart", choices=("part1", "part3"), default=None,
+                          help="rewrite weights in root variables")
 
     p_verify = sub.add_parser("verify", help="run exact-equality checks")
     p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))

@@ -668,13 +668,26 @@ def _poly_text(p: MultiPoly) -> str:
     return " ".join(chunks)
 
 
+def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    """A primitive nonconstant denominator factor as (factor, multiplicity) pairs.
+
+    A monomial is kept as its variables, which is how parse_text reads its
+    text back, and which lets a numerator cancel against each of them.
+    """
+    if len(p.terms) != 1:
+        return [(p, 1)]
+    ((exps, _),) = p.monomials()
+    reg = p.registry
+    return [(reg.var(nm), e) for nm, e in zip(reg.names, exps) if e]
+
+
 class RatFunc:
     """Exact rational function with a factored, trial-division-reduced denominator.
 
     Canonical layout: ``scalar * num / prod(factor**mult)`` where `num` and
     every factor are primitive integer polynomials with positive leading
-    coefficient, the factor list is sorted, and `num` is divisible by no
-    factor.  The zero function is scalar 0 with empty denominator.  Equality
+    coefficient, a monomial factor is a single variable, the factor list is
+    sorted, and `num` is divisible by no factor.  The zero function is scalar 0 with empty denominator.  Equality
     falls back to exact cross-multiplication, so two representations of the
     same function always compare equal.
     """
@@ -761,11 +774,9 @@ class RatFunc:
             scalar = scalar / ds
             if dp.is_const:
                 continue
-            k = dp.key()
-            if k in fac:
-                fac[k] = (dp, fac[k][1] + 1)
-            else:
-                fac[k] = (dp, 1)
+            for f, e in _factor_parts(dp):
+                k = f.key()
+                fac[k] = (f, fac[k][1] + e if k in fac else e)
         return RatFunc._reduced(registry, scalar, prim, fac)
 
     @staticmethod
@@ -905,7 +916,8 @@ class RatFunc:
         if self.num.is_const:
             scalar = scalar / self.num.const_value()
         else:
-            fac[self.num.key()] = (self.num, 1)
+            for f, e in _factor_parts(self.num):
+                fac[f.key()] = (f, e)
         s, prim = num.primitive()
         return RatFunc._reduced(self.registry, scalar * s, prim, fac)
 

@@ -42,8 +42,6 @@ from . import projgw
 
 MAX_SOLVER_RANK = 3
 
-CONVENTIONS = ("lemma37", "theorem38")
-
 
 class FlagSetup:
     """Root system plus the registry alpha_1..alpha_r, h."""
@@ -143,8 +141,7 @@ def _beta_range(bmax: tuple[int, ...]):
     return betas
 
 
-def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
-                     convention: str = "lemma37"):
+def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
     """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
 
     Returns (w, terms) per element of `elements`; each term is
@@ -171,10 +168,9 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
         for alpha, k, cocoords, refl, base in steps:
             image = w.act(alpha)
             image_form = setup.root_form(image)
-            pole_form = image_form if convention == "lemma37" else setup.root_form(alpha)
             weight = (
                 system.act_on_ratfunc(w, base)
-                / RatFunc.from_poly(setup.h.scale(k) + pole_form)
+                / RatFunc.from_poly(setup.h.scale(k) + image_form)
             )
             shift = {"h": image_form.scale(Fraction(-1, k))}
             # applying w to the identity-element relation turns its s_alpha
@@ -198,20 +194,15 @@ def _recursion_sum(reg: VarRegistry, terms, beta: tuple[int, ...],
 
 
 def solve_flag_recursion(setup: FlagSetup, beta_max,
-                         convention: str = "lemma37",
                          total_max: int | None = None) -> list[FlagSeriesTable]:
     """Build the per-Weyl-element tables from multidegree 0 upward.
 
-    convention picks the pole attached to a (w, alpha, k) term: 'lemma37'
-    uses k*h + w(alpha), 'theorem38' uses k*h + alpha.  They coincide at the
-    identity element, the only table with an independent closed-form oracle.
+    The pole attached to a (w, alpha, k) term is k*h + w(alpha).
 
     total_max, if given, skips multidegrees whose coordinate sum exceeds it;
     the recursion only ever reads strictly smaller sums, so the triangle is
     self-contained.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     system = setup.system
     if system.rank > MAX_SOLVER_RANK:
         raise ValueError(f"solver is capped at rank {MAX_SOLVER_RANK}")
@@ -227,7 +218,7 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     tables: dict[WeylElement, dict[tuple[int, ...], RatFunc]] = {
         w: {(0,) * system.rank: one} for w in system.weyl_elements
     }
-    per_w = _recursion_terms(setup, bmax, system.weyl_elements, convention)
+    per_w = _recursion_terms(setup, bmax, system.weyl_elements)
     for beta in _beta_range(bmax):
         if not any(beta):
             continue
@@ -285,7 +276,10 @@ def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
 
 
 def verify_a1_crosscheck(d_max: int) -> VerificationReport:
-    """Rank-one tables against the n=1 projective series under the lambda chart."""
+    """Rank-one tables against the n=1 projective series under the lambda chart.
+
+    The chart is part1 with lambda_0 = 0, the normalization of projgw.
+    """
     report = VerificationReport("a1-cross", {"max_d": d_max})
     with timed(report):
         setup = _a1_setup()
@@ -298,7 +292,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         z_s1 = tables[s1]
 
         proj = projgw.ProjSetup(1)
-        chart = system.lambda_chart(proj.registry, "part1")
+        chart = {"alpha_1": proj.lam(0) - proj.lam(1)}
         for d in range(d_max + 1):
             report.check_equal(
                 f"chart id d={d}",

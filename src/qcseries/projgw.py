@@ -1,12 +1,30 @@
 """Equivariant hypergeometric series on projective space, two independent ways.
 
 The closed-form coefficients live in the field of rational functions of the
-fixed-point weights lambda_0..lambda_n and the parameter h.  The same tables
-are rebuilt degree by degree from the fixed-point recursion, whose data is a
-coefficient linking adjacent fixed points along a line covered k-fold plus an
-h-substitution.  Verification routines check, with exact arithmetic, that the
-two routes agree and that the well-known first-order and Euler-class
-prefactor identities hold.
+fixed-point weights and the parameter h.  The same tables are rebuilt degree
+by degree from the fixed-point recursion, whose data is a coefficient linking
+adjacent fixed points along a line covered k-fold plus an h-substitution.
+Verification routines check, with exact arithmetic, that the two routes
+agree and that the well-known first-order and Euler-class prefactor
+identities hold.
+
+Everything is computed in difference coordinates mu_a = lambda_a - lambda_0,
+that is with lambda_0 = 0: `ProjSetup.lam(0)` is zero and `lam(a)` is the
+variable named lambda_a.  Every quantity here is a function of the
+differences lambda_a - lambda_b and of h: the closed-form factors
+lambda_i - lambda_j + m*h, the linear forms of the coupling coefficient
+(whose weight coefficients sum to 0), the poles, the Euler classes and the
+shift h -> (lambda_j - lambda_i)/k.  So each lies in the image of
+
+    phi: Q(mu_1..mu_n, h) -> Q(lambda_0..lambda_n, h),  mu_a -> lambda_a - lambda_0,
+
+and is phi of the value computed here.  The images lambda_1 - lambda_0, ...,
+lambda_n - lambda_0, h are algebraically independent, so phi is an injective
+field homomorphism; it commutes with +, *, / and with the h-substitution.
+Two routes are therefore equal in mu exactly when they are equal in lambda,
+and comparing with lambda_0 = 0 drops no check while every polynomial
+carries one variable fewer.  `series proj` prints its tables in lambda by
+applying phi.
 """
 
 from __future__ import annotations
@@ -27,7 +45,15 @@ from .report import VerificationReport, timed
 
 
 class ProjSetup:
-    """Dimension n plus the variable registry lambda_0..lambda_n, h, p, q."""
+    """Dimension n plus the registry lambda_0..lambda_n, h, normalized to lambda_0 = 0.
+
+    The weight of fixed point 0 is the zero polynomial and the weight of
+    fixed point a >= 1 is the variable lambda_a, which stands for the
+    difference lambda_a - lambda_0 (see the module docstring).  No quantity
+    built here contains the variable lambda_0; it stays in the registry as
+    the target of the map phi back to lambda, and so that a chart binding
+    it by name still applies.
+    """
 
     __slots__ = ("n", "registry")
 
@@ -35,14 +61,19 @@ class ProjSetup:
         if n < 0:
             raise ValueError("dimension must be >= 0")
         self.n = n
-        self.registry = VarRegistry(
-            [f"lambda_{i}" for i in range(n + 1)] + ["h", "p", "q"]
-        )
+        self.registry = VarRegistry([f"lambda_{i}" for i in range(n + 1)] + ["h"])
 
     def lam(self, i: int) -> MultiPoly:
         if not 0 <= i <= self.n:
             raise IndexError(f"fixed-point index {i} out of range 0..{self.n}")
+        if i == 0:
+            return self.registry.zero()
         return self.registry.var(f"lambda_{i}")
+
+    def to_lambda(self) -> dict[str, MultiPoly]:
+        """Bindings of phi: the variable lambda_a goes to lambda_a - lambda_0."""
+        lam0 = self.registry.var("lambda_0")
+        return {f"lambda_{a}": self.lam(a) - lam0 for a in range(1, self.n + 1)}
 
     @property
     def h(self) -> MultiPoly:
@@ -92,17 +123,24 @@ def recursion_coeff(setup: ProjSetup, i: int, j: int, k: int) -> RatFunc:
         raise ValueError("cover multiplicity must be >= 1")
     setup.lam(i)
     setup.lam(j)
-    dens = []
-    for b in setup.points():
-        if b == i:
-            continue
-        for m in range(1, k + 1):
-            if b == j and m == k:
-                continue
-            coeffs = {f"lambda_{i}": Fraction(k - m, k), f"lambda_{b}": Fraction(-1)}
-            coeffs[f"lambda_{j}"] = coeffs.get(f"lambda_{j}", Fraction(0)) + Fraction(m, k)
-            dens.append(setup.registry.linear(coeffs))
+    dens = [
+        _cover_form(setup, i, j, k, b, m)
+        for b in setup.points()
+        if b != i
+        for m in range(1, k + 1)
+        if (b, m) != (j, k)
+    ]
     return RatFunc.from_factored(setup.registry.one(), dens, scale=factorial(k))
+
+
+def _cover_form(setup: ProjSetup, i: int, j: int, k: int, b: int,
+                m: int) -> MultiPoly:
+    """Character (k-m)/k*lambda_i + m/k*lambda_j - lambda_b of the k-fold i-j cover."""
+    return (
+        setup.lam(i).scale(Fraction(k - m, k))
+        + setup.lam(j).scale(Fraction(m, k))
+        - setup.lam(b)
+    )
 
 
 # -- series tables -------------------------------------------------------------------
@@ -161,7 +199,9 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
     """Build all tables from degree 0 upward using only the recursion data.
 
     The tables are in the b normalization of `closed_b`, except in dimension
-    0, whose single table is in the B normalization of `closed_B`.
+    0, whose single table is in the B normalization of `closed_B`.  Like
+    every value here they are normalized to lambda_0 = 0; substituting
+    `setup.to_lambda()` gives them in lambda_0..lambda_n.
     """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
@@ -304,15 +344,12 @@ def euler_prefactor_identity(setup: ProjSetup, i: int, j: int, k: int,
         li, lj, h = setup.lam(i), setup.lam(j), setup.h
         weight = (lj - li).scale(Fraction(1, k))
 
-        big = []
-        for b in setup.points():
-            for m in range(0, k + 1):
-                if (b, m) in ((i, 0), (j, k)):
-                    continue
-                coeffs = {f"lambda_{b}": Fraction(-1)}
-                coeffs[f"lambda_{i}"] = coeffs.get(f"lambda_{i}", Fraction(0)) + Fraction(k - m, k)
-                coeffs[f"lambda_{j}"] = coeffs.get(f"lambda_{j}", Fraction(0)) + Fraction(m, k)
-                big.append((b, m, reg.linear(coeffs)))
+        big = [
+            (b, m, _cover_form(setup, i, j, k, b, m))
+            for b in setup.points()
+            for m in range(0, k + 1)
+            if (b, m) not in ((i, 0), (j, k))
+        ]
 
         # the b=i slice of the product collapses to k! times the k-th power
         # of the cover weight, and the m=0 slice to the Euler class at i

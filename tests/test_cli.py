@@ -8,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from qcseries import cli
+from qcseries.exactalg import RatFunc, VarRegistry
 from qcseries.report import VerificationReport
 
 
@@ -39,6 +41,46 @@ def test_series_proj_chart_part1_golden(capsys):
     )
     # the other fixed point carries the sign-flipped denominators
     assert "series i=1 1 - q/(alpha - h) + q^2/(2(alpha - 2*h)(alpha - h))" in lines
+
+
+def lambda_product_text(n, i, d):
+    # the closed product formula over lambda_0..lambda_n, h, built here rather
+    # than through projgw, so the printed weights are pinned independently
+    reg = VarRegistry([f"lambda_{a}" for a in range(n + 1)] + ["h"])
+    lam = [reg.var(f"lambda_{a}") for a in range(n + 1)]
+    h = reg.var("h")
+    dens = [
+        lam[i] - lam[j] + h.scale(m)
+        for j in range(n + 1) if j != i
+        for m in range(1, d + 1)
+    ]
+    return RatFunc.from_factored(reg.one(), dens, scale=factorial(d)).text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_proj_prints_the_product_formula_in_lambda(capsys, n):
+    code, out, err = run(capsys, "series", "proj", "--n", str(n), "--max-d", "3")
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if line.startswith("row ")]
+    assert len(rows) == (n + 1) * 4
+    for line in rows:
+        _, i, d, text = line.split(" ", 3)
+        assert text == lambda_product_text(n, int(i[2:]), int(d[2:]))
+
+
+def test_series_proj_lambda_rows_golden(capsys):
+    _, out, _ = run(capsys, "series", "proj", "--n", "1", "--max-d", "3")
+    lines = out.splitlines()
+    assert "row i=0 d=1 1/(lambda_0 - lambda_1 + h)" in lines
+    assert (
+        "row i=0 d=2 1/(2(lambda_0 - lambda_1 + h)(lambda_0 - lambda_1 + 2*h))"
+        in lines
+    )
+    _, out, _ = run(capsys, "series", "proj", "--n", "2", "--max-d", "1")
+    assert (
+        "row i=1 d=1 -1/((lambda_0 - lambda_1 - h)(lambda_1 - lambda_2 + h))"
+        in out.splitlines()
+    )
 
 
 def test_series_proj_point_target(capsys):
@@ -87,25 +129,6 @@ def test_series_flag_a2_identity_rows(capsys):
         "row w=id beta=1,1 (alpha_1 + alpha_2 + 2*h)"
         "/((alpha_2 + h)(alpha_1 + alpha_2 + h)(alpha_1 + h))" in lines
     )
-
-
-def test_series_flag_a1_alternate_convention(capsys):
-    code, out, _ = run(
-        capsys, "series", "flag-a1", "--convention", "theorem38", "--max-d", "1"
-    )
-    assert code == 0
-    assert "param convention=theorem38" in out.splitlines()
-
-
-def test_series_flag_a1_alternate_convention_pole_is_reported(capsys):
-    # the alternate denominator convention runs into a vanishing factor at
-    # depth two; the CLI reports it on stderr and exits 1 instead of crashing
-    code, out, err = run(
-        capsys, "series", "flag-a1", "--convention", "theorem38", "--max-d", "2"
-    )
-    assert code == 1
-    assert out == ""
-    assert "pole" in err
 
 
 def test_series_deterministic_bytes(capsys):
@@ -242,7 +265,11 @@ def test_series_option_its_target_does_not_read_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: series {argv[1]} does not take {argv[2]}\n"
+    if argv[2] == "--convention":
+        # no series target takes it, so the parser itself rejects it
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+    else:
+        assert err == f"error: series {argv[1]} does not take {argv[2]}\n"
 
 
 @pytest.mark.parametrize(
@@ -260,7 +287,30 @@ def test_verify_option_its_check_does_not_read_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: verify {argv[1]} does not take {argv[2]}\n"
+    if argv[2] == "--chart":
+        # no verify check takes it, so the parser itself rejects it
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+    else:
+        assert err == f"error: verify {argv[1]} does not take {argv[2]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "proj", "--n", "3", "--max-d", "4"),
+        ("verify", "proj-recursion", "--n", "3", "--max-d", "4"),
+        ("verify", "proj-recursion", "--level", "full", "--max-d", "4"),
+    ],
+    ids=["series n=3", "verify n=3", "verify every n"],
+)
+def test_proj_degree_over_the_cap_is_usage_error(capsys, argv):
+    # at n = 3 an explicit --max-d above 3 is refused on both paths, before
+    # any dimension runs; the full-level preset (5) is clamped to the cap
+    # instead, as the proj-recursion goldens show
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-d exceeds the cap 3\n"
 
 
 def test_negative_bound_rejected(capsys):

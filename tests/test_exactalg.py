@@ -236,6 +236,23 @@ def test_text_parse_roundtrip():
         assert parse_text(REG, f.text()) == f
 
 
+def test_monomial_factor_text_reads_back_byte_identical():
+    reg = VarRegistry(["x1", "x2", "x3"])
+    x2, x3 = reg.var("x2"), reg.var("x3")
+    # a monomial factor is split into its variables, which print in factor
+    # order, the order parse_text gives them back in
+    f = RatFunc.from_factored(reg.one(), [x2 * x3])
+    assert f.text() == "1/(x3*x2)"
+    assert parse_text(reg, f.text()).text() == f.text()
+    g = RatFunc.from_factored(x2, [x2**2 * x3, x2 + x3])
+    assert g.text() == "1/(x3(x2 + x3)x2)"
+    assert parse_text(reg, g.text()).text() == g.text()
+    # a reciprocal splits a monomial numerator the same way, so the
+    # numerator cancels against its variables
+    q = RatFunc.from_poly(x2) / RatFunc.from_poly(x2**2 * x3)
+    assert q.text() == "1/(x3*x2)"
+
+
 # -- property suites -------------------------------------------------------------
 
 
@@ -554,6 +571,7 @@ def test_text_round_trip_matches_sympy(data):
     f = RatFunc.from_factored(num, dens, scale)
     text = f.text()
     assert parse_text(reg, text) == f
+    assert parse_text(reg, text).text() == text
     symbols = dict(zip(reg.names, sympy.symbols(reg.names)))
     read = parse_expr(
         text, local_dict=symbols,

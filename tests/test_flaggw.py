@@ -143,16 +143,7 @@ def test_solver_grading():
         assert homogeneous_degree(c) == -(i + j)
 
 
-def test_solver_conventions_and_caps():
-    # both conventions exist; they already differ at the first off-identity step
-    t37 = {t.w: t for t in solve_flag_recursion(A2, (1, 0), convention="lemma37")}
-    t38 = {t.w: t for t in solve_flag_recursion(A2, (1, 0), convention="theorem38")}
-    s1 = A2.system.simple_reflections[0]
-    assert t37[s1].coefficient((1, 0)) != t38[s1].coefficient((1, 0))
-    idw = A2.system.identity
-    assert t37[idw].coefficient((1, 0)) == t38[idw].coefficient((1, 0))
-    with pytest.raises(ValueError):
-        solve_flag_recursion(A2, (1, 0), convention="mystery")
+def test_solver_caps():
     with pytest.raises(ValueError):
         solve_flag_recursion(FlagSetup(RootSystem(CartanMatrix.type_A(4))), 1)
     with pytest.raises(ValueError):
@@ -244,11 +235,14 @@ def lambda_euler(system, target, w):
 
 
 def test_phi_rank_one_matches_projective_chart():
-    # the flag variety of A1 is P^1: its two Euler classes are those of projgw
+    # the flag variety of A1 is P^1: its two Euler classes are those of
+    # projgw, through the part1 chart with projgw's lambda_0 = 0
     system = A1.system
     p1 = ProjSetup(1)
-    assert lambda_euler(system, p1.registry, system.identity) == euler_e(p1, 0)
-    assert lambda_euler(system, p1.registry, system.simple_reflections[0]) == euler_e(p1, 1)
+    chart = {"alpha_1": p1.lam(0) - p1.lam(1)}
+    for w, i in ((system.identity, 0), (system.simple_reflections[0], 1)):
+        euler = system.euler_class(system.alpha_registry(()), w)
+        assert euler.substitute(chart, p1.registry).as_poly() == euler_e(p1, i)
 
 
 def test_flag_euler_matches_root_product():

@@ -29,8 +29,12 @@ def euler_rf(setup, i):
 
 def point_class_at(setup, i, j):
     # the point class of i is prod_{b != i} (u - lambda_b); its value at the
-    # fixed point j is euler_e(i) with lambda_i moved to lambda_j
-    return substitute(euler_rf(setup, i), {f"lambda_{i}": setup.lam(j)})
+    # fixed point j is that product at u = lambda_j
+    value = setup.registry.one()
+    for b in setup.points():
+        if b != i:
+            value = value * (setup.lam(j) - setup.lam(b))
+    return RatFunc.from_poly(value)
 
 
 def localize(setup, values):
@@ -110,11 +114,10 @@ def test_closed_b_low_degrees():
 
 
 def test_closed_b_canonical_text():
-    assert closed_b(P1, 0, 1).text() == "1/(lambda_0 - lambda_1 + h)"
-    assert (
-        closed_b(P1, 0, 2).text()
-        == "1/(2(lambda_0 - lambda_1 + h)(lambda_0 - lambda_1 + 2*h))"
-    )
+    # lambda_0 = 0, so lambda_1 stands for lambda_1 - lambda_0; the texts in
+    # lambda_0..lambda_n are pinned through `series proj` in test_cli
+    assert closed_b(P1, 0, 1).text() == "-1/(lambda_1 - h)"
+    assert closed_b(P1, 0, 2).text() == "1/(2(lambda_1 - 2*h)(lambda_1 - h))"
 
 
 def test_closed_B_and_normalized_scalings():
