@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
@@ -378,12 +377,6 @@ def cmd_verify(args, quick: bool) -> tuple[list[str], int]:
             broken = VerificationReport(name, {})
             broken.fail("runner", f"{type(exc).__name__}: {exc}", "no exception")
             reports.append(broken)
-    if args.falsify:
-        control = VerificationReport("falsified-control", {})
-        control.check_equal(
-            "deliberately wrong spot value", toda3.closed_a(1, 1), Fraction(3)
-        )
-        reports.append(control)
     if args.json:
         records = []
         for r in reports:
@@ -434,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--json", action="store_true",
                           help="emit the JSON mirror instead of text")
-    p_verify.add_argument("--falsify", action="store_true",
-                          help=argparse.SUPPRESS)
     return parser
 
 

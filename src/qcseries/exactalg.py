@@ -1111,9 +1111,6 @@ class LinearFactorization:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def roots(self) -> list[RatFunc]:
-        return [r for r, _ in self.pairs]
-
     def expand(self) -> RatFunc:
         """Reconstruct the represented denominator as a RatFunc."""
         out = self.scale
@@ -1129,33 +1126,28 @@ def _ratfunc_degree_in(f: RatFunc, name: str) -> int:
     return d
 
 
-def partial_fractions(scale: RatFunc, factorization: LinearFactorization,
+def partial_fractions(factorization: LinearFactorization,
                       numerator: MultiPoly) -> list[tuple[RatFunc, MultiPoly]]:
-    """Split numerator / (scale * product(factors)) into first-order terms.
+    """Split numerator / factorization.expand() into first-order terms.
 
     Returns [(residue_k, factor_k)] with
-    sum(residue_k / factor_k) == numerator / (scale * product(factors)).
+    sum(residue_k / factor_k) == numerator / factorization.expand().
     Each residue is the deleted product evaluated at the factor's root.
     Preconditions: numerator degree in the distinguished variable is strictly
     below the factor count, and roots are pairwise distinct (enforced by the
     factorization).
     """
     registry = factorization.registry
-    if scale.registry != registry or numerator.registry != registry:
+    if numerator.registry != registry:
         raise ValueError("registry mismatch between operands")
-    if scale.is_zero:
-        raise ZeroDivisionError("zero scale")
     var = factorization.var
-    if _ratfunc_degree_in(scale, var) != 0:
-        raise ValueError("scale must not involve the distinguished variable")
     if numerator.degree_in(var) >= len(factorization):
         raise ValueError("numerator degree must be below the number of factors")
-    full_scale = scale * factorization.scale
     out: list[tuple[RatFunc, MultiPoly]] = []
     for k, (root, factor) in enumerate(factorization.pairs):
         binding = {var: root}
         num_at = numerator.substitute(binding)
-        deleted = full_scale
+        deleted = factorization.scale
         for l, (_, other) in enumerate(factorization.pairs):
             if l != k:
                 deleted = deleted * other.substitute(binding)
@@ -1238,13 +1230,7 @@ def _parse_atom(ts: _Tokens, registry: VarRegistry) -> MultiPoly:
             val = Fraction(val, int(ts.next()))
         return registry.const(val)
     if _NAME_RE.fullmatch(t):
-        e = 1
-        if ts.peek() == "^":
-            ts.next()
-            d = ts.next()
-            if not d.isdigit():
-                raise ValueError("expected integer exponent")
-            e = int(d)
+        e = _parse_exponent(ts) if ts.peek() == "^" else 1
         return registry.var(t) ** e
     raise ValueError(f"unexpected token {t!r}")
 

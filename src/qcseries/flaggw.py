@@ -401,7 +401,7 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
             "h", factors,
             RatFunc.from_scalar(reg, factorial(i) * factorial(j)),
         )
-        parts = partial_fractions(RatFunc.one(reg), fz, num)
+        parts = partial_fractions(fz, num)
         report.check_equal("recombined", recombine(parts, reg), value)
 
         # reflected-argument substitutions per pole family

@@ -39,6 +39,7 @@ from .exactalg import (
     RatFunc,
     VarRegistry,
     partial_fractions,
+    recombine,
     substitute,
 )
 from .report import VerificationReport, timed
@@ -279,7 +280,7 @@ def _residue_check(setup: ProjSetup, i: int, d: int,
     factorization = LinearFactorization(
         "h", dens, RatFunc.from_scalar(reg, factorial(d))
     )
-    parts = partial_fractions(RatFunc.one(reg), factorization, reg.one())
+    parts = partial_fractions(factorization, reg.one())
     for (j, k), (residue, _factor) in zip(labels, parts):
         shift = (setup.lam(j) - setup.lam(i)).scale(Fraction(1, k))
         expected = recursion_coeff(setup, i, j, k) * substitute(
@@ -300,12 +301,11 @@ def verify_first_order_split(setup: ProjSetup) -> VerificationReport:
             report.skip("no poles in dimension 0")
             return report
         reg = setup.registry
-        one = RatFunc.one(reg)
         for i in setup.points():
             labels = [j for j in setup.points() if j != i]
             dens = [setup.lam(i) - setup.lam(j) + setup.h for j in labels]
-            factorization = LinearFactorization("h", dens, one)
-            parts = partial_fractions(one, factorization, reg.one())
+            factorization = LinearFactorization("h", dens, RatFunc.one(reg))
+            parts = partial_fractions(factorization, reg.one())
             for j, (residue, _) in zip(labels, parts):
                 expect_dens = [
                     setup.lam(j) - setup.lam(b)
@@ -315,10 +315,7 @@ def verify_first_order_split(setup: ProjSetup) -> VerificationReport:
                 expected = RatFunc.from_factored(reg.one(), expect_dens)
                 report.check_equal(f"i={i} pole j={j}", residue, expected)
             total = RatFunc.from_factored(reg.one(), dens)
-            rebuilt = RatFunc.zero(reg)
-            for residue, factor in parts:
-                rebuilt = rebuilt + residue / RatFunc.from_poly(factor)
-            report.check_equal(f"i={i} recombined", total, rebuilt)
+            report.check_equal(f"i={i} recombined", total, recombine(parts, reg))
     return report
 
 

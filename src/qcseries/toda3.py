@@ -1,11 +1,14 @@
 """Rank-three Toda-lattice operators and their hypergeometric solutions.
 
-Everything happens in the two ratio variables v_1, v_2.  Operators are kept
-in a normal form: a finite sum of (coefficient) x (Euler-operator powers)
-x (multiplication by a v-monomial), where the Euler operators are
-theta_1 = v_1 d/dv_1 and theta_2 = v_2 d/dv_2, acting before the
-multiplication.  Composing two terms rewrites Euler operators past the
-incoming multiplication by the shift rule theta o v^e = v^e o (theta + e).
+Everything happens in the two ratio variables v_1, v_2.  The lattice
+operators d_k = p_k(u, v) - sigma_k(lambda) come from the characteristic
+polynomial of the deformed tridiagonal matrix (Givental and Kim), with u_a
+read as the Euler expression lambda_a + h (theta_a - theta_(a+1)), where
+theta_1 = v_1 d/dv_1, theta_2 = v_2 d/dv_2 and theta_0 = theta_3 = 0, and
+v_a read as multiplication.  An operator acts on one monomial at a time:
+v_1^i v_2^j is an eigenvector of every u_a, and v^e shifts it.  Within each
+monomial of p_k the u's and v's touch disjoint indices, so no ordering
+choice arises.
 
 The solutions are double series with coefficients given in closed form
 three ways (plain, binomial-sum, equivariant); verification routines check
@@ -77,152 +80,41 @@ def char_poly() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     return out
 
 
-# -- operator algebra ------------------------------------------------------------------
+# -- lattice operators ----------------------------------------------------------------
 
 
 class TodaOperator:
-    """Normal form: sum of coeff * theta_1^a theta_2^b followed by a v-shift.
+    """d_k = p_k(u, v) - sigma_k(lambda), acting on the double series.
 
-    terms maps (e, f) -> ((a, b) -> coefficient); the action on v_1^i v_2^j
-    is sum of coeff * i^a * j^b * v_1^(i+e) v_2^(j+f).
+    On v_1^i v_2^j, with beta = (0, i, j, 0), u_a multiplies by the eigenvalue
+    lambda_a + h (beta_a - beta_(a+1)) and v^e shifts (i, j) by e.  In each
+    monomial of p_k the shift acts first, so the eigenvalues are read at the
+    shifted index; sigma_k is a constant.
     """
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "poly", "sigma", "weights", "max_shift")
 
-    def __init__(self, registry: VarRegistry,
-                 terms: dict[tuple[int, int], dict[tuple[int, int], RatFunc]]):
-        clean: dict[tuple[int, int], dict[tuple[int, int], RatFunc]] = {}
-        for shift, powers in terms.items():
-            kept = {ab: c for ab, c in powers.items() if not c.is_zero}
-            if kept:
-                if shift[0] < 0 or shift[1] < 0:
-                    raise ValueError("only multiplications by monomials are supported")
-                clean[shift] = kept
-        self.registry = registry
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(registry: VarRegistry) -> "TodaOperator":
-        return TodaOperator(registry, {})
-
-    @staticmethod
-    def const(registry: VarRegistry, c) -> "TodaOperator":
-        return TodaOperator(
-            registry, {(0, 0): {(0, 0): RatFunc.coerce(registry, c)}}
-        )
-
-    @staticmethod
-    def euler(registry: VarRegistry, which: int) -> "TodaOperator":
-        ab = (1, 0) if which == 1 else (0, 1)
-        return TodaOperator(registry, {(0, 0): {ab: RatFunc.one(registry)}})
-
-    @staticmethod
-    def shift(registry: VarRegistry, e: int, f: int) -> "TodaOperator":
-        return TodaOperator(registry, {(e, f): {(0, 0): RatFunc.one(registry)}})
-
-    # -- algebra -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def max_shift(self) -> int:
-        return max((e + f for e, f in self.terms), default=0)
-
-    def __add__(self, other: "TodaOperator") -> "TodaOperator":
-        out = {ef: dict(p) for ef, p in self.terms.items()}
-        for ef, powers in other.terms.items():
-            slot = out.setdefault(ef, {})
-            for ab, c in powers.items():
-                slot[ab] = slot.get(ab, RatFunc.zero(self.registry)) + c
-        return TodaOperator(self.registry, out)
-
-    def __neg__(self) -> "TodaOperator":
-        return TodaOperator(
-            self.registry,
-            {ef: {ab: -c for ab, c in p.items()} for ef, p in self.terms.items()},
-        )
-
-    def __sub__(self, other: "TodaOperator") -> "TodaOperator":
-        return self + (-other)
-
-    def scaled(self, c) -> "TodaOperator":
-        c = RatFunc.coerce(self.registry, c)
-        return TodaOperator(
-            self.registry,
-            {ef: {ab: v * c for ab, v in p.items()} for ef, p in self.terms.items()},
-        )
-
-    def compose(self, other: "TodaOperator") -> "TodaOperator":
-        """self after other; Euler powers are rewritten past the inner shift."""
-        out: dict[tuple[int, int], dict[tuple[int, int], RatFunc]] = {}
-        for (e1, f1), pows1 in self.terms.items():
-            for (a, b), c1 in pows1.items():
-                for (e2, f2), pows2 in other.terms.items():
-                    for (a2, b2), c2 in pows2.items():
-                        base = c1 * c2
-                        slot = out.setdefault((e1 + e2, f1 + f2), {})
-                        for s in range(a + 1):
-                            ks = comb(a, s) * e2 ** (a - s)
-                            if ks == 0:
-                                continue
-                            for t in range(b + 1):
-                                k = ks * comb(b, t) * f2 ** (b - t)
-                                if k == 0:
-                                    continue
-                                ab = (s + a2, t + b2)
-                                slot[ab] = slot.get(
-                                    ab, RatFunc.zero(self.registry)
-                                ) + base * k
-        return TodaOperator(self.registry, out)
-
-    def power(self, n: int) -> "TodaOperator":
-        if n < 0:
-            raise ValueError("operator powers must be >= 0")
-        out = TodaOperator.const(self.registry, 1)
-        for _ in range(n):
-            out = out.compose(self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TodaOperator):
-            return NotImplemented
-        if self.registry != other.registry or self.terms.keys() != other.terms.keys():
-            return False
-        for ef, powers in self.terms.items():
-            if powers.keys() != other.terms[ef].keys():
-                return False
-            if any(c != other.terms[ef][ab] for ab, c in powers.items()):
-                return False
-        return True
-
-    __hash__ = None
-
-    # -- action ------------------------------------------------------------
+    def __init__(self, poly: MultiPoly, sigma: MultiPoly,
+                 weights: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]):
+        self.registry = sigma.registry
+        self.poly = poly
+        self.sigma = sigma
+        self.weights = weights
+        self.max_shift = max(e + f for (*_, e, f), _ in poly.monomials())
 
     def act_monomial(self, i: int, j: int) -> dict[tuple[int, int], RatFunc]:
         """Image of v_1^i v_2^j as a map (exponent pair) -> coefficient."""
-        out: dict[tuple[int, int], RatFunc] = {}
-        for (e, f), powers in self.terms.items():
-            total = RatFunc.zero(self.registry)
-            for (a, b), c in powers.items():
-                total = total + c * (i**a * j**b)
-            if not total.is_zero:
-                key = (i + e, j + f)
-                out[key] = out.get(key, RatFunc.zero(self.registry)) + total
-        return {k: c for k, c in out.items() if not c.is_zero}
-
-    def substitute(self, bindings) -> "TodaOperator":
-        return TodaOperator(
-            self.registry,
-            {
-                ef: {ab: c.substitute(bindings) for ab, c in p.items()}
-                for ef, p in self.terms.items()
-            },
-        )
+        *lam, h = self.weights
+        out = {(i, j): -self.sigma}
+        for (*us, e, f), c in self.poly.monomials():
+            beta = (0, i + e, j + f, 0)
+            w = self.registry.const(c)
+            for a, power in enumerate(us):
+                if power:
+                    w = w * (lam[a] + h.scale(beta[a] - beta[a + 1])) ** power
+            key = beta[1:3]
+            out[key] = out[key] + w if key in out else w
+        return {k: RatFunc.from_poly(w) for k, w in out.items() if not w.is_zero}
 
 
 # -- double series ---------------------------------------------------------------------
@@ -293,47 +185,21 @@ def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperato
     """The two nontrivial lattice operators, over lambda_0..lambda_2, h.
 
     Plain mode fixes the weights to zero and the deformation scale to one.
-    The matrix entries become first-order Euler expressions; the linear
-    combination for the trace cancels identically, which is asserted.
+    The trace operator vanishes identically in ratio coordinates, which is
+    asserted.
     """
     reg = LAMBDA_REGISTRY
     if equivariant:
-        lam = [RatFunc.from_poly(reg.var(f"lambda_{i}")) for i in range(3)]
-        h = RatFunc.from_poly(reg.var("h"))
+        weights = tuple(reg.var(n) for n in reg.names)
     else:
-        lam = [RatFunc.zero(reg) for _ in range(3)]
-        h = RatFunc.one(reg)
-    th1 = TodaOperator.euler(reg, 1)
-    th2 = TodaOperator.euler(reg, 2)
-    atoms = {
-        "u_0": TodaOperator.const(reg, lam[0]) - th1.scaled(h),
-        "u_1": TodaOperator.const(reg, lam[1]) + (th1 - th2).scaled(h),
-        "u_2": TodaOperator.const(reg, lam[2]) + th2.scaled(h),
-        "v_1": TodaOperator.shift(reg, 1, 0),
-        "v_2": TodaOperator.shift(reg, 0, 1),
-    }
-
-    def realize(p: MultiPoly) -> TodaOperator:
-        op = TodaOperator.zero(reg)
-        for mono, c in p.monomials():
-            term = TodaOperator.const(reg, c)
-            for name, power in zip(UV_REGISTRY.names, mono):
-                for _ in range(power):
-                    term = term.compose(atoms[name])
-            op = op + term
-        return op
-
-    p1, p2, p3 = char_poly()
-    sigma = [
-        lam[0] + lam[1] + lam[2],
-        lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2],
-        lam[0] * lam[1] * lam[2],
-    ]
-    d1 = realize(p1) - TodaOperator.const(reg, sigma[0])
-    if not d1.is_zero:
+        weights = (reg.zero(), reg.zero(), reg.zero(), reg.one())
+    l0, l1, l2, _ = weights
+    sigma = (l0 + l1 + l2, l0 * l1 + l0 * l2 + l1 * l2, l0 * l1 * l2)
+    d1, d2, d3 = (TodaOperator(p, s, weights) for p, s in zip(char_poly(), sigma))
+    # p_1 is linear in u, so each d_1 weight is affine in (i, j): zero at
+    # three non-collinear points means zero everywhere
+    if any(d1.act_monomial(i, j) for i, j in ((0, 0), (1, 0), (0, 1))):
         raise AssertionError("the trace operator must vanish in ratio coordinates")
-    d2 = realize(p2) - TodaOperator.const(reg, sigma[1])
-    d3 = realize(p3) - TodaOperator.const(reg, sigma[2])
     return d2, d3
 
 

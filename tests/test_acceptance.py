@@ -235,8 +235,8 @@ def test_14_library_property_battery():
         for t in range(len(factors)):
             num = num + (x ** rng.randint(0, 2)).scale(rng.randint(-3, 3)) * h**t
         scale = RatFunc.from_scalar(reg, Fraction(1, 3))
-        fz = LinearFactorization("h", factors, one)
-        decomp = partial_fractions(scale, fz, num)
+        fz = LinearFactorization("h", factors, scale)
+        decomp = partial_fractions(fz, num)
         prod = reg.one()
         for f in factors:
             prod = prod * f

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qcseries import cli
+from qcseries import cli, toda3
 from qcseries.exactalg import RatFunc, VarRegistry
 from qcseries.report import VerificationReport
 
@@ -185,15 +185,16 @@ def test_verify_all_quick(capsys):
     assert all(s in ("status pass", "status skipped") for s in statuses)
 
 
-def test_verify_falsify_control_fails(capsys):
-    code, out, _ = run(capsys, "verify", "batyrev", "--max", "3", "--falsify")
+def test_verify_exits_one_on_a_wrong_coefficient(capsys, monkeypatch):
+    closed = toda3.closed_a
+    monkeypatch.setattr(
+        toda3, "closed_a", lambda i, j: closed(i, j) + (1 if (i, j) == (1, 1) else 0)
+    )
+    code, out, _ = run(capsys, "verify", "batyrev", "--max", "3")
     assert code == 1
     lines = out.splitlines()
-    assert "check falsified-control" in lines
     assert "status fail" in lines
-    assert "failure deliberately wrong spot value | 2 | 3" in lines
-    # the genuine check still passes alongside the planted failure
-    assert "status pass" in lines
+    assert "failure i=1 j=1 | 2 | 3" in lines
 
 
 def test_verify_json_mirror(capsys):

@@ -14,7 +14,6 @@ from qcseries.toda3 import (
     LAMBDA_REGISTRY,
     UV_REGISTRY,
     BiSeries,
-    TodaOperator,
     apply,
     batyrev_b,
     build_operators,
@@ -32,14 +31,6 @@ from qcseries.toda3 import (
 LREG = LAMBDA_REGISTRY
 
 
-def euler_ops():
-    return TodaOperator.euler(LREG, 1), TodaOperator.euler(LREG, 2)
-
-
-def shift_ops():
-    return TodaOperator.shift(LREG, 1, 0), TodaOperator.shift(LREG, 0, 1)
-
-
 # -- characteristic polynomial ---------------------------------------------------------
 
 
@@ -53,67 +44,38 @@ def test_char_poly_matches_minor_expansion():
     assert p3 == u0 * u1 * u2 + u0 * v2 + u2 * v1
 
 
-# -- operator normal form --------------------------------------------------------------
-
-
-def test_euler_action_and_shift_action():
-    th1, th2 = euler_ops()
-    v1, _ = shift_ops()
-    assert th1.act_monomial(3, 2) == {(3, 2): RatFunc.from_scalar(LREG, 3)}
-    assert th2.act_monomial(3, 2) == {(3, 2): RatFunc.from_scalar(LREG, 2)}
-    assert th1.act_monomial(0, 5) == {}
-    assert v1.act_monomial(3, 2) == {(4, 2): RatFunc.one(LREG)}
-
-
-def test_compose_rewrites_euler_past_multiplication():
-    th1, _ = euler_ops()
-    v1, _ = shift_ops()
-    # theta o v = v o (theta + 1), and the two orders differ by the shift
-    left = th1.compose(v1)
-    right = v1.compose(th1 + TodaOperator.const(LREG, 1))
-    assert left == right
-    assert left != v1.compose(th1)
-    assert left.act_monomial(2, 0) == {(3, 0): RatFunc.from_scalar(LREG, 3)}
-    assert v1.compose(th1).act_monomial(2, 0) == {
-        (3, 0): RatFunc.from_scalar(LREG, 2)
-    }
-
-
-def test_operator_algebra_basics():
-    th1, th2 = euler_ops()
-    v1, v2 = shift_ops()
-    assert th1.compose(th2) == th2.compose(th1)
-    assert v1.compose(v2) == v2.compose(v1)
-    assert (th1 - th1).is_zero
-    assert th1.power(0) == TodaOperator.const(LREG, 1)
-    sq = th1.power(2)
-    assert sq.act_monomial(4, 1) == {(4, 1): RatFunc.from_scalar(LREG, 16)}
-    with pytest.raises(ValueError):
-        TodaOperator(LREG, {(-1, 0): {(0, 0): RatFunc.one(LREG)}})
-
-
 # -- building the two operators --------------------------------------------------------
+
+GRID = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (3, 3))
+
+
+def nonzero(image):
+    return {k: c for k, c in image.items() if not c.is_zero}
 
 
 def test_plain_operators_match_hand_expansion():
-    th1, th2 = euler_ops()
-    v1, v2 = shift_ops()
     d2, d3 = build_operators(equivariant=False)
-    assert d2 == -th1.power(2) + th1.compose(th2) - th2.power(2) + v1 + v2
-    assert d3 == (
-        -th1.power(2).compose(th2)
-        + th1.compose(th2.power(2))
-        - v2.compose(th1)
-        + v1.compose(th2)
-    )
+
+    def c(x):
+        return RatFunc.from_scalar(LREG, x)
+
+    for i, j in GRID:
+        assert d2.act_monomial(i, j) == nonzero(
+            {(i, j): c(-(i * i - i * j + j * j)), (i + 1, j): c(1), (i, j + 1): c(1)}
+        )
+        assert d3.act_monomial(i, j) == nonzero(
+            {(i, j): c(i * j * j - i * i * j), (i, j + 1): c(-i), (i + 1, j): c(j)}
+        )
 
 
-def test_equivariant_specializes_to_plain():
-    flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
-    eq_ops = build_operators(equivariant=True)
-    plain_ops = build_operators(equivariant=False)
-    for eq_op, plain_op in zip(eq_ops, plain_ops):
-        assert eq_op.substitute(flat) == plain_op
+def test_trace_operator_check_is_exact(monkeypatch):
+    p1, p2, p3 = char_poly()
+    # an extra shift, and an extra u_0 whose plain weight -i vanishes at (0, 0)
+    for extra in (UV_REGISTRY.var("v_1"), UV_REGISTRY.var("u_0")):
+        monkeypatch.setattr(toda3, "char_poly", lambda: (p1 + extra, p2, p3))
+        for equivariant in (True, False):
+            with pytest.raises(AssertionError, match="trace operator"):
+                build_operators(equivariant)
 
 
 def test_equivariant_second_operator_monomial_action():
@@ -127,6 +89,28 @@ def test_equivariant_second_operator_monomial_action():
         assert image == {(i, j): eigen, (i + 1, j): one, (i, j + 1): one}
     # at the origin only the shifts survive
     assert d2.act_monomial(0, 0) == {(1, 0): one, (0, 1): one}
+
+
+def test_equivariant_third_operator_monomial_action():
+    _, d3 = build_operators(equivariant=True)
+    l0, l1, l2, h = (RatFunc.from_poly(LREG.var(n)) for n in LREG.names)
+    for i, j in GRID:
+        e0, e1, e2 = l0 - h * i, l1 + h * (i - j), l2 + h * j
+        assert d3.act_monomial(i, j) == nonzero(
+            {(i, j): e0 * e1 * e2 - l0 * l1 * l2, (i, j + 1): e0, (i + 1, j): e2}
+        )
+
+
+def test_equivariant_specializes_to_plain():
+    flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
+    eq_ops = build_operators(equivariant=True)
+    plain_ops = build_operators(equivariant=False)
+    for eq_op, plain_op in zip(eq_ops, plain_ops):
+        for i, j in GRID:
+            specialized = nonzero(
+                {k: c.substitute(flat) for k, c in eq_op.act_monomial(i, j).items()}
+            )
+            assert specialized == nonzero(plain_op.act_monomial(i, j))
 
 
 # -- closed-form coefficients ----------------------------------------------------------
@@ -303,11 +287,12 @@ def test_apply_commutes_with_specialization():
         for j in range(3 - i)
     }
     s = BiSeries(LREG, 2, coeffs)
-    d2_eq, _ = build_operators(equivariant=True)
-    d2_plain, _ = build_operators(equivariant=False)
-    left = apply(d2_eq, s).substitute(flat)
-    right = apply(d2_plain, s.substitute(flat))
-    assert left.order == right.order
-    for i in range(2):
-        for j in range(2 - i):
-            assert left.coefficient(i, j) == right.coefficient(i, j)
+    eq_ops = build_operators(equivariant=True)
+    plain_ops = build_operators(equivariant=False)
+    for eq_op, plain_op in zip(eq_ops, plain_ops):
+        left = apply(eq_op, s).substitute(flat)
+        right = apply(plain_op, s.substitute(flat))
+        assert left.order == right.order
+        for i in range(2):
+            for j in range(2 - i):
+                assert left.coefficient(i, j) == right.coefficient(i, j)
