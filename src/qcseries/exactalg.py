@@ -30,15 +30,22 @@ Design notes that the rest of the package relies on:
   equality is decided by cross-multiplication, which the factored form makes
   cheap.  All denominators arising in this package are products of linear
   forms, so trial division recovers fully reduced quotients.
-* Before each trial division a line screen restricts the integer numerator
-  N and the primitive factor f to one line modulo the prime 2^61 - 1.  By
-  Gauss's lemma, f dividing N over Q makes the quotient integral, so the
-  restricted f must divide the restricted N.  A nonzero remainder on the
-  line therefore proves that f does not divide N, and the division is
-  skipped; any other outcome runs the exact division.  The screen can only
-  reject, so it never changes a result, only the work spent reaching it.
-  `divide_exact` uses the same lemma to stay in integer arithmetic when the
-  divisor is primitive.
+* Arithmetic tries only the divisions that can succeed (Knuth, TAOCP
+  Vol. 2, 4.5.1).  Two facts decide it: a linear form is prime, and a
+  reduced operand's factors never divide its own numerator.  When every
+  factor of both operands is linear:
+  - in a/F * b/G, a factor of both F and G divides neither a nor b, so it
+    stays; a factor of F alone can only cancel against b, and one of G
+    alone only against a, so each is divided out of that smaller numerator;
+  - in a/F + b/G, a factor whose multiplicity differs between F and G
+    divides exactly one of the two cross-multiplied terms, so not their
+    sum; only factors of equal multiplicity are tried;
+  - the reciprocal F/a shares no factor with its numerator F.
+  Each rule only skips a division that would fail, so results never depend
+  on it.  Other factors keep exact trial division.  By Gauss's lemma an
+  exact quotient of primitive integer polynomials is again primitive, which
+  keeps every numerator canonical without renormalizing, and lets
+  `divide_exact` stay in integer arithmetic when the divisor is primitive.
 * `partial_fractions` splits a fraction with distinct linear factors in one
   distinguished variable into first-order terms, evaluating each deleted
   product at the corresponding root.
@@ -50,9 +57,8 @@ import heapq
 import re
 import struct
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, ...]
@@ -80,105 +86,6 @@ def _as_coeff(c) -> Coeff:
 # so a monomial's total degree, and with it every exponent, is at most MAX_DEGREE
 _FIELD_BITS = 16
 MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
-
-
-# -- line screen for trial division ---------------------------------------------
-
-_SCREEN_PRIME = (1 << 61) - 1
-_MASK64 = (1 << 64) - 1
-
-
-@lru_cache(maxsize=None)
-def _screen_point(n: int) -> tuple[int, ...]:
-    """Fixed point P of F_p^n, nonzero coordinates, splitmix64 of the index.
-
-    Scattered coordinates matter: a homogeneous polynomial at a point in
-    arithmetic progression is its value at small integers, which vanishes on
-    a hyperplane far more often than chance.
-    """
-    point = []
-    for i in range(n):
-        z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        point.append((z ^ (z >> 31)) % (_SCREEN_PRIME - 1) + 1)
-    return tuple(point)
-
-
-def _restrict_to_line(poly: "MultiPoly", j: int) -> list[int] | None:
-    """Coefficients in s, lowest first, of poly on the line x_j = P_j*s, x_i = P_i.
-
-    Reduced mod p; None when a coefficient is a Fraction, since the screen
-    then has no verdict.  A term's value at P carries P_j^(m_j), exactly the
-    power of P_j that x_j = P_j*s contributes, so summing the terms' values
-    at P by m_j gives the restriction without inverting anything.
-    """
-    terms = poly.terms
-    if not all(type(c) is int for c in terms.values()):
-        return None
-    reg = poly.registry
-    top = max(terms) >> reg._deg_shift
-    tables = []
-    for x in _screen_point(len(reg)):
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x % _SCREEN_PRIME)
-        tables.append(row)
-    line = [0] * (top + 1)
-    for m, c in terms.items():
-        mono = reg._unpack(m)
-        line[mono[j]] += c * prod(map(list.__getitem__, tables, mono))
-    return [c % _SCREEN_PRIME for c in line]
-
-
-def _remainder_is_nonzero(num: list[int], den: list[int]) -> bool:
-    """Whether num mod den is nonzero in F_p[s]; False when den is constant."""
-    d = len(den) - 1
-    while d >= 0 and den[d] == 0:
-        d -= 1
-    if d <= 0:
-        return False
-    r = list(num)
-    inv = pow(den[d], -1, _SCREEN_PRIME)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] * inv % _SCREEN_PRIME
-        if c:
-            for i in range(d):
-                r[k - d + i] = (r[k - d + i] - c * den[i]) % _SCREEN_PRIME
-    return any(r[:d])
-
-
-class _LineScreen:
-    """One-sided test that a primitive factor f does not divide an integer N.
-
-    f and N are restricted to the line through the screen point P parallel
-    to f's highest-index variable, modulo the prime p = 2^61 - 1.  If f
-    divides N over Q, Gauss's lemma makes the quotient integral, so the
-    restriction of f divides that of N in F_p[s].  A nonzero remainder
-    therefore proves that f does not divide N; anything else (zero
-    remainder, f constant on the line, a Fraction coefficient) is no verdict
-    and leaves the decision to exact division.  N's restriction is built
-    lazily, once per line.
-    """
-
-    __slots__ = ("num", "lines")
-
-    def __init__(self, num: "MultiPoly"):
-        self.num = num
-        self.lines: dict[int, list[int] | None] = {}
-
-    def rejects(self, f: "MultiPoly") -> bool:
-        # a constant f (never a stored factor) restricts to a constant on
-        # any line, which gives no verdict
-        occurs = f.registry._unpack(_union(f))
-        j = max((i for i, e in enumerate(occurs) if e), default=0)
-        fline = _restrict_to_line(f, j)
-        if fline is None:
-            return False
-        if j not in self.lines:
-            self.lines[j] = _restrict_to_line(self.num, j)
-        line = self.lines[j]
-        return line is not None and _remainder_is_nonzero(line, fline)
 
 
 class VarRegistry:
@@ -276,6 +183,20 @@ class VarRegistry:
 def _check_same_registry(a: "MultiPoly | RatFunc", b: "MultiPoly | RatFunc") -> None:
     if a.registry != b.registry:
         raise ValueError("registry mismatch between operands")
+
+
+def _accumulate(out: dict[int, Coeff], terms: Mapping[int, Coeff]) -> None:
+    """Add packed terms into out in place, dropping coefficients that cancel."""
+    for m, c in terms.items():
+        acc = out.get(m)
+        if acc is None:
+            out[m] = c
+        else:
+            acc = acc + c
+            if acc == 0:
+                del out[m]
+            else:
+                out[m] = acc
 
 
 def _union(p: "MultiPoly") -> int:
@@ -398,16 +319,7 @@ class MultiPoly:
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        for mono, c in small.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[mono]
-                else:
-                    out[mono] = acc
+        _accumulate(out, small)
         return MultiPoly._raw(self.registry, out)
 
     __radd__ = __add__
@@ -513,6 +425,13 @@ class MultiPoly:
         if g.is_const:
             return self.scale(Fraction(1) / g.const_value())
         glead = max(g.terms)
+        guard = self.registry._guard
+        # glead divides a monomial iff their difference borrows from no field;
+        # a borrow sets the guard bit of the lowest field that underflows.
+        # The dividend's leading monomial is tested before anything is copied.
+        diff = max(self.terms) - glead
+        if diff < 0 or diff & guard:
+            return None
         gc = g.terms[glead]
         rest = [(m, c) for m, c in g.terms.items() if m != glead]
         # an integer dividend over a primitive integer divisor has an integral
@@ -521,7 +440,6 @@ class MultiPoly:
         integral = (all(type(c) is int for c in g.terms.values())
                     and gcd(*g.terms.values()) == 1
                     and all(type(c) is int for c in self.terms.values()))
-        guard = self.registry._guard
         r = dict(self.terms)
         q: dict[int, Coeff] = {}
         # max-heap on the graded order via negated packed monomials; stale
@@ -533,8 +451,6 @@ class MultiPoly:
             rlead = -heapq.heappop(heap)
             if rlead not in r:
                 continue
-            # glead divides rlead iff no field borrows; a borrow sets the
-            # guard bit of the lowest field that underflows
             diff = rlead - glead
             if diff < 0 or diff & guard:
                 return None
@@ -586,6 +502,8 @@ class MultiPoly:
         Bound variables are replaced simultaneously by their values (RatFunc,
         MultiPoly, or rational constants over `target`); unbound variables
         must exist in `target` by name.  Default target is this registry.
+        When no value has a denominator the image is a polynomial: it is
+        built in MultiPoly arithmetic and normalized once.
         """
         target = target if target is not None else self.registry
         n_t = len(target)
@@ -603,30 +521,48 @@ class MultiPoly:
         for nm in bindings:
             if nm not in self.registry:
                 raise KeyError(f"binding for unknown variable {nm!r}")
-        pow_cache: dict[tuple[int, int], RatFunc] = {}
+        polynomial = not any(v.factors for v in bound.values())
+        values = {i: v.numerator for i, v in bound.items()} if polynomial else bound
+        pow_cache: dict[tuple[int, int], MultiPoly | RatFunc] = {}
 
-        def power(i: int, e: int) -> "RatFunc":
+        def power(i: int, e: int):
             got = pow_cache.get((i, e))
             if got is None:
-                got = bound[i] ** e
+                got = values[i] ** e
                 pow_cache[(i, e)] = got
             return got
 
-        total = RatFunc.zero(target)
-        lex = self.registry._lex_mask
-        for m in sorted(self.terms, key=lex.__and__):
-            c = self.terms[m]
-            mono = unpack(m)
+        def residual(mono: Mono) -> int:
             tm = [0] * n_t
             for i, j in resid.items():
                 tm[j] = mono[i]
-            acc = RatFunc.from_poly(MultiPoly._raw(target, {target._pack(tm): c}))
-            for i in bound:
-                e = mono[i]
+            return target._pack(tm)
+
+        if not polynomial:
+            total = RatFunc.zero(target)
+            lex = self.registry._lex_mask
+            for m in sorted(self.terms, key=lex.__and__):
+                mono = unpack(m)
+                acc = RatFunc.from_poly(MultiPoly._raw(target, {residual(mono): self.terms[m]}))
+                for i in bound:
+                    e = mono[i]
+                    if e:
+                        acc = acc * power(i, e)
+                total = total + acc
+            return total
+        # terms that share their bound exponents share one product of powers
+        groups: dict[Mono, dict[int, Coeff]] = {}
+        for m, c in self.terms.items():
+            mono = unpack(m)
+            groups.setdefault(tuple(mono[i] for i in bound), {})[residual(mono)] = c
+        out: dict[int, Coeff] = {}
+        for exps, terms in groups.items():
+            img = MultiPoly._raw(target, terms)
+            for i, e in zip(bound, exps):
                 if e:
-                    acc = acc * power(i, e)
-            total = total + acc
-        return total
+                    img = power(i, e) * img
+            _accumulate(out, img.terms)
+        return RatFunc.from_poly(MultiPoly._raw(target, out))
 
     # -- text ------------------------------------------------------------
 
@@ -681,15 +617,30 @@ def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     return [(reg.var(nm), e) for nm, e in zip(reg.names, exps) if e]
 
 
+def _cancel(num: MultiPoly, f: MultiPoly, mult: int) -> tuple[MultiPoly, int]:
+    """Divide f out of num up to mult times; the quotient and the multiplicity left.
+
+    A nonconstant f never divides a constant num, so that needs no division.
+    """
+    while mult and not num.is_const:
+        q = num.divide_exact(f)
+        if q is None:
+            break
+        num = q
+        mult -= 1
+    return num, mult
+
+
 class RatFunc:
     """Exact rational function with a factored, trial-division-reduced denominator.
 
     Canonical layout: ``scalar * num / prod(factor**mult)`` where `num` and
     every factor are primitive integer polynomials with positive leading
     coefficient, a monomial factor is a single variable, the factor list is
-    sorted, and `num` is divisible by no factor.  The zero function is scalar 0 with empty denominator.  Equality
-    falls back to exact cross-multiplication, so two representations of the
-    same function always compare equal.
+    sorted, and `num` is divisible by no factor.  The zero function is
+    scalar 0 with empty denominator.  Equality falls back to exact
+    cross-multiplication, so two representations of the same function always
+    compare equal.
     """
 
     __slots__ = ("registry", "scalar", "num", "factors", "_den")
@@ -781,31 +732,24 @@ class RatFunc:
 
     @staticmethod
     def _reduced(registry: VarRegistry, scalar: Fraction, num: MultiPoly,
-                 fac: dict[tuple, tuple[MultiPoly, int]]) -> "RatFunc":
-        """Normalize: cancel factors dividing num, drop constants, sort."""
+                 fac: dict[tuple, tuple[MultiPoly, int]],
+                 trial: Container[tuple] | None = None) -> "RatFunc":
+        """Cancel the factors keyed in `trial` (all when None) from num, and sort.
+
+        num must be primitive with a positive leading coefficient.  An exact
+        quotient by a primitive factor keeps both properties (Gauss's lemma),
+        so the result needs no renormalization.  Factors left out of `trial`
+        must be known not to divide num; multiplicity 0 drops a factor.
+        """
         if scalar == 0 or num.is_zero:
             return RatFunc.zero(registry)
         out: list[tuple[MultiPoly, int]] = []
-        # the screen proves most non-divisors without dividing; it is rebuilt
-        # only when a division succeeds and the numerator changes
-        screen = _LineScreen(num)
         for k in sorted(fac):
             f, mult = fac[k]
-            while mult > 0:
-                if screen.rejects(f):
-                    break
-                q = num.divide_exact(f)
-                if q is None:
-                    break
-                num = q
-                mult -= 1
-                screen = _LineScreen(num)
-            if mult > 0:
+            if trial is None or k in trial:
+                num, mult = _cancel(num, f, mult)
+            if mult:
                 out.append((f, mult))
-        # division of primitives yields a primitive, but renormalize cheaply
-        # in case callers handed in a non-primitive numerator
-        s, num = num.primitive()
-        scalar = scalar * s
         return RatFunc._make(registry, scalar, num, tuple(out))
 
     # -- views -------------------------------------------------------------
@@ -844,6 +788,11 @@ class RatFunc:
     def _factor_dict(self) -> dict[tuple, tuple[MultiPoly, int]]:
         return {f.key(): (f, m) for f, m in self.factors}
 
+    def _linear(self) -> bool:
+        """Whether every denominator factor has total degree 1, so is prime."""
+        ds = self.registry._deg_shift
+        return all(max(f.terms) >> ds == 1 for f, _ in self.factors)
+
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(self.registry, other)
         if self.is_zero:
@@ -876,7 +825,12 @@ class RatFunc:
         if num.is_zero:
             return RatFunc.zero(self.registry)
         s, prim = num.primitive()
-        return RatFunc._reduced(self.registry, s / q, prim, union)
+        trial = None
+        if self._linear() and other._linear():
+            # a prime of unequal multiplicity divides exactly one of the two
+            # cross-multiplied terms, so it cannot divide their sum
+            trial = {k for k, (_, m) in fa.items() if k in fb and fb[k][1] == m}
+        return RatFunc._reduced(self.registry, s / q, prim, union, trial)
 
     __radd__ = __add__
 
@@ -893,33 +847,43 @@ class RatFunc:
         other = RatFunc.coerce(self.registry, other)
         if self.is_zero or other.is_zero:
             return RatFunc.zero(self.registry)
-        merged: dict[tuple, tuple[MultiPoly, int]] = {}
-        for f, m in self.factors:
-            merged[f.key()] = (f, m)
-        for f, m in other.factors:
-            k = f.key()
-            if k in merged:
-                merged[k] = (f, merged[k][1] + m)
-            else:
+        scalar = self.scalar * other.scalar
+        fa = self._factor_dict()
+        fb = other._factor_dict()
+        merged = dict(fa)
+        if not (self._linear() and other._linear()):
+            for k, (f, m) in fb.items():
+                merged[k] = (f, merged[k][1] + m) if k in merged else (f, m)
+            return RatFunc._reduced(self.registry, scalar, self.num * other.num, merged)
+        # every factor is prime and divides neither operand's own numerator:
+        # a shared one stays, and one of a single operand can cancel only
+        # against the other operand's numerator
+        a, b = self.num, other.num
+        for k, (f, m) in fa.items():
+            if k not in fb:
+                b, m = _cancel(b, f, m)
                 merged[k] = (f, m)
-        num = self.num * other.num
-        return RatFunc._reduced(self.registry, self.scalar * other.scalar, num, merged)
+        for k, (f, m) in fb.items():
+            if k in fa:
+                merged[k] = (f, fa[k][1] + m)
+            else:
+                a, m = _cancel(a, f, m)
+                merged[k] = (f, m)
+        return RatFunc._reduced(self.registry, scalar, a * b, merged, ())
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        num = self.denominator
         fac: dict[tuple, tuple[MultiPoly, int]] = {}
-        scalar = 1 / self.scalar
-        if self.num.is_const:
-            scalar = scalar / self.num.const_value()
-        else:
+        if not self.num.is_const:
             for f, e in _factor_parts(self.num):
                 fac[f.key()] = (f, e)
-        s, prim = num.primitive()
-        return RatFunc._reduced(self.registry, scalar * s, prim, fac)
+        # when the old factors are prime, none divides the old numerator, so
+        # the old numerator's factors share no prime with the new one
+        trial = () if self._linear() else None
+        return RatFunc._reduced(self.registry, 1 / self.scalar, self.denominator, fac, trial)
 
     def __truediv__(self, other) -> "RatFunc":
         other = RatFunc.coerce(self.registry, other)

@@ -149,6 +149,17 @@ def test_series_out_file(tmp_path, capsys):
     assert written == direct
 
 
+@pytest.mark.parametrize("where,reason", [
+    ("missing/dir/x.out", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, where, reason):
+    path = tmp_path / where
+    code, out, err = run(capsys, "verify", "batyrev", "--max", "1", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
 # -- q-series rendering ------------------------------------------------------------
 
 

@@ -368,7 +368,7 @@ def test_partial_fractions_recombine_exactly(shifts, numcoeffs):
     assert recombine(decomp, reg) == target
 
 
-# -- trial-division screen and the integer division path -------------------------
+# -- trial division, the cancellation rules and the integer division path ---------
 
 
 def linear_forms():
@@ -399,8 +399,8 @@ def int_polys():
 @given(st.one_of(linear_forms(), quadratic_forms()), st.one_of(int_polys(), nonzero_polys()),
        st.integers(1, 3))
 def test_true_factor_always_cancels(f, q, k):
-    # the screen may only reject: k copies of f in the numerator must all
-    # cancel against k + 1 in the denominator, leaving exactly q/f
+    # trial division finds every copy: k copies of f in the numerator must
+    # all cancel against k + 1 in the denominator, leaving exactly q/f
     f = f.primitive()[1]
     if q.divide_exact(f) is not None:
         return
@@ -447,6 +447,67 @@ def test_reduced_sums_match_sympy_cancel(pool, terms):
     our_den = to_sympy(ours.denominator, symbols)
     assert sympy.expand(our_num * den - num * our_den) == 0
     assert sympy.cancel(our_den / den).is_number
+
+
+def canonical(f):
+    return f.scalar, f.num, [(g.key(), m) for g, m in f.factors]
+
+
+def expanded_factors(f):
+    return [g for g, m in f.factors for _ in range(m)]
+
+
+@st.composite
+def linear_ratfuncs(draw, pool):
+    # scale * (product of pool forms) / (product of pool forms), so numerator
+    # and denominator share forms often
+    index = st.integers(0, len(pool) - 1)
+    num = PREG.const(draw(st.integers(-3, 3).filter(bool)))
+    for i in draw(st.lists(index, max_size=3)):
+        num = num * pool[i]
+    dens = [pool[i] for i in draw(st.lists(index, max_size=4))]
+    return RatFunc.from_factored(num, dens, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cancellation_rules_match_full_trial_division(data):
+    # products, quotients, sums and reciprocals of functions whose factors
+    # are linear skip the divisions their operands rule out; from_factored
+    # tries every factor, so both must give the same canonical triple
+    pool = data.draw(st.lists(linear_forms(), min_size=2, max_size=4))
+    a = data.draw(linear_ratfuncs(pool))
+    b = data.draw(linear_ratfuncs(pool))
+    da, db = expanded_factors(a), expanded_factors(b)
+    cases = {
+        "mul": (a * b, RatFunc.from_factored(a.numerator * b.numerator, da + db)),
+        "add": (a + b, RatFunc.from_factored(
+            a.numerator * b.denominator + b.numerator * a.denominator, da + db)),
+    }
+    if not a.is_zero:
+        cases["reciprocal"] = (a.reciprocal(), RatFunc.from_factored(a.denominator, [a.numerator]))
+    if not b.is_zero:
+        cases["div"] = (a / b, RatFunc.from_factored(a.numerator * b.denominator, da + [b.numerator]))
+    for op, (ours, oracle) in cases.items():
+        assert canonical(ours) == canonical(oracle), op
+        assert ours.num.primitive() == (1, ours.num), op
+        assert all(g.primitive() == (1, g) for g, _ in ours.factors), op
+
+
+def test_cancellation_where_the_rules_allow_it():
+    x, y = PREG.var("x"), PREG.var("y")
+    f, g = x + y, x - y
+    # a sum cancels a linear factor of equal multiplicity in both summands
+    assert canonical(RatFunc.from_factored(x, [f]) + RatFunc.from_factored(y, [f])) == \
+        canonical(RatFunc.one(PREG))
+    assert canonical(RatFunc.from_factored(x, [f, f]) + RatFunc.from_factored(y, [f, f])) == \
+        canonical(RatFunc.from_factored(PREG.one(), [f]))
+    # a nonlinear factor need not be prime, so it keeps full trial division:
+    # shared by both operands, and against its own operand's numerator
+    q = f * g
+    a, b = RatFunc.from_factored(f, [q]), RatFunc.from_factored(g, [q])
+    assert canonical(a * b) == canonical(RatFunc.from_factored(PREG.one(), [q]))
+    assert canonical(a.reciprocal()) == canonical(RatFunc.from_poly(g))
 
 
 def test_divide_exact_fraction_and_nonprimitive_paths():
@@ -532,23 +593,33 @@ def test_divide_exact_fails_exactly_when_sympy_leaves_a_remainder(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_substitute_matches_sympy(data):
-    # each variable is kept, bound to a small constant or bound to a small
-    # polynomial; sympy substitutes simultaneously
+    # each variable is kept, bound to a small constant, a small polynomial or
+    # the reciprocal of one; sympy substitutes simultaneously
     sympy = pytest.importorskip("sympy")
     reg = data.draw(st.sampled_from(SYMPY_REGS))
     p = data.draw(registry_polys(reg, maxdeg=2))
+    nonconstant = registry_polys(reg, min_size=1, max_size=2, maxdeg=1).filter(
+        lambda f: not f.is_const)
     values = st.one_of(
         st.none(), st.integers(-3, 3), registry_polys(reg, max_size=2, maxdeg=1),
+        nonconstant.map(lambda f: RatFunc.from_factored(reg.one(), [f])),
     )
     bindings = {nm: v for nm in reg.names if (v := data.draw(values)) is not None}
     got = p.substitute(bindings)
+    if not any(isinstance(v, RatFunc) for v in bindings.values()):
+        # a polynomial image is built as a polynomial
+        assert got.factors == ()
+
+    def as_sympy(v):
+        if isinstance(v, RatFunc):
+            return sympy_of(v.numerator) / sympy_of(v.denominator)
+        return sympy_of(v) if isinstance(v, MultiPoly) else v
+
     symbols = dict(zip(reg.names, sympy.symbols(reg.names)))
     want = sympy_of(p).subs(
-        {symbols[nm]: sympy_of(v) if isinstance(v, MultiPoly) else v
-         for nm, v in bindings.items()},
-        simultaneous=True,
+        {symbols[nm]: as_sympy(v) for nm, v in bindings.items()}, simultaneous=True,
     )
-    assert sympy.expand(sympy_of(got.numerator) - want * sympy_of(got.denominator)) == 0
+    assert sympy.cancel(as_sympy(got) - want) == 0
 
 
 @settings(max_examples=40, deadline=None)
