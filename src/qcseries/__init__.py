@@ -13,7 +13,6 @@ exact equality of canonical rational functions.
 """
 
 from .exactalg import (
-    LinearFactorization,
     MultiPoly,
     PoleError,
     RatFunc,
@@ -33,7 +32,6 @@ from . import exactalg, flaggw, projgw, report, roots, toda3
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearFactorization",
     "MultiPoly",
     "PoleError",
     "RatFunc",

@@ -10,6 +10,7 @@ enter the payload.  Exit codes: 0 all checks passed, 1 at least one failed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from math import factorial
@@ -101,56 +102,60 @@ def _proj_cap(n: int) -> int:
     return 3 if n == 3 else 6
 
 
-def _series_proj(args, quick: bool) -> list[str]:
+def _series_proj(args, quick: bool):
     n = 1 if args.n is None else args.n
     if n < 0 or n > 3:
         raise UsageError("series proj supports n in 0..3")
     d_max = _bound(args.max_d, 3, 3, _proj_cap(n), quick, "--max-d")
     if args.chart is not None and n == 0:
         raise UsageError("no root chart in dimension 0")
-    lines = ["target proj"]
-    if args.chart is not None:
-        lines.append(f"param chart={args.chart}")
-    lines += [f"param max_d={d_max}", f"param n={n}"]
-    setup = projgw.ProjSetup(n)
-    tables = projgw.solve_recursion(setup, d_max)
-    if args.chart is not None:
-        target, bindings = _proj_chart(n, args.chart)
-    else:
-        target, bindings = setup.registry, setup.to_lambda()
-    rows, sums = [], []
-    for table in sorted(tables, key=lambda t: t.i):
-        texts = []
-        for d in range(d_max + 1):
-            texts.append(substitute(table.coefficient(d), bindings, target).text())
-            rows.append(f"row i={table.i} d={d} {texts[-1]}")
-        sums.append(f"series i={table.i} {q_series_text(texts)}")
-    return lines + rows + sums
+
+    def run() -> list[str]:
+        lines = ["target proj"]
+        if args.chart is not None:
+            lines.append(f"param chart={args.chart}")
+        lines += [f"param max_d={d_max}", f"param n={n}"]
+        setup = projgw.ProjSetup(n)
+        tables = projgw.solve_recursion(setup, d_max)
+        if args.chart is not None:
+            target, bindings = _proj_chart(n, args.chart)
+        else:
+            target, bindings = setup.registry, setup.to_lambda()
+        rows, sums = [], []
+        for table in sorted(tables, key=lambda t: t.i):
+            texts = []
+            for d in range(d_max + 1):
+                texts.append(substitute(table.coefficient(d), bindings, target).text())
+                rows.append(f"row i={table.i} d={d} {texts[-1]}")
+            sums.append(f"series i={table.i} {q_series_text(texts)}")
+        return lines + rows + sums
+    return run
 
 
-def _series_flag(args, quick: bool, rank: int) -> list[str]:
+def _series_flag(args, quick: bool, rank: int):
     # the golden format names the pole convention, of which one is left
     if rank == 1:
-        d_max = _bound(args.max_d, 3, 3, 8, quick, "--max-d")
-        tables = flaggw.solve_flag_recursion(flaggw._a1_setup(), (d_max,))
+        bound = _bound(args.max_d, 3, 3, 8, quick, "--max-d")
+        setup, bmax, total_max = flaggw._a1_setup(), (bound,), None
         lines = ["target flag-a1", "param convention=lemma37",
-                 f"param max_d={d_max}"]
+                 f"param max_d={bound}"]
     else:
-        n_max = _bound(args.max, 3, 3, 5, quick, "--max")
-        tables = flaggw.solve_flag_recursion(
-            flaggw._a2_setup(), (n_max, n_max), total_max=n_max
-        )
+        bound = _bound(args.max, 3, 3, 5, quick, "--max")
+        setup, bmax, total_max = flaggw._a2_setup(), (bound, bound), bound
         lines = ["target flag-a2", "param convention=lemma37",
-                 f"param max={n_max}"]
-    for table in tables:
-        word = table.w.word_text()
-        for beta in sorted(table.coeffs, key=lambda b: (sum(b), b)):
-            coord = ",".join(str(b) for b in beta)
-            lines.append(f"row w={word} beta={coord} {table.coeffs[beta].text()}")
-    return lines
+                 f"param max={bound}"]
+
+    def run() -> list[str]:
+        for table in flaggw.solve_flag_recursion(setup, bmax, total_max=total_max):
+            word = table.w.word_text()
+            for beta in sorted(table.coeffs, key=lambda b: (sum(b), b)):
+                coord = ",".join(str(b) for b in beta)
+                lines.append(f"row w={word} beta={coord} {table.coeffs[beta].text()}")
+        return lines
+    return run
 
 
-def _series_toda(args, quick: bool, equivariant: bool) -> list[str]:
+def _series_toda(args, quick: bool, equivariant: bool):
     cap = 8 if equivariant else 16
     n_max = _bound(args.max, 3, 3, cap, quick, "--max")
     target = "toda-eq" if equivariant else "toda"
@@ -160,15 +165,18 @@ def _series_toda(args, quick: bool, equivariant: bool) -> list[str]:
             raise UsageError("only the equivariant table admits the part3 chart")
         lines.append(f"param chart={args.chart}")
     lines.append(f"param max={n_max}")
-    if equivariant and args.chart is None:
-        coeff = toda3.closed_a_equivariant
-    else:
-        # the solution series is written over the part3 chart already
-        coeff = toda3.closed_solution(n_max, equivariant).coefficient
-    for i in range(n_max + 1):
-        for j in range(n_max + 1 - i):
-            lines.append(f"row i={i} j={j} {coeff(i, j).text()}")
-    return lines
+
+    def run() -> list[str]:
+        if equivariant and args.chart is None:
+            coeff = toda3.closed_a_equivariant
+        else:
+            # the solution series is written over the part3 chart already
+            coeff = toda3.closed_solution(n_max, equivariant).coefficient
+        for i in range(n_max + 1):
+            for j in range(n_max + 1 - i):
+                lines.append(f"row i={i} j={j} {coeff(i, j).text()}")
+        return lines
+    return run
 
 
 # the options each series target and each verify check reads; passing any
@@ -196,10 +204,6 @@ _OPTIONS = {
 }
 
 
-# the dimensions each verify check that reads --n accepts
-_VERIFY_N = {"proj-recursion": range(0, 4), "euler-prefactor": range(1, 3)}
-
-
 def _reject_unread_options(args) -> None:
     table = _OPTIONS[args.command]
     name = args.target if args.command == "series" else args.check
@@ -208,30 +212,41 @@ def _reject_unread_options(args) -> None:
         if getattr(args, dest, None) is not None and dest not in reads:
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{args.command} {name} does not take {flag}")
-    if args.command == "verify" and args.n is not None:
-        # before any check runs, so `verify all` does no work it then discards
-        for check, accepted in _VERIFY_N.items():
-            if name in ("all", check) and args.n not in accepted:
-                raise UsageError(
-                    f"--n must be in {accepted[0]}..{accepted[-1]} for {check}"
-                )
 
 
-def cmd_series(args, quick: bool) -> tuple[list[str], int]:
+def cmd_series(args, quick: bool):
+    """Check the options, then return the work: lines and exit code, once called."""
     if args.target == "proj":
-        lines = _series_proj(args, quick)
+        table = _series_proj(args, quick)
     elif args.target == "flag-a1":
-        lines = _series_flag(args, quick, rank=1)
+        table = _series_flag(args, quick, rank=1)
     elif args.target == "flag-a2":
-        lines = _series_flag(args, quick, rank=2)
+        table = _series_flag(args, quick, rank=2)
     elif args.target == "toda":
-        lines = _series_toda(args, quick, equivariant=False)
+        table = _series_toda(args, quick, equivariant=False)
     else:
-        lines = _series_toda(args, quick, equivariant=True)
-    return ["qcseries series v1"] + lines, 0
+        table = _series_toda(args, quick, equivariant=True)
+    return lambda: (["qcseries series v1"] + table(), 0)
 
 
 # -- verify runners --------------------------------------------------------------------
+
+# A runner checks its options and resolves its bounds, raising UsageError,
+# and returns its work as a function that gives the reports: every usage
+# error comes before any check runs.
+
+
+def _one(check, *args):
+    return lambda: [check(*args)]
+
+
+def _dims(args, check: str, accepted: range, preset: list[int]) -> list[int]:
+    """The dimensions to run: --n if `check` accepts it, else the preset."""
+    if args.n is None:
+        return preset
+    if args.n not in accepted:
+        raise UsageError(f"--n must be in {accepted[0]}..{accepted[-1]} for {check}")
+    return [args.n]
 
 
 def _combine(name: str, params: dict,
@@ -247,11 +262,8 @@ def _combine(name: str, params: dict,
     return out
 
 
-def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = [0, 1, 2] if quick else [0, 1, 2, 3]
+def _check_proj_recursion(args, quick: bool):
+    ns = _dims(args, "proj-recursion", range(4), [0, 1, 2] if quick else [0, 1, 2, 3])
     # the presets clamp to each dimension's cap, an explicit bound must fit
     # it; every bound is checked before any dimension runs
     bounds = [
@@ -259,68 +271,71 @@ def _check_proj_recursion(args, quick: bool) -> list[VerificationReport]:
                _proj_cap(n), quick, "--max-d", low=1)
         for n in ns
     ]
-    reports = []
-    for n, d_max in zip(ns, bounds):
-        setup = projgw.ProjSetup(n)
-        reports.append(projgw.verify_theorem_3_3(setup, d_max, "direct"))
-        reports.append(projgw.verify_theorem_3_3(setup, d_max, "residue"))
-        reports.append(projgw.verify_first_order_split(setup))
-        if n >= 1:
-            solver = VerificationReport(
-                "proj-solver", {"n": n, "max_d": d_max}
-            )
-            with timed(solver):
-                tables = projgw.solve_recursion(setup, d_max)
-                for table in tables:
-                    for d in range(d_max + 1):
-                        solver.check_equal(
-                            f"i={table.i} d={d}",
-                            table.coefficient(d),
-                            projgw.closed_b(setup, table.i, d),
-                        )
-            reports.append(solver)
-    return reports
+
+    def run() -> list[VerificationReport]:
+        reports = []
+        for n, d_max in zip(ns, bounds):
+            setup = projgw.ProjSetup(n)
+            reports.append(projgw.verify_theorem_3_3(setup, d_max, "direct"))
+            reports.append(projgw.verify_theorem_3_3(setup, d_max, "residue"))
+            reports.append(projgw.verify_first_order_split(setup))
+            if n >= 1:
+                solver = VerificationReport(
+                    "proj-solver", {"n": n, "max_d": d_max}
+                )
+                with timed(solver):
+                    tables = projgw.solve_recursion(setup, d_max)
+                    for table in tables:
+                        for d in range(d_max + 1):
+                            solver.check_equal(
+                                f"i={table.i} d={d}",
+                                table.coefficient(d),
+                                projgw.closed_b(setup, table.i, d),
+                            )
+                reports.append(solver)
+        return reports
+    return run
 
 
-def _check_euler_prefactor(args, quick: bool) -> list[VerificationReport]:
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = [1] if quick else [1, 2]
+def _check_euler_prefactor(args, quick: bool):
+    ns = _dims(args, "euler-prefactor", range(1, 3), [1] if quick else [1, 2])
     d_max = _bound(args.max_d, 2, 3, 4, quick, "--max-d", low=1)
-    reports = []
-    for n in ns:
-        setup = projgw.ProjSetup(n)
-        subs = []
-        for d in range(1, d_max + 1):
-            for k in range(1, d + 1):
-                for i in setup.points():
-                    for j in setup.points():
-                        if i == j:
-                            continue
-                        sub = projgw.euler_prefactor_identity(setup, i, j, k, d)
-                        subs.append((f"i={i} j={j} k={k} d={d}", sub))
-        reports.append(
-            _combine("euler-prefactor", {"n": n, "max_d": d_max}, subs)
-        )
-    return reports
+
+    def run() -> list[VerificationReport]:
+        reports = []
+        for n in ns:
+            setup = projgw.ProjSetup(n)
+            subs = []
+            for d in range(1, d_max + 1):
+                for k in range(1, d + 1):
+                    for i in setup.points():
+                        for j in setup.points():
+                            if i == j:
+                                continue
+                            sub = projgw.euler_prefactor_identity(setup, i, j, k, d)
+                            subs.append((f"i={i} j={j} k={k} d={d}", sub))
+            reports.append(
+                _combine("euler-prefactor", {"n": n, "max_d": d_max}, subs)
+            )
+        return reports
+    return run
 
 
-def _check_lemma34(args, quick: bool) -> list[VerificationReport]:
+def _check_lemma34(args, quick: bool):
     n_max = _bound(args.max, 3, 4, 5, quick, "--max", low=1)
-    reports = []
-    for total in range(1, n_max + 1):
-        for i in range(total // 2 + 1):
-            reports.append(flaggw.verify_lemma_3_4(i, total - i))
-    return reports
+    return lambda: [
+        flaggw.verify_lemma_3_4(i, total - i)
+        for total in range(1, n_max + 1)
+        for i in range(total // 2 + 1)
+    ]
 
 
-def _check_toda_operators(args, quick: bool) -> list[VerificationReport]:
+def _check_toda_operators(args, quick: bool):
     if args.max is not None:
         n_plain = n_eq = _bound(args.max, 0, 0, 10, quick, "--max", low=1)
     else:
         n_plain, n_eq = (6, 6) if quick else (12, 8)
-    return [
+    return lambda: [
         toda3.verify_operator_annihilation(n_plain, equivariant=False),
         toda3.verify_operator_annihilation(n_eq, equivariant=True),
     ]
@@ -330,42 +345,46 @@ def _runners():
     return {
         "proj-recursion": _check_proj_recursion,
         "euler-prefactor": _check_euler_prefactor,
-        "a1-cross": lambda a, q: [
-            flaggw.verify_a1_crosscheck(_bound(a.max_d, 4, 5, 8, q, "--max-d"))
-        ],
-        "a2-recursion": lambda a, q: [
-            flaggw.verify_a2_theorem_3_2(_bound(a.max, 3, 4, 5, q, "--max"))
-        ],
+        "a1-cross": lambda a, q: _one(
+            flaggw.verify_a1_crosscheck, _bound(a.max_d, 4, 5, 8, q, "--max-d")
+        ),
+        "a2-recursion": lambda a, q: _one(
+            flaggw.verify_a2_theorem_3_2, _bound(a.max, 3, 4, 5, q, "--max")
+        ),
         "lemma34": _check_lemma34,
-        "toda-plain": lambda a, q: [
-            toda3.verify_recursions_plain(_bound(a.max, 6, 12, 16, q, "--max"))
-        ],
-        "toda-eq": lambda a, q: [
-            toda3.verify_recursions_equivariant(_bound(a.max, 6, 8, 10, q, "--max"))
-        ],
+        "toda-plain": lambda a, q: _one(
+            toda3.verify_recursions_plain, _bound(a.max, 6, 12, 16, q, "--max")
+        ),
+        "toda-eq": lambda a, q: _one(
+            toda3.verify_recursions_equivariant, _bound(a.max, 6, 8, 10, q, "--max")
+        ),
         "toda-operators": _check_toda_operators,
-        "batyrev": lambda a, q: [
-            toda3.verify_batyrev(_bound(a.max, 6, 12, 20, q, "--max"))
-        ],
-        "corollary35": lambda a, q: [
-            toda3.verify_corollary_3_5(_bound(a.max, 3, 6, 6, q, "--max"))
-        ],
+        "batyrev": lambda a, q: _one(
+            toda3.verify_batyrev, _bound(a.max, 6, 12, 20, q, "--max")
+        ),
+        "corollary35": lambda a, q: _one(
+            toda3.verify_corollary_3_5, _bound(a.max, 3, 6, 6, q, "--max")
+        ),
     }
 
 
-def cmd_verify(args, quick: bool) -> tuple[list[str], int]:
+def cmd_verify(args, quick: bool):
+    """Resolve every check's bounds, then return the work that runs them."""
     runners = _runners()
     names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
+    work = [(name, runners[name](args, quick)) for name in names]
+    return lambda: _run_checks(args, work)
+
+
+def _run_checks(args, work) -> tuple[list[str], int]:
     reports: list[VerificationReport] = []
-    for name in names:
+    for name, run in work:
         try:
-            reports.extend(runners[name](args, quick))
+            reports.extend(run())
         except PoleError as exc:
             broken = VerificationReport(name, {})
             broken.fail("evaluation", f"pole: {exc}", "finite value")
             reports.append(broken)
-        except UsageError:
-            raise
         except Exception as exc:
             # one broken runner must not hide the other checks' reports; the
             # traceback goes to stderr, the deterministic payload stays clean
@@ -439,28 +458,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     quick = args.level == "quick"
     try:
         _reject_unread_options(args)
-        if args.command == "series":
-            try:
-                lines, code = cmd_series(args, quick)
-            except PoleError as exc:
-                print(f"error: pole during evaluation: {exc}", file=sys.stderr)
-                return 1
-        else:
-            lines, code = cmd_verify(args, quick)
+        run = (cmd_series if args.command == "series" else cmd_verify)(args, quick)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + "\n"
+    out = None
     if args.out:
+        # opened before any work and emptied only once the report is ready,
+        # so a run that ends early leaves an existing file as it was
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(text)
+    with out if out is not None else contextlib.nullcontext():
+        try:
+            lines, code = run()
+        except PoleError as exc:
+            print(f"error: pole during evaluation: {exc}", file=sys.stderr)
+            return 1
+        text = "\n".join(lines) + "\n"
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            if out.seekable():
+                out.truncate(0)
+            out.write(text)
     return code
 
 

@@ -46,9 +46,9 @@ Design notes that the rest of the package relies on:
   exact quotient of primitive integer polynomials is again primitive, which
   keeps every numerator canonical without renormalizing, and lets
   `divide_exact` stay in integer arithmetic when the divisor is primitive.
-* `partial_fractions` splits a fraction with distinct linear factors in one
-  distinguished variable into first-order terms, evaluating each deleted
-  product at the corresponding root.
+* `partial_fractions` splits a `RatFunc` whose poles in one variable are
+  distinct linear factors into first-order terms, reading the poles from
+  the value's own factored denominator.
 """
 
 from __future__ import annotations
@@ -1022,100 +1022,49 @@ def shifted_factorial(registry: VarRegistry, p: int, alpha: MultiPoly,
 # -- partial fractions ---------------------------------------------------------
 
 
-class LinearFactorization:
-    """Denominator factored into degree-one factors of one distinguished variable.
+def partial_fractions(f: RatFunc, var: str,
+                      factors: Sequence[MultiPoly]) -> list[tuple[RatFunc, MultiPoly]]:
+    """Split f into terms residue_k / factor_k, one per linear factor a*var + b.
 
-    Each factor must be of the form a*var + b where a is a nonzero rational
-    constant and b is free of var.  Roots are -b/a.  The represented
-    denominator is scale * product(factors).
+    The terms sum to f.  A residue is f * factor at the root -b/a, read off
+    f's own factored denominator; it is 0 where f's canonical form has
+    cancelled the factor.  ValueError unless each factor is a*var + b with a
+    a nonzero constant and b free of var, no two share a root, every factor
+    of f's denominator that involves var is listed (up to a constant) with
+    multiplicity 1, and a nonzero f has numerator degree in var below the
+    number of those poles.
     """
-
-    __slots__ = ("registry", "var", "pairs", "scale")
-
-    def __init__(self, var: str, factors: Sequence[MultiPoly], scale: RatFunc):
-        if not factors:
-            raise ValueError("factorization needs at least one factor")
-        registry = factors[0].registry
-        if var not in registry:
-            raise KeyError(f"unknown variable {var!r}")
-        if scale.registry != registry:
-            raise ValueError("registry mismatch between operands")
-        if scale.is_zero:
-            raise ZeroDivisionError("zero scale")
-        vi = registry.index(var)
-        if _ratfunc_degree_in(scale, var) != 0:
-            raise ValueError("scale must not involve the distinguished variable")
-        pairs: list[tuple[RatFunc, MultiPoly]] = []
-        for f in factors:
-            _check_same_registry(factors[0], f)
-            lin: Coeff = 0
-            const_terms: dict[int, Coeff] = {}
-            for m, c in f.terms.items():
-                mono = registry._unpack(m)
-                if mono[vi] == 0:
-                    const_terms[m] = c
-                elif mono[vi] == 1 and sum(mono) == 1:
-                    lin = c
-                else:
-                    raise ValueError("factor is not of the form a*var + b with constant a")
-            if lin == 0:
-                raise ValueError("factor has degree 0 in the distinguished variable")
-            b = MultiPoly._raw(registry, const_terms)
-            root = RatFunc.from_poly(-b) / lin
-            pairs.append((root, f))
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                if pairs[i][0] == pairs[j][0]:
-                    raise ValueError("repeated root in factorization")
-        self.registry = registry
-        self.var = var
-        self.pairs = tuple(pairs)
-        self.scale = scale
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def expand(self) -> RatFunc:
-        """Reconstruct the represented denominator as a RatFunc."""
-        out = self.scale
-        for _, f in self.pairs:
-            out = out * f
-        return out
-
-
-def _ratfunc_degree_in(f: RatFunc, name: str) -> int:
-    d = f.num.degree_in(name)
-    for fac, m in f.factors:
-        d += fac.degree_in(name) * m
-    return d
-
-
-def partial_fractions(factorization: LinearFactorization,
-                      numerator: MultiPoly) -> list[tuple[RatFunc, MultiPoly]]:
-    """Split numerator / factorization.expand() into first-order terms.
-
-    Returns [(residue_k, factor_k)] with
-    sum(residue_k / factor_k) == numerator / factorization.expand().
-    Each residue is the deleted product evaluated at the factor's root.
-    Preconditions: numerator degree in the distinguished variable is strictly
-    below the factor count, and roots are pairwise distinct (enforced by the
-    factorization).
-    """
-    registry = factorization.registry
-    if numerator.registry != registry:
-        raise ValueError("registry mismatch between operands")
-    var = factorization.var
-    if numerator.degree_in(var) >= len(factorization):
-        raise ValueError("numerator degree must be below the number of factors")
+    registry = f.registry
+    x = registry._var_monos[registry.index(var)]
+    roots: dict[tuple, MultiPoly] = {}
+    for factor in factors:
+        _check_same_registry(f, factor)
+        a = factor.terms.get(x, 0)
+        b = MultiPoly._raw(registry, {m: c for m, c in factor.terms.items() if m != x})
+        if a == 0 or b.degree_in(var):
+            raise ValueError("factor is not a*var + b with a nonzero constant a and b free of var")
+        # two linear forms share a root iff they are proportional, that is
+        # iff their primitive parts coincide
+        key = factor.primitive()[1].key()
+        if key in roots:
+            raise ValueError("two factors share a root")
+        roots[key] = b.scale(Fraction(-1) / a)
+    poles = {p.key(): m for p, m in f.factors if p.degree_in(var)}
+    if any(k not in roots or m != 1 for k, m in poles.items()):
+        raise ValueError("every pole in var must be a listed factor of multiplicity 1")
+    if not f.is_zero and f.num.degree_in(var) >= len(poles):
+        raise ValueError("numerator degree must be below the number of poles")
     out: list[tuple[RatFunc, MultiPoly]] = []
-    for k, (root, factor) in enumerate(factorization.pairs):
-        binding = {var: root}
-        num_at = numerator.substitute(binding)
-        deleted = factorization.scale
-        for l, (_, other) in enumerate(factorization.pairs):
-            if l != k:
-                deleted = deleted * other.substitute(binding)
-        out.append((num_at / deleted, factor))
+    for factor, root in zip(factors, roots.values()):
+        # a pole cancels from f's denominator, and any other listed factor
+        # stays in the numerator, which then vanishes at the root; the root
+        # goes into the numerator and into each remaining factor once
+        rest = f * RatFunc.from_poly(factor)
+        dens: list[MultiPoly] = []
+        for p, m in rest.factors:
+            dens += [p.substitute({var: root}).numerator] * m
+        num = rest.numerator.substitute({var: root}).numerator
+        out.append((RatFunc.from_factored(num, dens), factor))
     return out
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 from math import factorial
 
 from .exactalg import (
-    LinearFactorization,
     MultiPoly,
     RatFunc,
     VarRegistry,
@@ -100,15 +99,20 @@ def closed_b(setup: ProjSetup, i: int, d: int) -> RatFunc:
     """Coefficient of q^d in the s-normalization: 1/(d! prod_{j!=i} prod_m (lambda_i-lambda_j+mh))."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    setup.lam(i)
-    dens = []
-    for j in setup.points():
-        if j == i:
-            continue
-        base = setup.lam(i) - setup.lam(j)
-        for m in range(1, d + 1):
-            dens.append(base + setup.h.scale(m))
-    return RatFunc.from_factored(setup.registry.one(), dens, scale=factorial(d))
+    return RatFunc.from_factored(
+        setup.registry.one(), _poles(setup, i, d).values(), scale=factorial(d)
+    )
+
+
+def _poles(setup: ProjSetup, i: int, d: int) -> dict[tuple[int, int], MultiPoly]:
+    """The factor lambda_i - lambda_j + m*h of closed_b(i, d), keyed by (j, m)."""
+    base = setup.lam(i)
+    return {
+        (j, m): base - setup.lam(j) + setup.h.scale(m)
+        for j in setup.points()
+        if j != i
+        for m in range(1, d + 1)
+    }
 
 
 def closed_B(setup: ProjSetup, i: int, d: int) -> RatFunc:
@@ -267,21 +271,9 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
 
 def _residue_check(setup: ProjSetup, i: int, d: int,
                    report: VerificationReport) -> None:
-    reg = setup.registry
-    labels = []
-    dens = []
-    for j in setup.points():
-        if j == i:
-            continue
-        base = setup.lam(i) - setup.lam(j)
-        for k in range(1, d + 1):
-            labels.append((j, k))
-            dens.append(base + setup.h.scale(k))
-    factorization = LinearFactorization(
-        "h", dens, RatFunc.from_scalar(reg, factorial(d))
-    )
-    parts = partial_fractions(factorization, reg.one())
-    for (j, k), (residue, _factor) in zip(labels, parts):
+    poles = _poles(setup, i, d)
+    parts = partial_fractions(closed_b(setup, i, d), "h", list(poles.values()))
+    for (j, k), (residue, _factor) in zip(poles, parts):
         shift = (setup.lam(j) - setup.lam(i)).scale(Fraction(1, k))
         expected = recursion_coeff(setup, i, j, k) * substitute(
             closed_b(setup, j, d - k), {"h": shift}
@@ -302,11 +294,10 @@ def verify_first_order_split(setup: ProjSetup) -> VerificationReport:
             return report
         reg = setup.registry
         for i in setup.points():
-            labels = [j for j in setup.points() if j != i]
-            dens = [setup.lam(i) - setup.lam(j) + setup.h for j in labels]
-            factorization = LinearFactorization("h", dens, RatFunc.one(reg))
-            parts = partial_fractions(factorization, reg.one())
-            for j, (residue, _) in zip(labels, parts):
+            poles = _poles(setup, i, 1)
+            total = closed_b(setup, i, 1)
+            parts = partial_fractions(total, "h", list(poles.values()))
+            for (j, _m), (residue, _factor) in zip(poles, parts):
                 expect_dens = [
                     setup.lam(j) - setup.lam(b)
                     for b in setup.points()
@@ -314,7 +305,6 @@ def verify_first_order_split(setup: ProjSetup) -> VerificationReport:
                 ]
                 expected = RatFunc.from_factored(reg.one(), expect_dens)
                 report.check_equal(f"i={i} pole j={j}", residue, expected)
-            total = RatFunc.from_factored(reg.one(), dens)
             report.check_equal(f"i={i} recombined", total, recombine(parts, reg))
     return report
 

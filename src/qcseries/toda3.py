@@ -273,7 +273,9 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
             if (i, j) == (0, 0):
                 report.check_equal("i=0 j=0 base", a(0, 0), 1)
                 continue
-            bracket = h * h * (i * i - i * j + j * j) + al1 * h * i + al2 * h * j
+            # two linear factors, so that a quotient by bracket stays factored
+            linear = h * (i * i - i * j + j * j) + al1 * i + al2 * j
+            bracket = h * linear
             report.check_equal(
                 f"{loc} second-order", bracket * a(i, j), a(i - 1, j) + a(i, j - 1)
             )
@@ -299,7 +301,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
             if i + j <= rebuild_max:
                 rebuilt[(i, j)] = (
                     rebuilt.get((i - 1, j), 0) + rebuilt.get((i, j - 1), 0)
-                ) / bracket
+                ) / h / linear
                 report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a(i, j))
 
 

@@ -12,7 +12,6 @@ from math import factorial
 
 from qcseries import cli, flaggw, projgw, toda3
 from qcseries.exactalg import (
-    LinearFactorization,
     PoleError,
     RatFunc,
     VarRegistry,
@@ -235,8 +234,9 @@ def test_14_library_property_battery():
         for t in range(len(factors)):
             num = num + (x ** rng.randint(0, 2)).scale(rng.randint(-3, 3)) * h**t
         scale = RatFunc.from_scalar(reg, Fraction(1, 3))
-        fz = LinearFactorization("h", factors, scale)
-        decomp = partial_fractions(fz, num)
+        decomp = partial_fractions(
+            RatFunc.from_factored(num, factors, scale=Fraction(1, 3)), "h", factors
+        )
         prod = reg.one()
         for f in factors:
             prod = prod * f

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qcseries import cli, toda3
-from qcseries.exactalg import RatFunc, VarRegistry
+from qcseries import cli, flaggw, projgw, toda3
+from qcseries.exactalg import PoleError, RatFunc, VarRegistry
 from qcseries.report import VerificationReport
 
 
@@ -158,6 +158,44 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, where,
     code, out, err = run(capsys, "verify", "batyrev", "--max", "1", "--out", str(path))
     assert code == 2 and out == ""
     assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max", "17"),
+    ("--out", "missing/dir/x.out"),
+], ids=["bound-over-cap", "unwritable-out"])
+def test_usage_error_comes_before_any_check_runs(tmp_path, capsys, monkeypatch, argv):
+    # proj-recursion runs first in `verify all` and a1-cross third; no check
+    # may start before a later check's bound or the --out path is refused
+    calls = []
+    monkeypatch.setattr(projgw, "verify_theorem_3_3", lambda *a: calls.append(a))
+    monkeypatch.setattr(flaggw, "verify_a1_crosscheck", lambda *a: calls.append(a))
+    argv = [str(tmp_path / a) if a.startswith("missing") else a for a in argv]
+    code, out, err = run(capsys, "verify", "all", "--level", "full", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ")
+
+
+def test_a_run_that_ends_early_leaves_an_existing_out_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "report.txt"
+    path.write_text("an earlier, longer report\n" * 3, encoding="utf-8")
+    code, _, _ = run(capsys, "verify", "all", "--max", "17", "--out", str(path))
+    assert code == 2
+    assert path.read_text(encoding="utf-8") == "an earlier, longer report\n" * 3
+
+    # a pole ends the run after --out is open
+    def pole(*args):
+        raise PoleError("planted")
+
+    with monkeypatch.context() as m:
+        m.setattr(toda3, "closed_solution", pole)
+        code, _, err = run(capsys, "series", "toda", "--max", "1", "--out", str(path))
+    assert code == 1 and err == "error: pole during evaluation: planted\n"
+    assert path.read_text(encoding="utf-8") == "an earlier, longer report\n" * 3
+    # a run that completes replaces the whole file
+    code, _, _ = run(capsys, "series", "toda", "--max", "1", "--out", str(path))
+    _, direct, _ = run(capsys, "series", "toda", "--max", "1")
+    assert code == 0 and path.read_text(encoding="utf-8") == direct
 
 
 # -- q-series rendering ------------------------------------------------------------
@@ -373,19 +411,53 @@ def test_module_entry_points_run_cleanly(module):
     assert "status pass" in proc.stdout
 
 
+# -- what the checks compare ---------------------------------------------------------
+
+
+def test_checks_compare_only_linear_denominators_in_canonical_form(capsys, monkeypatch):
+    # every denominator in the package is a product of linear forms; kept
+    # factored, two equal values have the same canonical form, so equality
+    # needs no cross-multiplication
+    nonlinear, differ = [], []
+    check_equal = VerificationReport.check_equal
+
+    def canonical(value):
+        return value.scalar, value.num, [(f.key(), m) for f, m in value.factors]
+
+    def recording(self, location, left, right):
+        sides = [v for v in (left, right) if isinstance(v, RatFunc)]
+        for value in sides:
+            if any(sum(f.leading()[0]) != 1 for f, _ in value.factors):
+                nonlinear.append((self.check, location))
+        if sides and left == right:
+            registry = sides[0].registry
+            if canonical(RatFunc.coerce(registry, left)) != canonical(
+                    RatFunc.coerce(registry, right)):
+                differ.append((self.check, location))
+        return check_equal(self, location, left, right)
+
+    monkeypatch.setattr(VerificationReport, "check_equal", recording)
+    code, _, _ = run(capsys, "verify", "all", "--level", "quick")
+    assert code == 0
+    assert nonlinear == [] and differ == []
+
+
 # -- runner failures -----------------------------------------------------------------
 
 
 def test_unexpected_runner_error_becomes_fail_report(capsys, monkeypatch):
+    # a runner checks its bounds and returns the work that makes the reports
     def passing(name):
-        def runner(args, quick):
+        def work():
             report = VerificationReport(name, {})
             report.check_equal("stub", 1, 1)
             return [report]
-        return runner
+        return lambda args, quick: work
 
     def broken(args, quick):
-        raise RuntimeError("planted")
+        def work():
+            raise RuntimeError("planted")
+        return work
 
     def runners():
         table = {name: passing(name) for name in cli.VERIFY_CHECKS}

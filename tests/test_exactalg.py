@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qcseries.exactalg import (
     MAX_DEGREE,
-    LinearFactorization,
     MultiPoly,
     PoleError,
     RatFunc,
@@ -191,8 +190,8 @@ def test_shifted_factorial():
 
 def test_partial_fractions_two_factors():
     # 1/((h+alpha)(2h+alpha)) = (-1/alpha)/(h+alpha) + (2/alpha)/(2h+alpha)
-    fz = LinearFactorization("h", [H + ALPHA, 2 * H + ALPHA], RatFunc.one(REG))
-    decomp = partial_fractions(fz, REG.one())
+    factors = [H + ALPHA, 2 * H + ALPHA]
+    decomp = partial_fractions(RatFunc.from_factored(REG.one(), factors), "h", factors)
     assert len(decomp) == 2
     r1, f1 = decomp[0]
     r2, f2 = decomp[1]
@@ -201,23 +200,39 @@ def test_partial_fractions_two_factors():
     assert recombine(decomp, REG) == rf(1) / (rf(H + ALPHA) * rf(2 * H + ALPHA))
 
 
+def test_partial_fractions_residue_zero_for_a_cancelled_factor():
+    # (h+alpha)/((h+alpha)(2h+alpha)) reduces to 1/(2h+alpha): h+alpha is no pole
+    factors = [H + ALPHA, 2 * H + ALPHA]
+    f = RatFunc.from_factored(H + ALPHA, factors, scale=3)
+    decomp = partial_fractions(f, "h", factors)
+    assert decomp[0] == (RatFunc.zero(REG), H + ALPHA)
+    assert decomp[1] == (rf(Fraction(1, 3)), 2 * H + ALPHA)
+    assert recombine(decomp, REG) == f
+    assert partial_fractions(RatFunc.zero(REG), "h", factors)[1][0].is_zero
+
+
 def test_partial_fractions_preconditions():
+    two = [H + ALPHA, 2 * H + ALPHA]
+    f = RatFunc.from_factored(REG.one(), two)
     with pytest.raises(ValueError):
-        LinearFactorization("h", [H + ALPHA, 2 * H + 2 * ALPHA], RatFunc.one(REG))  # same root
-    fz = LinearFactorization("h", [H + ALPHA, 2 * H + ALPHA], RatFunc.one(REG))
+        partial_fractions(f, "h", [H + ALPHA, 2 * H + 2 * ALPHA, 2 * H + ALPHA])  # same root
     with pytest.raises(ValueError):
-        partial_fractions(fz, H**2)  # numerator degree too big
+        partial_fractions(RatFunc.from_factored(H**2, two), "h", two)  # numerator degree too big
     with pytest.raises(ValueError):
-        LinearFactorization("h", [ALPHA + REG.one()], RatFunc.one(REG))  # no h at all
+        partial_fractions(f, "h", two + [ALPHA + REG.one()])  # no h at all
     with pytest.raises(ValueError):
-        LinearFactorization("h", [ALPHA * H + ALPHA], RatFunc.one(REG))  # non-constant lead
+        partial_fractions(f, "h", two + [ALPHA * H + ALPHA])  # non-constant lead
     with pytest.raises(ValueError):
-        LinearFactorization("h", [H + ALPHA], rf(H))  # scale involves h
-
-
-def test_factorization_expand_reconstructs():
-    fz = LinearFactorization("h", [H + ALPHA, 2 * H + ALPHA], rf(3 * ALPHA))
-    assert fz.expand() == rf(3 * ALPHA * (H + ALPHA) * (2 * H + ALPHA))
+        partial_fractions(f, "h", two + [H**2 + ALPHA])  # not linear in h
+    with pytest.raises(ValueError):
+        partial_fractions(f / rf(H), "h", two)  # pole h not listed
+    with pytest.raises(ValueError):
+        partial_fractions(f / rf(H + ALPHA), "h", two)  # pole of multiplicity 2
+    # a constant multiple of a pole is the same pole, and a factor free of h,
+    # of any multiplicity, is a constant for the split
+    g = f / rf(3 * ALPHA**2)
+    decomp = partial_fractions(g, "h", [3 * H + 3 * ALPHA, 2 * H + ALPHA])
+    assert recombine(decomp, REG) == g
 
 
 # -- canonical text round trip --------------------------------------------------
@@ -362,10 +377,52 @@ def test_partial_fractions_recombine_exactly(shifts, numcoeffs):
         numerator = numerator + (h**i) * c
     if numerator.is_zero or numerator.degree_in("h") >= len(factors):
         return
-    fz = LinearFactorization("h", factors, RatFunc.from_scalar(reg, Fraction(1, 3)))
-    decomp = partial_fractions(fz, numerator)
-    target = RatFunc.from_poly(numerator) / fz.expand()
+    f = RatFunc.from_factored(numerator, factors, scale=Fraction(1, 3))
+    decomp = partial_fractions(f, "h", factors)
+    expanded = reg.one()
+    for factor in factors:
+        expanded = expanded * factor
+    target = RatFunc.from_poly(numerator) / (RatFunc.from_scalar(reg, Fraction(1, 3)) * expanded)
     assert recombine(decomp, reg) == target
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3), st.integers(-4, 4)),
+        min_size=2, max_size=3,
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_partial_fractions_residues_match_sympy(forms, numterms, cancel):
+    # residue of (a*h + b) against a * sympy.residue(f, h, -b/a), which sympy
+    # reads off a series expansion rather than by evaluating f*(a*h + b)
+    sympy = pytest.importorskip("sympy")
+    factors = [H.scale(a) + ALPHA.scale(c) + REG.const(e) for a, c, e in forms]
+    if len({p.primitive()[1] for p in factors}) < len(factors):
+        return
+    numerator = REG.zero()
+    for t, (e, c) in enumerate(numterms[: len(factors) - 1]):
+        numerator = numerator + (ALPHA**e).scale(c) * H**t
+    if cancel:
+        # the first factor cancels from f's canonical form: residue 0
+        numerator = numerator * factors[0]
+    if numerator.is_zero:
+        return
+    f = RatFunc.from_factored(numerator, factors, scale=2)
+    alpha, h = sympy.symbols("alpha h")
+    f_sym = to_sympy(numerator, (alpha, h)) / 2
+    for p in factors:
+        f_sym /= to_sympy(p, (alpha, h))
+    decomp = partial_fractions(f, "h", factors)
+    assert [factor for _, factor in decomp] == factors
+    for (residue, _), (a, c, e) in zip(decomp, forms):
+        theirs = a * sympy.residue(f_sym, h, -sympy.Rational(1, a) * (c * alpha + e))
+        ours = to_sympy(residue.numerator, (alpha, h)) / to_sympy(residue.denominator, (alpha, h))
+        assert sympy.cancel(ours - theirs) == 0
+    if cancel:
+        assert decomp[0][0].is_zero
 
 
 # -- trial division, the cancellation rules and the integer division path ---------

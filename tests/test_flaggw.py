@@ -218,6 +218,20 @@ def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
     assert rep.status == "fail"
 
 
+def test_verify_lemma_3_4_fails_on_a_wrong_pole_weight(monkeypatch):
+    # the printed prefactor feeds one prediction of the residue only; the
+    # prediction through the recursion coefficient must still hold
+    weight = flaggw._pole_weight
+
+    def doubled_at_0_1(setup, r, k):
+        value = weight(setup, r, k)
+        return value * 2 if (r, k) == (0, 1) else value
+
+    monkeypatch.setattr(flaggw, "_pole_weight", doubled_at_0_1)
+    rep = verify_lemma_3_4(1, 1)
+    assert [loc for loc, _, _ in rep.failures] == ["pole r=0 k=1"]
+
+
 def test_verify_pole_cancellation_cases():
     for i, j in ((0, 0), (0, 1), (1, 1), (1, 2)):
         rep = verify_lemma_3_4(i, j)

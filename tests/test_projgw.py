@@ -236,6 +236,41 @@ def test_verify_recursion_direct_fails_on_a_wrong_lower_coefficient(monkeypatch)
     assert "i=0 d=2" in [loc for loc, _, _ in rep.failures]
 
 
+def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
+    # the residue route predicts each residue from recursion_coeff, so one
+    # wrong coupling must surface at every pole that reads it
+    coupling = projgw.recursion_coeff
+
+    def doubled_at_0_1_1(setup, i, j, k):
+        value = coupling(setup, i, j, k)
+        return value * 2 if (i, j, k) == (0, 1, 1) else value
+
+    monkeypatch.setattr(projgw, "recursion_coeff", doubled_at_0_1_1)
+    rep = verify_theorem_3_3(ProjSetup(1), 2, "residue")
+    assert [loc for loc, _, _ in rep.failures] == [
+        "i=0 d=1 pole j=1 k=1", "i=0 d=2 pole j=1 k=1",
+    ]
+
+
+def test_first_order_split_fails_on_a_wrong_residue(monkeypatch):
+    # the first residue split off is doubled; its pole check and the
+    # recombined value must both fail, and nothing else
+    split = projgw.partial_fractions
+    calls = []
+
+    def first_residue_doubled(f, var, factors):
+        parts = split(f, var, factors)
+        calls.append(parts)
+        if len(calls) == 1:
+            (residue, factor), *rest = parts
+            parts = [(residue * 2, factor), *rest]
+        return parts
+
+    monkeypatch.setattr(projgw, "partial_fractions", first_residue_doubled)
+    rep = verify_first_order_split(P1)
+    assert [loc for loc, _, _ in rep.failures] == ["i=0 pole j=1", "i=0 recombined"]
+
+
 def test_verify_recursion_dimension_zero():
     rep = verify_theorem_3_3(ProjSetup(0), 3)
     assert rep.ok and rep.notes
