@@ -18,7 +18,6 @@ from .exactalg import (
     RatFunc,
     VarRegistry,
     homogeneous_degree,
-    parse_text,
     partial_fractions,
     recombine,
     shifted_factorial,
@@ -38,7 +37,6 @@ __all__ = [
     "VarRegistry",
     "VerificationReport",
     "homogeneous_degree",
-    "parse_text",
     "partial_fractions",
     "recombine",
     "shifted_factorial",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import flaggw, projgw, toda3
 from .exactalg import PoleError, VarRegistry, substitute
-from .report import VerificationReport, timed
+from .report import VerificationReport
 
 SERIES_TARGETS = ("proj", "flag-a1", "flag-a2", "toda", "toda-eq")
 VERIFY_CHECKS = (
@@ -280,19 +280,7 @@ def _check_proj_recursion(args, quick: bool):
             reports.append(projgw.verify_theorem_3_3(setup, d_max, "residue"))
             reports.append(projgw.verify_first_order_split(setup))
             if n >= 1:
-                solver = VerificationReport(
-                    "proj-solver", {"n": n, "max_d": d_max}
-                )
-                with timed(solver):
-                    tables = projgw.solve_recursion(setup, d_max)
-                    for table in tables:
-                        for d in range(d_max + 1):
-                            solver.check_equal(
-                                f"i={table.i} d={d}",
-                                table.coefficient(d),
-                                projgw.closed_b(setup, table.i, d),
-                            )
-                reports.append(solver)
+                reports.append(projgw.verify_solver(setup, d_max))
         return reports
     return run
 
@@ -397,13 +385,7 @@ def _run_checks(args, work) -> tuple[list[str], int]:
             broken.fail("runner", f"{type(exc).__name__}: {exc}", "no exception")
             reports.append(broken)
     if args.json:
-        records = []
-        for r in reports:
-            record = json.loads(r.to_json())
-            # wall time stays out of the payload so reruns byte-match
-            record.pop("wall_ms", None)
-            records.append(record)
-        payload = {"format": "qcseries.verify.v1", "reports": records}
+        payload = {"format": "qcseries.verify.v1", "reports": [r.payload() for r in reports]}
         lines = [json.dumps(payload, sort_keys=True)]
     else:
         lines = ["qcseries verify v1"]

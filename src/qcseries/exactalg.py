@@ -3,7 +3,9 @@
 Everything here is exact: coefficients are arbitrary-precision rationals
 (`int` or `fractions.Fraction`), a polynomial is a sparse map from monomials
 to nonzero coefficients, and a rational function is a quotient kept in a
-lightly normalized form.  No floating point, no external CAS.
+lightly normalized form.  No floating point, no external CAS.  Canonical
+text is output only: `text()` prints a value's canonical form, and nothing
+in the package reads text back.
 
 Design notes that the rest of the package relies on:
 
@@ -476,17 +478,13 @@ class MultiPoly:
                         heapq.heappush(heap, -mm)
         return MultiPoly._raw(self.registry, q)
 
-    def weighted_degree_if_homogeneous(self, weights: Mapping[str, int] | None = None):
-        """Weighted degree if all terms share one, else None.  Zero -> 0."""
+    def degree_if_homogeneous(self):
+        """Total degree if all terms share one, else None.  Zero -> 0."""
         if self.is_zero:
             return 0
-        if weights is None:
-            wvec = [1] * len(self.registry)
-        else:
-            wvec = [weights.get(nm, 0) for nm in self.registry.names]
         deg = None
         for mono, _ in self.monomials():
-            d = sum(e * w for e, w in zip(mono, wvec))
+            d = sum(mono)
             if deg is None:
                 deg = d
             elif d != deg:
@@ -607,8 +605,8 @@ def _poly_text(p: MultiPoly) -> str:
 def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """A primitive nonconstant denominator factor as (factor, multiplicity) pairs.
 
-    A monomial is kept as its variables, which is how parse_text reads its
-    text back, and which lets a numerator cancel against each of them.
+    A monomial is kept as its variables, so `RatFunc.text` prints each as a
+    bare name, and a numerator can cancel against each of them.
     """
     if len(p.terms) != 1:
         return [(p, 1)]
@@ -646,7 +644,7 @@ class RatFunc:
     __slots__ = ("registry", "scalar", "num", "factors", "_den")
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("use RatFunc.from_poly / from_num_den / coerce")
+        raise TypeError("use RatFunc.from_poly / from_factored / coerce")
 
     @staticmethod
     def _make(registry: VarRegistry, scalar: Fraction, num: MultiPoly,
@@ -696,13 +694,6 @@ class RatFunc:
         if isinstance(x, (int, Fraction)):
             return RatFunc.from_scalar(registry, x)
         raise TypeError(f"cannot interpret {type(x).__name__} as RatFunc")
-
-    @staticmethod
-    def from_num_den(num: MultiPoly, den: MultiPoly) -> "RatFunc":
-        _check_same_registry(num, den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        return RatFunc.from_factored(num, [den])
 
     @staticmethod
     def from_factored(num: MultiPoly, dens: Iterable[MultiPoly],
@@ -958,14 +949,13 @@ class RatFunc:
             pieces.append(str(self.scalar.denominator))
         for f, m in self.factors:
             ft = _poly_text(f)
-            bare = re.fullmatch(r"[A-Za-z_]\w*(\^\d+)?", ft) is not None
+            # a monomial factor is a single variable (see _factor_parts)
+            bare = re.fullmatch(r"[A-Za-z_]\w*", ft) is not None
             if bare and pieces and re.search(r"[A-Za-z_]\w*\Z", pieces[-1]):
                 # juxtaposed, two names would read as one
                 ft = f"*{ft}"
-            if bare and m == 1:
-                pieces.append(ft)
-            elif bare and "^" not in ft:
-                pieces.append(f"{ft}^{m}")
+            if bare:
+                pieces.append(ft if m == 1 else f"{ft}^{m}")
             else:
                 pieces.append(f"({ft})" if m == 1 else f"({ft})^{m}")
         if len(pieces) == 1 and pieces[0].startswith("(") and pieces[0].endswith(")"):
@@ -985,21 +975,20 @@ def substitute(f: RatFunc | MultiPoly, bindings: Mapping[str, object],
     return f.substitute(bindings, target)
 
 
-def homogeneous_degree(f: RatFunc | MultiPoly,
-                       weights: Mapping[str, int] | None = None):
-    """Weighted degree of f if numerator and denominator are homogeneous.
+def homogeneous_degree(f: RatFunc | MultiPoly):
+    """Total degree of f if numerator and denominator are homogeneous.
 
-    Returns an int, or None when either side mixes weighted degrees.  The
+    Returns an int, or None when either side mixes total degrees.  The
     zero function reports 0.
     """
     if isinstance(f, MultiPoly):
-        return f.weighted_degree_if_homogeneous(weights)
-    dn = f.num.weighted_degree_if_homogeneous(weights)
+        return f.degree_if_homogeneous()
+    dn = f.num.degree_if_homogeneous()
     if dn is None:
         return None
     dd = 0
     for fac, m in f.factors:
-        d = fac.weighted_degree_if_homogeneous(weights)
+        d = fac.degree_if_homogeneous()
         if d is None:
             return None
         dd += d * m
@@ -1055,15 +1044,18 @@ def partial_fractions(f: RatFunc, var: str,
     if not f.is_zero and f.num.degree_in(var) >= len(poles):
         raise ValueError("numerator degree must be below the number of poles")
     out: list[tuple[RatFunc, MultiPoly]] = []
-    for factor, root in zip(factors, roots.values()):
-        # a pole cancels from f's denominator, and any other listed factor
-        # stays in the numerator, which then vanishes at the root; the root
+    for factor, (key, root) in zip(factors, roots.items()):
+        if key not in poles:
+            # f * factor keeps factor in its numerator, which vanishes at the root
+            out.append((RatFunc.zero(registry), factor))
+            continue
+        # f * factor drops the pole and keeps the factor's content; the root
         # goes into the numerator and into each remaining factor once
-        rest = f * RatFunc.from_poly(factor)
         dens: list[MultiPoly] = []
-        for p, m in rest.factors:
-            dens += [p.substitute({var: root}).numerator] * m
-        num = rest.numerator.substitute({var: root}).numerator
+        for p, m in f.factors:
+            if p.key() != key:
+                dens += [p.substitute({var: root}).numerator] * m
+        num = f.numerator.scale(factor.primitive()[0]).substitute({var: root}).numerator
         out.append((RatFunc.from_factored(num, dens), factor))
     return out
 
@@ -1075,143 +1067,3 @@ def recombine(decomposition: Iterable[tuple[RatFunc, MultiPoly]],
     for residue, factor in decomposition:
         total = total + residue / RatFunc.from_poly(factor)
     return total
-
-
-# -- canonical text parsing -----------------------------------------------------
-
-
-class _Tokens:
-    def __init__(self, s: str):
-        self.toks = re.findall(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[()+\-*/^]", s)
-        if "".join(self.toks).replace(" ", "") != s.replace(" ", ""):
-            raise ValueError(f"unparseable characters in {s!r}")
-        self.i = 0
-
-    def peek(self, ahead: int = 0):
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ValueError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def expect(self, t: str):
-        got = self.next()
-        if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
-
-
-def _parse_poly(ts: _Tokens, registry: VarRegistry) -> MultiPoly:
-    total = registry.zero()
-    sign = 1
-    t = ts.peek()
-    if t in ("+", "-"):
-        ts.next()
-        sign = -1 if t == "-" else 1
-    while True:
-        total = total + _parse_term(ts, registry).scale(sign)
-        t = ts.peek()
-        if t == "+":
-            ts.next()
-            sign = 1
-        elif t == "-":
-            ts.next()
-            sign = -1
-        else:
-            return total
-
-
-def _parse_term(ts: _Tokens, registry: VarRegistry) -> MultiPoly:
-    out = _parse_atom(ts, registry)
-    while ts.peek() == "*":
-        ts.next()
-        out = out * _parse_atom(ts, registry)
-    return out
-
-
-def _parse_atom(ts: _Tokens, registry: VarRegistry) -> MultiPoly:
-    t = ts.next()
-    if t.isdigit():
-        val: Coeff = int(t)
-        # a slash only continues the coefficient when a bare integer follows;
-        # otherwise it separates numerator from denominator one level up
-        if ts.peek() == "/" and (ts.peek(1) or "").isdigit():
-            ts.next()
-            val = Fraction(val, int(ts.next()))
-        return registry.const(val)
-    if _NAME_RE.fullmatch(t):
-        e = _parse_exponent(ts) if ts.peek() == "^" else 1
-        return registry.var(t) ** e
-    raise ValueError(f"unexpected token {t!r}")
-
-
-def _parse_exponent(ts: _Tokens) -> int:
-    ts.next()
-    d = ts.next()
-    if not d.isdigit():
-        raise ValueError("expected integer exponent")
-    return int(d)
-
-
-def _parse_factored_den(ts: _Tokens, registry: VarRegistry):
-    """Product of juxtaposed pieces: integers, variable powers, (poly)^m blocks.
-
-    A top-level + or - means the whole content is a single expanded factor.
-    """
-    start = ts.i
-    scale: Coeff = 1
-    factors: list[tuple[MultiPoly, int]] = []
-    while ts.peek() not in (")", None):
-        t = ts.peek()
-        if t in ("+", "-"):
-            ts.i = start
-            return 1, [(_parse_poly(ts, registry), 1)]
-        if t == "*":
-            ts.next()
-            continue
-        if t == "(":
-            ts.next()
-            f = _parse_poly(ts, registry)
-            ts.expect(")")
-            m = _parse_exponent(ts) if ts.peek() == "^" else 1
-            factors.append((f, m))
-        elif t.isdigit():
-            ts.next()
-            if ts.peek() == "/" and (ts.peek(1) or "").isdigit():
-                ts.next()
-                scale = scale * Fraction(int(t), int(ts.next()))
-            else:
-                scale = scale * int(t)
-        elif _NAME_RE.fullmatch(t):
-            ts.next()
-            e = _parse_exponent(ts) if ts.peek() == "^" else 1
-            factors.append((registry.var(t) ** e, 1))
-        else:
-            raise ValueError(f"unexpected token {t!r} in denominator")
-    return scale, factors
-
-
-def parse_text(registry: VarRegistry, s: str) -> RatFunc:
-    """Parse the canonical text form back into a RatFunc."""
-    ts = _Tokens(s)
-    if ts.peek() == "(":
-        ts.next()
-        num = _parse_poly(ts, registry)
-        ts.expect(")")
-    else:
-        num = _parse_poly(ts, registry)
-        if ts.peek() is None:
-            return RatFunc.from_poly(num)
-    ts.expect("/")
-    ts.expect("(")
-    scale, factors = _parse_factored_den(ts, registry)
-    ts.expect(")")
-    if ts.peek() is not None:
-        raise ValueError("trailing input after rational function")
-    dens: list[MultiPoly] = []
-    for f, m in factors:
-        dens.extend([f] * m)
-    return RatFunc.from_factored(num, dens) / RatFunc.from_scalar(registry, scale)

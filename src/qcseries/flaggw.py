@@ -28,7 +28,6 @@ from math import factorial
 from .exactalg import (
     MultiPoly,
     RatFunc,
-    VarRegistry,
     homogeneous_degree,
     partial_fractions,
     recombine,
@@ -143,11 +142,11 @@ def _beta_range(bmax: tuple[int, ...]):
 def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
     """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
 
-    Returns (w, terms) per element of `elements`; each term is
-    (cocoords, k, lower_w, weight, shift).  The term adds weight times the
-    table at lower_w, read at the multidegree k*cocoords lower and then
-    substituted by shift.  Covers run over every positive root alpha and
-    every k that fits under bmax.
+    Returns (w, terms) per element of `elements`, each term in the form
+    `projgw.recursion_sum` reads: (lower_w, k*cocoords, weight, shift), so it
+    adds weight times the table at lower_w, read at the multidegree
+    k*cocoords lower and then substituted by shift.  Covers run over every
+    positive root alpha and every k that fits under bmax.
     """
     system = setup.system
     steps = []
@@ -159,12 +158,12 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
         refl = system.reflection(alpha)
         for k in range(1, k_cap + 1):
             base = coeff_C_id(setup, alpha, k)
-            steps.append((alpha, k, cocoords, refl, base))
+            steps.append((alpha, k, tuple(k * c for c in cocoords), refl, base))
 
     per_w = []
     for w in elements:
         terms = []
-        for alpha, k, cocoords, refl, base in steps:
+        for alpha, k, step, refl, base in steps:
             image = w.act(alpha)
             image_form = setup.root_form(image)
             weight = (
@@ -175,21 +174,9 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
             # applying w to the identity-element relation turns its s_alpha
             # factor into the table at w followed by the reflection, so that
             # is the table the (w, alpha, k) term must read
-            terms.append((cocoords, k, w * refl, weight, shift))
+            terms.append((w * refl, step, weight, shift))
         per_w.append((w, terms))
     return per_w
-
-
-def _recursion_sum(reg: VarRegistry, terms, beta: tuple[int, ...],
-                   tables) -> RatFunc:
-    """Right side of the recursion at multidegree beta; tables[w][beta] are lower values."""
-    acc = RatFunc.zero(reg)
-    for cocoords, k, lower_w, weight, shift in terms:
-        prev = tuple(b - k * c for b, c in zip(beta, cocoords))
-        if any(p < 0 for p in prev):
-            continue
-        acc = acc + weight * substitute(tables[lower_w][prev], shift)
-    return acc
 
 
 def solve_flag_recursion(setup: FlagSetup, beta_max,
@@ -211,20 +198,10 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
         bmax = tuple(beta_max)
     if len(bmax) != system.rank or any(b < 0 for b in bmax):
         raise ValueError("need one nonnegative bound per simple coroot")
-    reg = setup.registry
-    one = RatFunc.one(reg)
-
-    tables: dict[WeylElement, dict[tuple[int, ...], RatFunc]] = {
-        w: {(0,) * system.rank: one} for w in system.weyl_elements
-    }
-    per_w = _recursion_terms(setup, bmax, system.weyl_elements)
-    for beta in _beta_range(bmax):
-        if not any(beta):
-            continue
-        if total_max is not None and sum(beta) > total_max:
-            continue
-        for w, terms in per_w:
-            tables[w][beta] = _recursion_sum(reg, terms, beta, tables)
+    betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
+    tables = projgw.solve_tables(
+        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements), betas
+    )
     return [
         FlagSeriesTable(setup, w, tables[w]) for w in system.weyl_elements
     ]
@@ -341,7 +318,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
-        lowers = {lower_w for _, _, lower_w, _, _ in terms}
+        lowers = {lower_w for lower_w, _, _, _ in terms}
         acted = {
             w: {ij: system.act_on_ratfunc(w, c) for ij, c in closed.items()}
             for w in lowers
@@ -353,7 +330,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
                 continue
             report.check_equal(
                 f"i={i} j={j}", closed[(i, j)],
-                _recursion_sum(reg, terms, (i, j), acted),
+                projgw.recursion_sum(reg, terms, (i, j), lambda w, e: acted[w][e]),
             )
     return report
 

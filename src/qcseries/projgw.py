@@ -167,37 +167,61 @@ class ProjSeriesTable:
         return self.coeffs[d]
 
 
-def _coupling_table(setup: ProjSetup, k_max: int) -> dict[tuple[int, int, int], RatFunc]:
-    """recursion_coeff(i, j, k) for every ordered pair of fixed points and k <= k_max."""
-    return {
-        (i, j, k): recursion_coeff(setup, i, j, k)
-        for i in setup.points()
-        for j in setup.points()
-        if j != i
-        for k in range(1, k_max + 1)
-    }
+def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
+                  lower) -> RatFunc:
+    """Right side of a fixed-point recursion at a (multi)degree.
 
-
-def _recursion_sum(setup: ProjSetup, i: int, d: int, lower,
-                   coupling: dict[tuple[int, int, int], RatFunc]) -> RatFunc:
-    """Right side of the degree-d recursion at fixed point i.
-
-    lower(j, e) returns the degree-e coefficient at fixed point j; it is
-    only asked for e < d.  The sum runs j-outer, k-inner with incremental
-    cancellation, which keeps the numerators small.
+    Each term (target, step, weight, shift) adds weight times the
+    coefficient lower(target, degree - step), substituted by shift; a term
+    whose lower degree would be negative adds nothing.  The sum runs in term
+    order with incremental cancellation, which keeps the numerators small.
     """
-    acc = RatFunc.zero(setup.registry)
-    for j in setup.points():
-        if j == i:
+    acc = RatFunc.zero(registry)
+    for target, step, weight, shift in terms:
+        prev = tuple(d - s for d, s in zip(degree, step))
+        if min(prev) < 0:
             continue
-        shift_base = setup.lam(j) - setup.lam(i)
-        for k in range(1, d + 1):
-            pole = RatFunc.from_poly(setup.lam(i) - setup.lam(j) + setup.h.scale(k))
-            shifted = substitute(
-                lower(j, d - k), {"h": shift_base.scale(Fraction(1, k))}
-            )
-            acc = acc + coupling[(i, j, k)] / pole * shifted
+        acc = acc + weight * substitute(lower(target, prev), shift)
     return acc
+
+
+def solve_tables(registry: VarRegistry, per_target, degrees):
+    """Tables target -> degree -> coefficient, filled by `recursion_sum`.
+
+    per_target lists (target, terms) pairs.  degrees[0] is the zero degree,
+    whose coefficient is 1; every later degree comes after each degree its
+    terms read.
+    """
+    one = RatFunc.one(registry)
+    tables = {target: {degrees[0]: one} for target, _ in per_target}
+    for degree in degrees[1:]:
+        for target, terms in per_target:
+            tables[target][degree] = recursion_sum(
+                registry, terms, degree, lambda t, e: tables[t][e]
+            )
+    return tables
+
+
+def _recursion_terms(setup: ProjSetup, k_max: int) -> list[tuple[int, list]]:
+    """Per fixed point i, the (j, k) terms of its recursion, for k <= k_max.
+
+    A term reads fixed point j at k degrees lower; its weight is
+    recursion_coeff(i, j, k) over the pole lambda_i - lambda_j + k*h, and
+    its shift is h -> (lambda_j - lambda_i)/k.  j runs outer, k inner.
+    """
+    per_i = []
+    for i in setup.points():
+        terms = []
+        for j in setup.points():
+            if j == i:
+                continue
+            shift_base = setup.lam(j) - setup.lam(i)
+            for k in range(1, k_max + 1):
+                pole = RatFunc.from_poly(setup.lam(i) - setup.lam(j) + setup.h.scale(k))
+                shift = {"h": shift_base.scale(Fraction(1, k))}
+                terms.append((j, (k,), recursion_coeff(setup, i, j, k) / pole, shift))
+        per_i.append((i, terms))
+    return per_i
 
 
 def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
@@ -210,21 +234,19 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
     """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    one = RatFunc.one(setup.registry)
     if setup.n == 0:
         # no lines between distinct fixed points, hence no recursion terms;
         # the exponential closed form is exact here
+        one = RatFunc.one(setup.registry)
         h = RatFunc.from_poly(setup.h)
         coeffs = {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}
         return [ProjSeriesTable(setup, 0, coeffs)]
-    coupling = _coupling_table(setup, d_max)
-    tables: list[dict[int, RatFunc]] = [{0: one} for _ in setup.points()]
-    for d in range(1, d_max + 1):
-        for i in setup.points():
-            tables[i][d] = _recursion_sum(
-                setup, i, d, lambda j, e: tables[j][e], coupling
-            )
-    return [ProjSeriesTable(setup, i, tables[i]) for i in setup.points()]
+    tables = solve_tables(setup.registry, _recursion_terms(setup, d_max),
+                          [(d,) for d in range(d_max + 1)])
+    return [
+        ProjSeriesTable(setup, i, {d: c for (d,), c in tables[i].items()})
+        for i in setup.points()
+    ]
 
 
 # -- verification --------------------------------------------------------------------
@@ -251,7 +273,7 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
                 report.check_equal(f"d={d}", table.coefficient(d), closed_B(setup, 0, d))
             return report
         if method == "direct":
-            coupling = _coupling_table(setup, d_max)
+            terms = dict(_recursion_terms(setup, d_max))
         for i in setup.points():
             for d in range(1, d_max + 1):
                 if method == "direct":
@@ -259,13 +281,30 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
                     report.check_equal(
                         f"i={i} d={d}",
                         closed_b(setup, i, d),
-                        _recursion_sum(
-                            setup, i, d,
-                            lambda j, e: closed_b(setup, j, e), coupling,
+                        recursion_sum(
+                            setup.registry, terms[i], (d,),
+                            lambda j, e: closed_b(setup, j, *e),
                         ),
                     )
                 else:
                     _residue_check(setup, i, d, report)
+    return report
+
+
+def verify_solver(setup: ProjSetup, d_max: int) -> VerificationReport:
+    """Recursion-solver tables against the closed form, at every point and degree.
+
+    The tables of dimension 0 are in the B normalization, so it needs n >= 1.
+    """
+    report = VerificationReport("proj-solver", {"n": setup.n, "max_d": d_max})
+    with timed(report):
+        for table in solve_recursion(setup, d_max):
+            for d in range(d_max + 1):
+                report.check_equal(
+                    f"i={table.i} d={d}",
+                    table.coefficient(d),
+                    closed_b(setup, table.i, d),
+                )
     return report
 
 

@@ -8,7 +8,6 @@ separate field so golden comparisons can ignore it.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,18 +66,15 @@ class VerificationReport:
             lines.append(f"# wall_ms {self.wall_ms:.1f}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "params": {k: str(v) for k, v in sorted(self.params.items())},
-                "status": self.status,
-                "notes": list(self.notes),
-                "failures": [list(f) for f in self.failures],
-                "wall_ms": self.wall_ms,
-            },
-            sort_keys=True,
-        )
+    def payload(self) -> dict[str, object]:
+        """The report body as a JSON-ready dict; excludes wall time by design."""
+        return {
+            "check": self.check,
+            "params": {k: str(v) for k, v in sorted(self.params.items())},
+            "status": self.status,
+            "notes": list(self.notes),
+            "failures": [list(f) for f in self.failures],
+        }
 
 
 @contextmanager

@@ -13,7 +13,6 @@ from qcseries.exactalg import (
     RatFunc,
     VarRegistry,
     homogeneous_degree,
-    parse_text,
     partial_fractions,
     recombine,
     shifted_factorial,
@@ -143,7 +142,7 @@ def test_division_by_zero_ratfunc():
     with pytest.raises(ZeroDivisionError):
         rf(1) / RatFunc.zero(REG)
     with pytest.raises(ZeroDivisionError):
-        RatFunc.from_num_den(REG.one(), REG.zero())
+        RatFunc.from_factored(REG.one(), [REG.zero()])
 
 
 def test_substitute_simple_and_pole():
@@ -177,7 +176,6 @@ def test_homogeneous_degree():
     assert homogeneous_degree(f) == -1
     assert homogeneous_degree(rf(H + ALPHA**2)) is None
     assert homogeneous_degree(RatFunc.zero(REG)) == 0
-    assert homogeneous_degree(f, {"alpha": 2, "h": 2}) == -2
 
 
 def test_shifted_factorial():
@@ -235,33 +233,20 @@ def test_partial_fractions_preconditions():
     assert recombine(decomp, REG) == g
 
 
-# -- canonical text round trip --------------------------------------------------
-
-
-def test_text_parse_roundtrip():
-    cases = [
-        rf(1) / rf(ALPHA + H),
-        rf(1) / (rf(ALPHA + H) * rf(ALPHA + 2 * H) * 2),
-        rf(2 * H) / rf(H**2 - ALPHA**2),
-        rf(-ALPHA) / 3,
-        RatFunc.zero(REG),
-        rf(ALPHA**2 - Fraction(1, 2) * H),
-    ]
-    for f in cases:
-        assert parse_text(REG, f.text()) == f
+# -- canonical text --------------------------------------------------------------
 
 
 def test_monomial_factor_text_reads_back_byte_identical():
     reg = VarRegistry(["x1", "x2", "x3"])
     x2, x3 = reg.var("x2"), reg.var("x3")
     # a monomial factor is split into its variables, which print in factor
-    # order, the order parse_text gives them back in
+    # order, and rebuilding from the printed factors gives the same bytes
     f = RatFunc.from_factored(reg.one(), [x2 * x3])
     assert f.text() == "1/(x3*x2)"
-    assert parse_text(reg, f.text()).text() == f.text()
+    assert RatFunc.from_factored(f.numerator, expanded_factors(f)).text() == f.text()
     g = RatFunc.from_factored(x2, [x2**2 * x3, x2 + x3])
     assert g.text() == "1/(x3(x2 + x3)x2)"
-    assert parse_text(reg, g.text()).text() == g.text()
+    assert RatFunc.from_factored(g.numerator, expanded_factors(g)).text() == g.text()
     # a reciprocal splits a monomial numerator the same way, so the
     # numerator cancels against its variables
     q = RatFunc.from_poly(x2) / RatFunc.from_poly(x2**2 * x3)
@@ -297,7 +282,7 @@ def nonzero_polys():
 
 def ratfuncs():
     return st.builds(
-        lambda n, d: RatFunc.from_num_den(n, d), polys(), nonzero_polys()
+        lambda n, d: RatFunc.from_factored(n, [d]), polys(), nonzero_polys()
     )
 
 
@@ -682,7 +667,8 @@ def test_substitute_matches_sympy(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_text_round_trip_matches_sympy(data):
-    # parse_text reads text() back to the same function, and so does sympy
+    # sympy reads text() back to the same function, and rebuilding f from its
+    # own canonical parts prints the same bytes, so f was fully reduced
     sympy = pytest.importorskip("sympy")
     from sympy.parsing.sympy_parser import (
         convert_xor, implicit_multiplication, parse_expr, standard_transformations,
@@ -698,8 +684,7 @@ def test_text_round_trip_matches_sympy(data):
     scale = data.draw(st.integers(1, 4))
     f = RatFunc.from_factored(num, dens, scale)
     text = f.text()
-    assert parse_text(reg, text) == f
-    assert parse_text(reg, text).text() == text
+    assert RatFunc.from_factored(f.numerator, expanded_factors(f)).text() == text
     symbols = dict(zip(reg.names, sympy.symbols(reg.names)))
     read = parse_expr(
         text, local_dict=symbols,

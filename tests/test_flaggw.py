@@ -199,6 +199,23 @@ def test_verify_a1_crosscheck():
     assert rep.ok, rep.render()
 
 
+def test_verify_a1_crosscheck_fails_on_a_wrong_coupling(monkeypatch):
+    # both tables come from coeff_C_id, so doubling it at k = 1 breaks the
+    # chart and closed-form comparisons from d = 1 on; the flip compares the
+    # two broken tables with each other, and they stay consistent
+    coeff = flaggw.coeff_C_id
+
+    def doubled_at_k_1(setup, alpha, k, prune=True):
+        value = coeff(setup, alpha, k, prune)
+        return value * 2 if k == 1 else value
+
+    monkeypatch.setattr(flaggw, "coeff_C_id", doubled_at_k_1)
+    rep = verify_a1_crosscheck(2)
+    assert [loc for loc, _, _ in rep.failures] == [
+        f"{check} d={d}" for d in (1, 2) for check in ("chart id", "chart s1", "closed")
+    ]
+
+
 def test_verify_a2_recursion_report():
     rep = verify_a2_theorem_3_2(3)
     assert rep.ok, rep.render()

@@ -16,6 +16,7 @@ from qcseries.projgw import (
     recursion_coeff,
     solve_recursion,
     verify_first_order_split,
+    verify_solver,
     verify_theorem_3_3,
 )
 
@@ -236,9 +237,7 @@ def test_verify_recursion_direct_fails_on_a_wrong_lower_coefficient(monkeypatch)
     assert "i=0 d=2" in [loc for loc, _, _ in rep.failures]
 
 
-def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
-    # the residue route predicts each residue from recursion_coeff, so one
-    # wrong coupling must surface at every pole that reads it
+def doubled_coupling_at_0_1_1(monkeypatch):
     coupling = projgw.recursion_coeff
 
     def doubled_at_0_1_1(setup, i, j, k):
@@ -246,10 +245,34 @@ def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
         return value * 2 if (i, j, k) == (0, 1, 1) else value
 
     monkeypatch.setattr(projgw, "recursion_coeff", doubled_at_0_1_1)
+
+
+def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
+    # the residue route predicts each residue from recursion_coeff, so one
+    # wrong coupling must surface at every pole that reads it
+    doubled_coupling_at_0_1_1(monkeypatch)
     rep = verify_theorem_3_3(ProjSetup(1), 2, "residue")
     assert [loc for loc, _, _ in rep.failures] == [
         "i=0 d=1 pole j=1 k=1", "i=0 d=2 pole j=1 k=1",
     ]
+
+
+def test_verify_solver_fails_on_a_wrong_coupling(monkeypatch):
+    # the wrong coupling enters table 0 at every degree from d = 1, and
+    # table 1 where it reads table 0's broken d = 1 value, at d = 2
+    assert verify_solver(P1, 2).ok
+    doubled_coupling_at_0_1_1(monkeypatch)
+    rep = verify_solver(P1, 2)
+    assert [loc for loc, _, _ in rep.failures] == ["i=0 d=1", "i=0 d=2", "i=1 d=2"]
+
+
+def test_euler_prefactor_fails_on_a_wrong_coupling(monkeypatch):
+    # the identity's right side is recursion_coeff(0, 1, 1); the two slices
+    # are built from the cover characters alone and must still hold
+    doubled_coupling_at_0_1_1(monkeypatch)
+    for d in (1, 2):
+        rep = euler_prefactor_identity(P1, 0, 1, 1, d)
+        assert [loc for loc, _, _ in rep.failures] == ["identity"]
 
 
 def test_first_order_split_fails_on_a_wrong_residue(monkeypatch):

@@ -267,6 +267,18 @@ def test_flag_bridge_small_box():
     assert report.status == "pass"
 
 
+def test_flag_bridge_fails_on_a_wrong_closed_coefficient(monkeypatch):
+    # the solver side never reads closed_a_equivariant, so one wrong value
+    # fails its own bidegree and no other
+    closed = toda3.closed_a_equivariant
+    monkeypatch.setattr(
+        toda3, "closed_a_equivariant",
+        lambda i, j: closed(i, j) * (2 if (i, j) == (1, 1) else 1),
+    )
+    report = verify_corollary_3_5(3)
+    assert [loc for loc, _, _ in report.failures] == ["i=1 j=1"]
+
+
 def test_closed_solution_specialization_tower():
     flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
     eq = closed_solution(3, equivariant=True)
