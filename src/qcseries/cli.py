@@ -5,6 +5,12 @@ golden format, `verify` runs the exact-equality check suites and reports
 pass/fail.  Identical invocations produce identical bytes; wall times never
 enter the payload.  Exit codes: 0 all checks passed, 1 at least one failed
 (or an evaluation hit a pole), 2 usage or cap errors.
+
+Each subcommand has one table, `SERIES` and `CHECKS`, that maps a name to
+the options it reads and to a builder.  The builder checks those options,
+raising `UsageError`, and returns the work as a function, so every usage
+error comes before any work runs.  The parser's choices, the order of
+`verify all` and the options each name accepts all come from the tables.
 """
 
 from __future__ import annotations
@@ -13,30 +19,14 @@ import argparse
 import contextlib
 import json
 import sys
-from math import factorial
 from typing import Sequence
 
 from . import flaggw, projgw, toda3
 from .exactalg import PoleError, VarRegistry, substitute
 from .report import VerificationReport
 
-SERIES_TARGETS = ("proj", "flag-a1", "flag-a2", "toda", "toda-eq")
-VERIFY_CHECKS = (
-    "proj-recursion",
-    "euler-prefactor",
-    "a1-cross",
-    "a2-recursion",
-    "lemma34",
-    "toda-plain",
-    "toda-eq",
-    "toda-operators",
-    "batyrev",
-    "corollary35",
-)
-
-# quick keeps CI latency low; full is the documented deep matrix (the
-# equivariant lattice checks cap at 8 because their cross-multiplied
-# numerators grow fast in four variables)
+# the presets of `verify`: quick keeps CI latency low; full is the
+# documented deep matrix
 LEVELS = ("quick", "full")
 
 
@@ -44,15 +34,18 @@ class UsageError(Exception):
     pass
 
 
-def _bound(value: int | None, quick_default: int, full_default: int,
-           cap: int, quick: bool, what: str, low: int = 0) -> int:
-    """Preset or explicit bound, checked against [low, cap].
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _bound(value: int | None, preset: int, cap: int, what: str, low: int = 0) -> int:
+    """Explicit bound, or else the preset, checked against [low, cap].
 
     `low` is the smallest bound at which the runner makes a comparison, so
     a bound below it is a usage error rather than a vacuous pass.
     """
     if value is None:
-        value = quick_default if quick else full_default
+        value = preset
     if value < low:
         raise UsageError(f"{what} must be >= {low}")
     if value > cap:
@@ -102,11 +95,11 @@ def _proj_cap(n: int) -> int:
     return 3 if n == 3 else 6
 
 
-def _series_proj(args, quick: bool):
+def _series_proj(args):
     n = 1 if args.n is None else args.n
     if n < 0 or n > 3:
         raise UsageError("series proj supports n in 0..3")
-    d_max = _bound(args.max_d, 3, 3, _proj_cap(n), quick, "--max-d")
+    d_max = _bound(args.max_d, 3, _proj_cap(n), "--max-d")
     if args.chart is not None and n == 0:
         raise UsageError("no root chart in dimension 0")
 
@@ -132,15 +125,15 @@ def _series_proj(args, quick: bool):
     return run
 
 
-def _series_flag(args, quick: bool, rank: int):
+def _series_flag(args, rank: int):
     # the golden format names the pole convention, of which one is left
     if rank == 1:
-        bound = _bound(args.max_d, 3, 3, 8, quick, "--max-d")
+        bound = _bound(args.max_d, 3, 8, "--max-d")
         setup, bmax, total_max = flaggw._a1_setup(), (bound,), None
         lines = ["target flag-a1", "param convention=lemma37",
                  f"param max_d={bound}"]
     else:
-        bound = _bound(args.max, 3, 3, 5, quick, "--max")
+        bound = _bound(args.max, 3, 5, "--max")
         setup, bmax, total_max = flaggw._a2_setup(), (bound, bound), bound
         lines = ["target flag-a2", "param convention=lemma37",
                  f"param max={bound}"]
@@ -155,9 +148,11 @@ def _series_flag(args, quick: bool, rank: int):
     return run
 
 
-def _series_toda(args, quick: bool, equivariant: bool):
+def _series_toda(args, equivariant: bool):
+    # the equivariant lattice's cross-multiplied numerators grow fast in
+    # four variables
     cap = 8 if equivariant else 16
-    n_max = _bound(args.max, 3, 3, cap, quick, "--max")
+    n_max = _bound(args.max, 3, cap, "--max")
     target = "toda-eq" if equivariant else "toda"
     lines = [f"target {target}"]
     if args.chart is not None:
@@ -179,65 +174,43 @@ def _series_toda(args, quick: bool, equivariant: bool):
     return run
 
 
-# the options each series target and each verify check reads; passing any
-# other is a usage error (`verify all` reads the union)
-_OPTIONS = {
-    "series": {
-        "proj": ("n", "max_d", "chart"),
-        "flag-a1": ("max_d",),
-        "flag-a2": ("max",),
-        "toda": ("max", "chart"),
-        "toda-eq": ("max", "chart"),
-    },
-    "verify": {
-        "proj-recursion": ("n", "max_d"),
-        "euler-prefactor": ("n", "max_d"),
-        "a1-cross": ("max_d",),
-        "a2-recursion": ("max",),
-        "lemma34": ("max",),
-        "toda-plain": ("max",),
-        "toda-eq": ("max",),
-        "toda-operators": ("max",),
-        "batyrev": ("max",),
-        "corollary35": ("max",),
-    },
+# target -> (the options it reads, builder(args) -> work giving the lines)
+SERIES = {
+    "proj": (("n", "max_d", "chart"), _series_proj),
+    "flag-a1": (("max_d",), lambda args: _series_flag(args, rank=1)),
+    "flag-a2": (("max",), lambda args: _series_flag(args, rank=2)),
+    "toda": (("max", "chart"), lambda args: _series_toda(args, equivariant=False)),
+    "toda-eq": (("max", "chart"), lambda args: _series_toda(args, equivariant=True)),
 }
 
 
-def _reject_unread_options(args) -> None:
-    table = _OPTIONS[args.command]
-    name = args.target if args.command == "series" else args.check
-    reads = set().union(*table.values()) if name == "all" else table[name]
+def _reject_unread_options(args, table: dict, name: str) -> None:
+    """An option that `name` does not read is a usage error; `all` reads the union."""
+    if name == "all":
+        reads = set().union(*(options for options, _ in table.values()))
+    else:
+        reads = table[name][0]
     for dest in ("n", "max_d", "max", "chart"):
         if getattr(args, dest, None) is not None and dest not in reads:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{args.command} {name} does not take {flag}")
+            raise UsageError(f"{args.command} {name} does not take {_flag(dest)}")
 
 
-def cmd_series(args, quick: bool):
+def cmd_series(args):
     """Check the options, then return the work: lines and exit code, once called."""
-    if args.target == "proj":
-        table = _series_proj(args, quick)
-    elif args.target == "flag-a1":
-        table = _series_flag(args, quick, rank=1)
-    elif args.target == "flag-a2":
-        table = _series_flag(args, quick, rank=2)
-    elif args.target == "toda":
-        table = _series_toda(args, quick, equivariant=False)
-    else:
-        table = _series_toda(args, quick, equivariant=True)
+    _reject_unread_options(args, SERIES, args.target)
+    table = SERIES[args.target][1](args)
     return lambda: (["qcseries series v1"] + table(), 0)
 
 
 # -- verify runners --------------------------------------------------------------------
 
-# A runner checks its options and resolves its bounds, raising UsageError,
-# and returns its work as a function that gives the reports: every usage
-# error comes before any check runs.
 
-
-def _one(check, *args):
-    return lambda: [check(*args)]
+def _one(check, option: str, quick: int, full: int, cap: int):
+    """The table entry of a check that makes one report from one bound."""
+    def runner(args, is_quick: bool):
+        bound = _bound(getattr(args, option), quick if is_quick else full, cap, _flag(option))
+        return lambda: [check(bound)]
+    return (option,), runner
 
 
 def _dims(args, check: str, accepted: range, preset: list[int]) -> list[int]:
@@ -264,11 +237,11 @@ def _combine(name: str, params: dict,
 
 def _check_proj_recursion(args, quick: bool):
     ns = _dims(args, "proj-recursion", range(4), [0, 1, 2] if quick else [0, 1, 2, 3])
-    # the presets clamp to each dimension's cap, an explicit bound must fit
+    # the preset clamps to each dimension's cap, an explicit bound must fit
     # it; every bound is checked before any dimension runs
+    preset = 4 if quick else 5
     bounds = [
-        _bound(args.max_d, min(4, _proj_cap(n)), min(5, _proj_cap(n)),
-               _proj_cap(n), quick, "--max-d", low=1)
+        _bound(args.max_d, min(preset, _proj_cap(n)), _proj_cap(n), "--max-d", low=1)
         for n in ns
     ]
 
@@ -287,7 +260,7 @@ def _check_proj_recursion(args, quick: bool):
 
 def _check_euler_prefactor(args, quick: bool):
     ns = _dims(args, "euler-prefactor", range(1, 3), [1] if quick else [1, 2])
-    d_max = _bound(args.max_d, 2, 3, 4, quick, "--max-d", low=1)
+    d_max = _bound(args.max_d, 2 if quick else 3, 4, "--max-d", low=1)
 
     def run() -> list[VerificationReport]:
         reports = []
@@ -310,7 +283,7 @@ def _check_euler_prefactor(args, quick: bool):
 
 
 def _check_lemma34(args, quick: bool):
-    n_max = _bound(args.max, 3, 4, 5, quick, "--max", low=1)
+    n_max = _bound(args.max, 3 if quick else 4, 5, "--max", low=1)
     return lambda: [
         flaggw.verify_lemma_3_4(i, total - i)
         for total in range(1, n_max + 1)
@@ -319,48 +292,42 @@ def _check_lemma34(args, quick: bool):
 
 
 def _check_toda_operators(args, quick: bool):
+    # as for toda-eq, the equivariant operators stop at 8 at the full level;
+    # an explicit --max sets both orders, under toda-eq's cap
+    n_plain, n_eq = (6, 6) if quick else (12, 8)
     if args.max is not None:
-        n_plain = n_eq = _bound(args.max, 0, 0, 10, quick, "--max", low=1)
-    else:
-        n_plain, n_eq = (6, 6) if quick else (12, 8)
+        n_plain = n_eq = _bound(args.max, n_eq, 10, "--max", low=1)
     return lambda: [
         toda3.verify_operator_annihilation(n_plain, equivariant=False),
         toda3.verify_operator_annihilation(n_eq, equivariant=True),
     ]
 
 
-def _runners():
-    return {
-        "proj-recursion": _check_proj_recursion,
-        "euler-prefactor": _check_euler_prefactor,
-        "a1-cross": lambda a, q: _one(
-            flaggw.verify_a1_crosscheck, _bound(a.max_d, 4, 5, 8, q, "--max-d")
-        ),
-        "a2-recursion": lambda a, q: _one(
-            flaggw.verify_a2_theorem_3_2, _bound(a.max, 3, 4, 5, q, "--max")
-        ),
-        "lemma34": _check_lemma34,
-        "toda-plain": lambda a, q: _one(
-            toda3.verify_recursions_plain, _bound(a.max, 6, 12, 16, q, "--max")
-        ),
-        "toda-eq": lambda a, q: _one(
-            toda3.verify_recursions_equivariant, _bound(a.max, 6, 8, 10, q, "--max")
-        ),
-        "toda-operators": _check_toda_operators,
-        "batyrev": lambda a, q: _one(
-            toda3.verify_batyrev, _bound(a.max, 6, 12, 20, q, "--max")
-        ),
-        "corollary35": lambda a, q: _one(
-            toda3.verify_corollary_3_5, _bound(a.max, 3, 6, 6, q, "--max")
-        ),
-    }
+# check -> (the options it reads, runner(args, quick) -> work giving the
+# reports); `verify all` runs the checks in this order
+CHECKS = {
+    "proj-recursion": (("n", "max_d"), _check_proj_recursion),
+    "euler-prefactor": (("n", "max_d"), _check_euler_prefactor),
+    "a1-cross": _one(flaggw.verify_a1_crosscheck, "max_d", 4, 5, 8),
+    "a2-recursion": _one(flaggw.verify_a2_theorem_3_2, "max", 3, 4, 5),
+    "lemma34": (("max",), _check_lemma34),
+    "toda-plain": _one(toda3.verify_recursions_plain, "max", 6, 12, 16),
+    # the equivariant lattice's cross-multiplied numerators grow fast in
+    # four variables, so the full level stops at 8, short of the cap
+    "toda-eq": _one(toda3.verify_recursions_equivariant, "max", 6, 8, 10),
+    "toda-operators": (("max",), _check_toda_operators),
+    "batyrev": _one(toda3.verify_batyrev, "max", 6, 12, 20),
+    "corollary35": _one(toda3.verify_corollary_3_5, "max", 3, 6, 6),
+}
+VERIFY_CHECKS = tuple(CHECKS)
 
 
-def cmd_verify(args, quick: bool):
+def cmd_verify(args):
     """Resolve every check's bounds, then return the work that runs them."""
-    runners = _runners()
-    names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
-    work = [(name, runners[name](args, quick)) for name in names]
+    _reject_unread_options(args, CHECKS, args.check)
+    quick = args.level == "quick"
+    names = VERIFY_CHECKS if args.check == "all" else (args.check,)
+    work = [(name, CHECKS[name][1](args, quick)) for name in names]
     return lambda: _run_checks(args, work)
 
 
@@ -413,12 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="degree bound in q")
         p.add_argument("--max", type=int, default=None,
                        help="total-degree or order bound")
-        p.add_argument("--level", choices=LEVELS, default="quick",
-                       help="preset bounds when flags are omitted")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p_series = sub.add_parser("series", help="print a coefficient table")
-    p_series.add_argument("target", choices=SERIES_TARGETS)
+    p_series.add_argument("target", choices=tuple(SERIES))
     common(p_series)
     p_series.add_argument("--chart", choices=("part1", "part3"), default=None,
                           help="rewrite weights in root variables")
@@ -426,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run exact-equality checks")
     p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))
     common(p_verify)
+    p_verify.add_argument("--level", choices=LEVELS, default="quick",
+                          help="preset bounds when flags are omitted")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the JSON mirror instead of text")
     return parser
@@ -437,10 +404,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    quick = args.level == "quick"
     try:
-        _reject_unread_options(args)
-        run = (cmd_series if args.command == "series" else cmd_verify)(args, quick)
+        run = (cmd_series if args.command == "series" else cmd_verify)(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ non-finite input from spinning; hitting a cap raises ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .exactalg import MultiPoly, RatFunc, VarRegistry
 

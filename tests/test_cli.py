@@ -308,6 +308,7 @@ def test_chart_rejected_off_target(capsys):
         ("series", "toda-eq", "--n", "2"),
         ("series", "proj", "--max", "2"),
         ("series", "flag-a2", "--max-d", "2"),
+        ("series", "proj", "--level", "full"),
     ],
     ids=lambda argv: argv[2],
 )
@@ -315,7 +316,7 @@ def test_series_option_its_target_does_not_read_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    if argv[2] == "--convention":
+    if argv[2] in ("--convention", "--level"):
         # no series target takes it, so the parser itself rejects it
         assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
     else:
@@ -459,12 +460,9 @@ def test_unexpected_runner_error_becomes_fail_report(capsys, monkeypatch):
             raise RuntimeError("planted")
         return work
 
-    def runners():
-        table = {name: passing(name) for name in cli.VERIFY_CHECKS}
-        table["lemma34"] = broken
-        return table
-
-    monkeypatch.setattr(cli, "_runners", runners)
+    for name in cli.VERIFY_CHECKS:
+        runner = broken if name == "lemma34" else passing(name)
+        monkeypatch.setitem(cli.CHECKS, name, (cli.CHECKS[name][0], runner))
     code, out, err = run(capsys, "verify", "all")
     assert code == 1
     blocks = out.split("\n\n")[1:]

@@ -7,10 +7,9 @@ from math import comb, factorial
 import pytest
 
 from qcseries import toda3
-from qcseries.exactalg import RatFunc, substitute
+from qcseries.exactalg import RatFunc
 from qcseries.toda3 import (
     ALPHA_REGISTRY,
-    ALPHA_TO_LAMBDA,
     LAMBDA_REGISTRY,
     UV_REGISTRY,
     BiSeries,
