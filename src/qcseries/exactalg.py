@@ -434,6 +434,11 @@ class MultiPoly:
         diff = max(self.terms) - glead
         if diff < 0 or diff & guard:
             return None
+        # the lowest term of a product is the product of the lowest terms, so
+        # g's trailing monomial must divide the dividend's as well
+        diff = min(self.terms) - min(g.terms)
+        if diff < 0 or diff & guard:
+            return None
         gc = g.terms[glead]
         rest = [(m, c) for m, c in g.terms.items() if m != glead]
         # an integer dividend over a primitive integer divisor has an integral
@@ -503,64 +508,9 @@ class MultiPoly:
         When no value has a denominator the image is a polynomial: it is
         built in MultiPoly arithmetic and normalized once.
         """
-        target = target if target is not None else self.registry
-        n_t = len(target)
-        unpack = self.registry._unpack
-        occurs = unpack(_union(self))
-        bound: dict[int, RatFunc] = {}
-        resid: dict[int, int] = {}
-        for i, nm in enumerate(self.registry.names):
-            if nm in bindings:
-                bound[i] = RatFunc.coerce(target, bindings[nm])
-            elif occurs[i]:
-                if nm not in target:
-                    raise ValueError(f"variable {nm!r} unbound and absent from target registry")
-                resid[i] = target.index(nm)
-        for nm in bindings:
-            if nm not in self.registry:
-                raise KeyError(f"binding for unknown variable {nm!r}")
-        polynomial = not any(v.factors for v in bound.values())
-        values = {i: v.numerator for i, v in bound.items()} if polynomial else bound
-        pow_cache: dict[tuple[int, int], MultiPoly | RatFunc] = {}
-
-        def power(i: int, e: int):
-            got = pow_cache.get((i, e))
-            if got is None:
-                got = values[i] ** e
-                pow_cache[(i, e)] = got
-            return got
-
-        def residual(mono: Mono) -> int:
-            tm = [0] * n_t
-            for i, j in resid.items():
-                tm[j] = mono[i]
-            return target._pack(tm)
-
-        if not polynomial:
-            total = RatFunc.zero(target)
-            lex = self.registry._lex_mask
-            for m in sorted(self.terms, key=lex.__and__):
-                mono = unpack(m)
-                acc = RatFunc.from_poly(MultiPoly._raw(target, {residual(mono): self.terms[m]}))
-                for i in bound:
-                    e = mono[i]
-                    if e:
-                        acc = acc * power(i, e)
-                total = total + acc
-            return total
-        # terms that share their bound exponents share one product of powers
-        groups: dict[Mono, dict[int, Coeff]] = {}
-        for m, c in self.terms.items():
-            mono = unpack(m)
-            groups.setdefault(tuple(mono[i] for i in bound), {})[residual(mono)] = c
-        out: dict[int, Coeff] = {}
-        for exps, terms in groups.items():
-            img = MultiPoly._raw(target, terms)
-            for i, e in zip(bound, exps):
-                if e:
-                    img = power(i, e) * img
-            _accumulate(out, img.terms)
-        return RatFunc.from_poly(MultiPoly._raw(target, out))
+        ev = _Evaluation(self.registry, _union(self), bindings, target)
+        img = ev.image(self)
+        return RatFunc.from_poly(img) if ev.polynomial else img
 
     # -- text ------------------------------------------------------------
 
@@ -600,6 +550,84 @@ def _poly_text(p: MultiPoly) -> str:
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+class _Evaluation:
+    """The evaluation homomorphism of one substitution, prepared once.
+
+    The bindings are coerced and the unbound variables that occur are mapped
+    into the target once, and one power cache serves every polynomial the
+    substitution maps.  `occurs` is a packed monomial whose nonzero fields
+    mark the variables that those polynomials use.  When no value has a
+    denominator, `polynomial` is set and `image` returns a MultiPoly;
+    otherwise it returns a RatFunc.
+    """
+
+    __slots__ = ("target", "values", "resid", "polynomial", "_powers")
+
+    def __init__(self, source: VarRegistry, occurs: int, bindings: Mapping[str, object],
+                 target: VarRegistry | None):
+        target = target if target is not None else source
+        occurs = source._unpack(occurs)
+        bound: dict[int, RatFunc] = {}
+        resid: dict[int, int] = {}
+        for i, nm in enumerate(source.names):
+            if nm in bindings:
+                bound[i] = RatFunc.coerce(target, bindings[nm])
+            elif occurs[i]:
+                if nm not in target:
+                    raise ValueError(f"variable {nm!r} unbound and absent from target registry")
+                resid[i] = target.index(nm)
+        for nm in bindings:
+            if nm not in source:
+                raise KeyError(f"binding for unknown variable {nm!r}")
+        self.target = target
+        self.resid = resid
+        self.polynomial = not any(v.factors for v in bound.values())
+        self.values = {i: v.numerator for i, v in bound.items()} if self.polynomial else bound
+        self._powers: dict[tuple[int, int], MultiPoly | RatFunc] = {}
+
+    def _power(self, i: int, e: int):
+        got = self._powers.get((i, e))
+        if got is None:
+            got = self.values[i] ** e
+            self._powers[(i, e)] = got
+        return got
+
+    def _residual(self, mono: Mono) -> int:
+        tm = [0] * len(self.target)
+        for i, j in self.resid.items():
+            tm[j] = mono[i]
+        return self.target._pack(tm)
+
+    def image(self, p: MultiPoly) -> "MultiPoly | RatFunc":
+        target = self.target
+        unpack = p.registry._unpack
+        if not self.polynomial:
+            total = RatFunc.zero(target)
+            lex = p.registry._lex_mask
+            for m in sorted(p.terms, key=lex.__and__):
+                mono = unpack(m)
+                acc = RatFunc.from_poly(MultiPoly._raw(target, {self._residual(mono): p.terms[m]}))
+                for i in self.values:
+                    e = mono[i]
+                    if e:
+                        acc = acc * self._power(i, e)
+                total = total + acc
+            return total
+        # terms that share their bound exponents share one product of powers
+        groups: dict[Mono, dict[int, Coeff]] = {}
+        for m, c in p.terms.items():
+            mono = unpack(m)
+            groups.setdefault(tuple(mono[i] for i in self.values), {})[self._residual(mono)] = c
+        out: dict[int, Coeff] = {}
+        for exps, terms in groups.items():
+            img = MultiPoly._raw(target, terms)
+            for i, e in zip(self.values, exps):
+                if e:
+                    img = self._power(i, e) * img
+            _accumulate(out, img.terms)
+        return MultiPoly._raw(target, out)
 
 
 def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -917,16 +945,38 @@ class RatFunc:
 
     def substitute(self, bindings: Mapping[str, object],
                    target: VarRegistry | None = None) -> "RatFunc":
-        """Simultaneous exact substitution; raises PoleError on a vanishing denominator."""
-        target = target if target is not None else self.registry
-        out = self.num.substitute(bindings, target) * self.scalar
+        """Simultaneous exact substitution; raises PoleError on a vanishing denominator.
+
+        One prepared evaluation maps the numerator and every factor.  When
+        every image is a polynomial, the image is built in one reduction:
+        its scalar is the numerator image's content times `scalar` over each
+        factor image's content to its multiplicity, its factors are the
+        factor images' primitive parts, and each is trial-divided out of the
+        numerator image up to its total multiplicity.  For linear images
+        (every check's case) that is the canonical form that dividing by the
+        images one at a time reaches: a linear form is prime, so both cancel
+        it min(its multiplicity in the numerator image, its total
+        multiplicity) times.  Images with a denominator are divided out one
+        at a time, so the image keeps its split denominator.
+        """
+        occurs = _union(self.num)
+        for f, _ in self.factors:
+            occurs |= _union(f)
+        ev = _Evaluation(self.registry, occurs, bindings, target)
+        if self.is_zero:
+            return RatFunc.zero(ev.target)
+        num = ev.image(self.num)
+        dens = []
         for f, m in self.factors:
-            fr = f.substitute(bindings, target)
+            fr = ev.image(f)
             if fr.is_zero:
                 raise PoleError("substitution makes a denominator factor vanish")
-            # divide factor by factor so the image keeps its split denominator
-            for _ in range(m):
-                out = out / fr
+            dens += [fr] * m
+        if ev.polynomial:
+            return RatFunc.from_factored(num, dens, 1 / self.scalar)
+        out = num * self.scalar
+        for fr in dens:
+            out = out / fr
         return out
 
     # -- text -------------------------------------------------------------------
@@ -1049,14 +1099,11 @@ def partial_fractions(f: RatFunc, var: str,
             # f * factor keeps factor in its numerator, which vanishes at the root
             out.append((RatFunc.zero(registry), factor))
             continue
-        # f * factor drops the pole and keeps the factor's content; the root
-        # goes into the numerator and into each remaining factor once
-        dens: list[MultiPoly] = []
-        for p, m in f.factors:
-            if p.key() != key:
-                dens += [p.substitute({var: root}).numerator] * m
-        num = f.numerator.scale(factor.primitive()[0]).substitute({var: root}).numerator
-        out.append((RatFunc.from_factored(num, dens), factor))
+        # f * factor drops the pole and keeps the factor's content; one
+        # evaluation at the root maps its numerator and remaining factors
+        rest = tuple((p, m) for p, m in f.factors if p.key() != key)
+        g = RatFunc._make(registry, f.scalar * factor.primitive()[0], f.num, rest)
+        out.append((g.substitute({var: root}), factor))
     return out
 
 

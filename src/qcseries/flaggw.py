@@ -180,7 +180,8 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
 
 
 def solve_flag_recursion(setup: FlagSetup, beta_max,
-                         total_max: int | None = None) -> list[FlagSeriesTable]:
+                         total_max: int | None = None,
+                         elements=None) -> list[FlagSeriesTable]:
     """Build the per-Weyl-element tables from multidegree 0 upward.
 
     The pole attached to a (w, alpha, k) term is k*h + w(alpha).
@@ -188,6 +189,11 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     total_max, if given, skips multidegrees whose coordinate sum exceeds it;
     the recursion only ever reads strictly smaller sums, so the triangle is
     self-contained.
+
+    elements lists the Weyl elements whose tables are returned, in order
+    (default: every element).  Their tables are complete; an entry of
+    another element is built only when one of theirs reads it, by the same
+    recursion, so each returned entry is the value the full solve gives.
     """
     system = setup.system
     if system.rank > MAX_SOLVER_RANK:
@@ -199,12 +205,12 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     if len(bmax) != system.rank or any(b < 0 for b in bmax):
         raise ValueError("need one nonnegative bound per simple coroot")
     betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
+    elements = system.weyl_elements if elements is None else elements
     tables = projgw.solve_tables(
-        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements), betas
+        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements), betas,
+        elements,
     )
-    return [
-        FlagSeriesTable(setup, w, tables[w]) for w in system.weyl_elements
-    ]
+    return [FlagSeriesTable(setup, w, tables[w]) for w in elements]
 
 
 # -- rank-two type-A closed form -----------------------------------------------------

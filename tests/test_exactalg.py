@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcseries import exactalg
 from qcseries.exactalg import (
     MAX_DEGREE,
     MultiPoly,
@@ -154,6 +155,25 @@ def test_substitute_simple_and_pole():
         (rf(1) / rf(H)).substitute({"h": 0})
     # polynomial substitution stays exact: p -> value
     assert substitute(H, {"h": rf(ALPHA) ** 2}) == rf(ALPHA) ** 2
+
+
+def test_ratfunc_substitute_raises_like_multipoly_substitute():
+    # h occurs in the numerator, alpha only in the denominator factor
+    f = rf(H) / rf(ALPHA + H)
+    h_only = VarRegistry(["h"])
+    with pytest.raises(KeyError):
+        H.substitute({"beta": 1})
+    with pytest.raises(KeyError):
+        f.substitute({"beta": 1})
+    with pytest.raises(ValueError):
+        (ALPHA + H).substitute({"h": h_only.var("h")}, h_only)
+    with pytest.raises(ValueError):
+        f.substitute({"h": h_only.var("h")}, h_only)
+    # a vanishing factor is a pole, also where the numerator vanishes too
+    with pytest.raises(PoleError):
+        f.substitute({"h": -ALPHA})
+    with pytest.raises(PoleError):
+        f.substitute({"alpha": 0, "h": 0})
 
 
 def test_substitute_is_simultaneous():
@@ -552,6 +572,14 @@ def test_cancellation_where_the_rules_allow_it():
     assert canonical(a.reciprocal()) == canonical(RatFunc.from_poly(g))
 
 
+def test_divide_exact_rejects_on_the_trailing_monomial(monkeypatch):
+    # the leading monomials of x^2 + 1 and x^2 + x divide, the trailing ones
+    # do not, so the division fails before the heap loop would start
+    monkeypatch.setattr(exactalg, "heapq", None)
+    x = PREG.var("x")
+    assert (x**2 + 1).divide_exact(x**2 + x) is None
+
+
 def test_divide_exact_fraction_and_nonprimitive_paths():
     x, y = PREG.var("x"), PREG.var("y")
     half = x.scale(Fraction(1, 2)) + y
@@ -692,3 +720,72 @@ def test_text_round_trip_matches_sympy(data):
     )
     want = sympy_of(num) / (scale * sympy.Mul(*[sympy_of(d) for d in dens]))
     assert sympy.cancel(read - want) == 0
+
+
+def divide_per_factor(f, bindings):
+    # substitute the numerator and each factor apart, dividing by each image
+    out = f.num.substitute(bindings) * f.scalar
+    for g, m in f.factors:
+        image = g.substitute(bindings)
+        if image.is_zero:
+            raise PoleError("a denominator factor vanishes")
+        for _ in range(m):
+            out = out / image
+    return out
+
+
+def test_substitute_cancels_what_the_images_share():
+    # z -> y turns the factor (x + z)^2 into (x + y)^2, one copy of which
+    # cancels against the numerator
+    x, y, z = (PREG.var(nm) for nm in PREG.names)
+    f = RatFunc.from_factored(x + y, [x + z, x + z, x - y])
+    got = f.substitute({"z": y})
+    assert canonical(got) == canonical(RatFunc.from_factored(PREG.one(), [x + y, x - y]))
+    assert got.text() == divide_per_factor(f, {"z": y}).text()
+
+
+def field_value(p, point):
+    # p at a point of sympy's rational function field, one element per variable
+    total = point[0].field.zero
+    for mono, c in p.monomials():
+        term = point[0].field(Fraction(c))
+        for v, e in zip(point, mono):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_matches_per_factor_division_and_sympy(data):
+    # repeated and shared linear factors; each variable is kept, or bound to
+    # a constant, a linear form or the reciprocal of one.  sympy's field of
+    # rational functions reduces by gcd, so equal values are equal elements.
+    sympy = pytest.importorskip("sympy")
+    pool = data.draw(st.lists(linear_forms(), min_size=2, max_size=4))
+    f = data.draw(linear_ratfuncs(pool))
+    values = st.one_of(
+        st.none(), st.integers(-3, 3), linear_forms(),
+        linear_forms().map(lambda g: g.scale(Fraction(1, 2))),
+        linear_forms().map(lambda g: RatFunc.from_factored(PREG.one(), [g])),
+    )
+    bindings = {nm: v for nm in PREG.names if (v := data.draw(values)) is not None}
+    try:
+        want = divide_per_factor(f, bindings)
+    except PoleError:
+        with pytest.raises(PoleError):
+            f.substitute(bindings)
+        return
+    got = f.substitute(bindings)
+    assert got.text() == want.text()
+
+    field, *gens = sympy.field(",".join(PREG.names), sympy.QQ)
+
+    def value(v):
+        if isinstance(v, RatFunc):
+            return field_value(v.numerator, gens) / field_value(v.denominator, gens)
+        return field_value(v, gens) if isinstance(v, MultiPoly) else field(v)
+
+    point = [value(bindings[nm]) if nm in bindings else g for nm, g in zip(PREG.names, gens)]
+    assert value(got) == field_value(f.numerator, point) / field_value(f.denominator, point)

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from qcseries import toda3
+from qcseries import flaggw, toda3
 from qcseries.exactalg import RatFunc
 from qcseries.toda3 import (
     ALPHA_REGISTRY,
@@ -276,6 +276,37 @@ def test_flag_bridge_fails_on_a_wrong_closed_coefficient(monkeypatch):
     )
     report = verify_corollary_3_5(3)
     assert [loc for loc, _, _ in report.failures] == ["i=1 j=1"]
+
+
+def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
+    # doubling every term of the s_1 table's recursion corrupts the identity
+    # entries that read it, so the identity-only solve still reads the other
+    # tables
+    terms = flaggw._recursion_terms
+    s1 = flaggw._a2_setup().system.simple_reflections[0]
+
+    def doubled(setup, bmax, elements):
+        return [
+            (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
+             if w == s1 else ts)
+            for w, ts in terms(setup, bmax, elements)
+        ]
+
+    monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
+    report = verify_corollary_3_5(3)
+    assert [loc for loc, _, _ in report.failures] == [
+        "i=1 j=1", "i=1 j=2", "i=2 j=0", "i=2 j=1", "i=3 j=0",
+    ]
+
+
+def test_identity_only_solve_matches_the_full_solve():
+    setup = flaggw._a2_setup()
+    identity = setup.system.identity
+    full = {t.w: t for t in flaggw.solve_flag_recursion(setup, (4, 4), total_max=4)}
+    (alone,) = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4, elements=[identity])
+    assert alone.w == identity
+    assert {b: c.text() for b, c in alone.coeffs.items()} == \
+        {b: c.text() for b, c in full[identity].coeffs.items()}
 
 
 def test_closed_solution_specialization_tower():
