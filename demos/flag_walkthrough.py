@@ -20,10 +20,10 @@ print("simple alpha_1, k=2:", coeff_C_id(setup, system.simple_roots[0], 2).text(
 print("long root,      k=2:", coeff_C_id(setup, A2_THETA, 2).text())
 
 # solve the recursion for all six series at once, up to total degree 2
-tables = {t.w: t for t in flaggw.solve_flag_recursion(setup, (2, 2), total_max=2)}
+tables = flaggw.solve_flag_recursion(setup, (2, 2), total_max=2)
 z_id = tables[system.identity]
-for beta in sorted(z_id.coeffs, key=lambda b: (sum(b), b)):
-    print(f"identity series, beta={beta}: {z_id.coefficient(beta).text()}")
+for beta in sorted(z_id, key=lambda b: (sum(b), b)):
+    print(f"identity series, beta={beta}: {z_id[beta].text()}")
 
 # every coefficient of every series is fixed by the identity series through
 # the Weyl action; the verifier checks the recursion wiring underneath

@@ -21,12 +21,11 @@ for d in range(4):
     print(f"  d={d}  {substitute(projgw.closed_b(setup, 0, d), to_lambda).text()}")
 
 # route two: solve the coupling recursion degree by degree
-tables = projgw.solve_recursion(setup, 3)
-table0 = next(t for t in tables if t.i == 0)
+table0 = projgw.solve_recursion(setup, 3)[0]
 
 # both routes must agree exactly, degree by degree
 for d in range(4):
-    assert table0.coefficient(d) == projgw.closed_b(setup, 0, d)
+    assert table0[d] == projgw.closed_b(setup, 0, d)
 print("solver output equals the closed form through degree 3")
 
 # the coupling coefficients that drive the recursion are tiny and exact
@@ -37,7 +36,7 @@ for k in (1, 2, 3):
 # rewriting the weights as a single root variable gives the familiar
 # hypergeometric shape of the series
 target, bindings = _proj_chart(1, "part1")
-texts = [substitute(table0.coefficient(d), bindings, target).text() for d in range(3)]
+texts = [substitute(table0[d], bindings, target).text() for d in range(3)]
 print("series at fixed point 0:", q_series_text(texts))
 
 # the independent verifier replays the recursion by direct substitution

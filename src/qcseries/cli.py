@@ -115,12 +115,12 @@ def _series_proj(args):
         else:
             target, bindings = setup.registry, setup.to_lambda()
         rows, sums = [], []
-        for table in sorted(tables, key=lambda t: t.i):
+        for i, table in tables.items():
             texts = []
             for d in range(d_max + 1):
-                texts.append(substitute(table.coefficient(d), bindings, target).text())
-                rows.append(f"row i={table.i} d={d} {texts[-1]}")
-            sums.append(f"series i={table.i} {q_series_text(texts)}")
+                texts.append(substitute(table[d], bindings, target).text())
+                rows.append(f"row i={i} d={d} {texts[-1]}")
+            sums.append(f"series i={i} {q_series_text(texts)}")
         return lines + rows + sums
     return run
 
@@ -139,11 +139,11 @@ def _series_flag(args, rank: int):
                  f"param max={bound}"]
 
     def run() -> list[str]:
-        for table in flaggw.solve_flag_recursion(setup, bmax, total_max=total_max):
-            word = table.w.word_text()
-            for beta in sorted(table.coeffs, key=lambda b: (sum(b), b)):
+        for w, table in flaggw.solve_flag_recursion(setup, bmax, total_max=total_max).items():
+            word = w.word_text()
+            for beta in sorted(table, key=lambda b: (sum(b), b)):
                 coord = ",".join(str(b) for b in beta)
-                lines.append(f"row w={word} beta={coord} {table.coeffs[beta].text()}")
+                lines.append(f"row w={word} beta={coord} {table[beta].text()}")
         return lines
     return run
 
@@ -428,10 +428,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = "\n".join(lines) + "\n"
         if out is None:
             sys.stdout.write(text)
-        else:
-            if out.seekable():
-                out.truncate(0)
-            out.write(text)
+            return code
+        try:
+            # closed here, so that a failed flush is reported as well
+            with out:
+                if out.seekable():
+                    out.truncate(0)
+                out.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     return code
 
 

@@ -502,15 +502,14 @@ class MultiPoly:
                    target: VarRegistry | None = None) -> "RatFunc":
         """Exact image under the evaluation homomorphism given by bindings.
 
-        Bound variables are replaced simultaneously by their values (RatFunc,
-        MultiPoly, or rational constants over `target`); unbound variables
-        must exist in `target` by name.  Default target is this registry.
-        When no value has a denominator the image is a polynomial: it is
+        Bound variables are replaced simultaneously by their values over
+        `target`: a MultiPoly, a rational constant, or a RatFunc without a
+        denominator; any other value raises.  Unbound variables must exist
+        in `target` by name.  Default target is this registry.  The image is
         built in MultiPoly arithmetic and normalized once.
         """
         ev = _Evaluation(self.registry, _union(self), bindings, target)
-        img = ev.image(self)
-        return RatFunc.from_poly(img) if ev.polynomial else img
+        return RatFunc.from_poly(ev.image(self))
 
     # -- text ------------------------------------------------------------
 
@@ -555,25 +554,33 @@ def _poly_text(p: MultiPoly) -> str:
 class _Evaluation:
     """The evaluation homomorphism of one substitution, prepared once.
 
-    The bindings are coerced and the unbound variables that occur are mapped
-    into the target once, and one power cache serves every polynomial the
-    substitution maps.  `occurs` is a packed monomial whose nonzero fields
-    mark the variables that those polynomials use.  When no value has a
-    denominator, `polynomial` is set and `image` returns a MultiPoly;
-    otherwise it returns a RatFunc.
+    Each binding is turned into a MultiPoly over the target and the unbound
+    variables that occur are mapped into the target once, and one power
+    cache serves every polynomial the substitution maps.  `occurs` is a
+    packed monomial whose nonzero fields mark the variables that those
+    polynomials use.  A value is a MultiPoly over the target, a rational
+    constant, or a RatFunc without a denominator: ValueError for a value
+    with a denominator or over another registry, TypeError for any other.
     """
 
-    __slots__ = ("target", "values", "resid", "polynomial", "_powers")
+    __slots__ = ("target", "values", "resid", "_powers")
 
     def __init__(self, source: VarRegistry, occurs: int, bindings: Mapping[str, object],
                  target: VarRegistry | None):
         target = target if target is not None else source
         occurs = source._unpack(occurs)
-        bound: dict[int, RatFunc] = {}
+        values: dict[int, MultiPoly] = {}
         resid: dict[int, int] = {}
         for i, nm in enumerate(source.names):
             if nm in bindings:
-                bound[i] = RatFunc.coerce(target, bindings[nm])
+                v = bindings[nm]
+                if isinstance(v, RatFunc):
+                    v = v.as_poly()
+                if not isinstance(v, MultiPoly):
+                    v = target.const(v)
+                elif v.registry != target:
+                    raise ValueError("registry mismatch between operands")
+                values[i] = v
             elif occurs[i]:
                 if nm not in target:
                     raise ValueError(f"variable {nm!r} unbound and absent from target registry")
@@ -583,11 +590,10 @@ class _Evaluation:
                 raise KeyError(f"binding for unknown variable {nm!r}")
         self.target = target
         self.resid = resid
-        self.polynomial = not any(v.factors for v in bound.values())
-        self.values = {i: v.numerator for i, v in bound.items()} if self.polynomial else bound
-        self._powers: dict[tuple[int, int], MultiPoly | RatFunc] = {}
+        self.values = values
+        self._powers: dict[tuple[int, int], MultiPoly] = {}
 
-    def _power(self, i: int, e: int):
+    def _power(self, i: int, e: int) -> MultiPoly:
         got = self._powers.get((i, e))
         if got is None:
             got = self.values[i] ** e
@@ -600,21 +606,8 @@ class _Evaluation:
             tm[j] = mono[i]
         return self.target._pack(tm)
 
-    def image(self, p: MultiPoly) -> "MultiPoly | RatFunc":
-        target = self.target
+    def image(self, p: MultiPoly) -> MultiPoly:
         unpack = p.registry._unpack
-        if not self.polynomial:
-            total = RatFunc.zero(target)
-            lex = p.registry._lex_mask
-            for m in sorted(p.terms, key=lex.__and__):
-                mono = unpack(m)
-                acc = RatFunc.from_poly(MultiPoly._raw(target, {self._residual(mono): p.terms[m]}))
-                for i in self.values:
-                    e = mono[i]
-                    if e:
-                        acc = acc * self._power(i, e)
-                total = total + acc
-            return total
         # terms that share their bound exponents share one product of powers
         groups: dict[Mono, dict[int, Coeff]] = {}
         for m, c in p.terms.items():
@@ -622,12 +615,12 @@ class _Evaluation:
             groups.setdefault(tuple(mono[i] for i in self.values), {})[self._residual(mono)] = c
         out: dict[int, Coeff] = {}
         for exps, terms in groups.items():
-            img = MultiPoly._raw(target, terms)
+            img = MultiPoly._raw(self.target, terms)
             for i, e in zip(self.values, exps):
                 if e:
                     img = self._power(i, e) * img
             _accumulate(out, img.terms)
-        return MultiPoly._raw(target, out)
+        return MultiPoly._raw(self.target, out)
 
 
 def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -947,17 +940,18 @@ class RatFunc:
                    target: VarRegistry | None = None) -> "RatFunc":
         """Simultaneous exact substitution; raises PoleError on a vanishing denominator.
 
-        One prepared evaluation maps the numerator and every factor.  When
-        every image is a polynomial, the image is built in one reduction:
-        its scalar is the numerator image's content times `scalar` over each
-        factor image's content to its multiplicity, its factors are the
-        factor images' primitive parts, and each is trial-divided out of the
-        numerator image up to its total multiplicity.  For linear images
-        (every check's case) that is the canonical form that dividing by the
-        images one at a time reaches: a linear form is prime, so both cancel
-        it min(its multiplicity in the numerator image, its total
-        multiplicity) times.  Images with a denominator are divided out one
-        at a time, so the image keeps its split denominator.
+        A value is a MultiPoly over the target, a rational constant, or a
+        RatFunc without a denominator; any other value raises (see
+        `MultiPoly.substitute`).  One prepared evaluation maps the numerator
+        and every factor to polynomials, and the image is built in one
+        reduction: its scalar is the numerator image's content times
+        `scalar` over each factor image's content to its multiplicity, its
+        factors are the factor images' primitive parts, and each is
+        trial-divided out of the numerator image up to its total
+        multiplicity.  For linear images (every check's case) that is the
+        canonical form that dividing by the images one at a time reaches: a
+        linear form is prime, so both cancel it min(its multiplicity in the
+        numerator image, its total multiplicity) times.
         """
         occurs = _union(self.num)
         for f, _ in self.factors:
@@ -972,12 +966,7 @@ class RatFunc:
             if fr.is_zero:
                 raise PoleError("substitution makes a denominator factor vanish")
             dens += [fr] * m
-        if ev.polynomial:
-            return RatFunc.from_factored(num, dens, 1 / self.scalar)
-        out = num * self.scalar
-        for fr in dens:
-            out = out / fr
-        return out
+        return RatFunc.from_factored(num, dens, 1 / self.scalar)
 
     # -- text -------------------------------------------------------------------
 
@@ -1021,7 +1010,11 @@ class RatFunc:
 
 def substitute(f: RatFunc | MultiPoly, bindings: Mapping[str, object],
                target: VarRegistry | None = None) -> RatFunc:
-    """Exact evaluation homomorphism on a polynomial or rational function."""
+    """Exact evaluation homomorphism on a polynomial or rational function.
+
+    A value is a MultiPoly over the target, a rational constant, or a
+    RatFunc without a denominator; any other value raises.
+    """
     return f.substitute(bindings, target)
 
 

@@ -20,7 +20,6 @@ the closed form whose residues regenerate the recursion coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -115,24 +114,6 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
 # -- the solver ----------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class FlagSeriesTable:
-    """Per Weyl element: multidegree (coroot coordinates) -> coefficient."""
-
-    setup: FlagSetup
-    w: WeylElement
-    coeffs: dict[tuple[int, ...], RatFunc]
-
-    def __post_init__(self):
-        zero = (0,) * self.setup.rank
-        if zero in self.coeffs:
-            if self.coeffs[zero] != RatFunc.one(self.setup.registry):
-                raise ValueError("multidegree-0 coefficient must be 1")
-
-    def coefficient(self, beta: tuple[int, ...]) -> RatFunc:
-        return self.coeffs[tuple(beta)]
-
-
 def _beta_range(bmax: tuple[int, ...]):
     betas = list(itertools.product(*(range(b + 1) for b in bmax)))
     betas.sort(key=lambda b: (sum(b), b))
@@ -181,10 +162,11 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
 
 def solve_flag_recursion(setup: FlagSetup, beta_max,
                          total_max: int | None = None,
-                         elements=None) -> list[FlagSeriesTable]:
-    """Build the per-Weyl-element tables from multidegree 0 upward.
+                         elements=None) -> dict[WeylElement, dict[tuple[int, ...], RatFunc]]:
+    """Build the per-Weyl-element tables {w: {beta: coefficient}} from multidegree 0 upward.
 
-    The pole attached to a (w, alpha, k) term is k*h + w(alpha).
+    A multidegree beta is in coroot coordinates, and the pole attached to a
+    (w, alpha, k) term is k*h + w(alpha).
 
     total_max, if given, skips multidegrees whose coordinate sum exceeds it;
     the recursion only ever reads strictly smaller sums, so the triangle is
@@ -206,11 +188,10 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
         raise ValueError("need one nonnegative bound per simple coroot")
     betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
     elements = system.weyl_elements if elements is None else elements
-    tables = projgw.solve_tables(
+    return projgw.solve_tables(
         setup.registry, _recursion_terms(setup, bmax, system.weyl_elements), betas,
         elements,
     )
-    return [FlagSeriesTable(setup, w, tables[w]) for w in elements]
 
 
 # -- rank-two type-A closed form -----------------------------------------------------
@@ -269,7 +250,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         reg = setup.registry
         alpha = reg.var("alpha_1")
         s1 = system.simple_reflections[0]
-        tables = {t.w: t for t in solve_flag_recursion(setup, (d_max,))}
+        tables = solve_flag_recursion(setup, (d_max,))
         z_id = tables[system.identity]
         z_s1 = tables[s1]
 
@@ -278,12 +259,12 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         for d in range(d_max + 1):
             report.check_equal(
                 f"chart id d={d}",
-                substitute(z_id.coefficient((d,)), chart, proj.registry),
+                substitute(z_id[(d,)], chart, proj.registry),
                 projgw.closed_b(proj, 0, d),
             )
             report.check_equal(
                 f"chart s1 d={d}",
-                substitute(z_s1.coefficient((d,)), chart, proj.registry),
+                substitute(z_s1[(d,)], chart, proj.registry),
                 projgw.closed_b(proj, 1, d),
             )
             # shifted-factorial closed form and the alpha -> -alpha flip
@@ -291,11 +272,11 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
                 reg.one(), [setup.h.scale(m) + alpha for m in range(1, d + 1)],
                 scale=factorial(d),
             )
-            report.check_equal(f"closed d={d}", z_id.coefficient((d,)), closed)
+            report.check_equal(f"closed d={d}", z_id[(d,)], closed)
             report.check_equal(
                 f"flip d={d}",
-                substitute(z_id.coefficient((d,)), {"alpha_1": -alpha}),
-                z_s1.coefficient((d,)),
+                substitute(z_id[(d,)], {"alpha_1": -alpha}),
+                z_s1[(d,)],
             )
     return report
 

@@ -29,7 +29,6 @@ applying phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -151,22 +150,6 @@ def _cover_form(setup: ProjSetup, i: int, j: int, k: int, b: int,
 # -- series tables -------------------------------------------------------------------
 
 
-@dataclass
-class ProjSeriesTable:
-    """Per fixed point: map q-degree -> coefficient."""
-
-    setup: ProjSetup
-    i: int
-    coeffs: dict[int, RatFunc]
-
-    def __post_init__(self):
-        if 0 in self.coeffs and self.coeffs[0] != RatFunc.one(self.setup.registry):
-            raise ValueError("degree-0 coefficient must be 1")
-
-    def coefficient(self, d: int) -> RatFunc:
-        return self.coeffs[d]
-
-
 def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
                   lower) -> RatFunc:
     """Right side of a fixed-point recursion at a (multi)degree.
@@ -236,13 +219,15 @@ def _recursion_terms(setup: ProjSetup, k_max: int) -> list[tuple[int, list]]:
     return per_i
 
 
-def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
+def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc]]:
     """Build all tables from degree 0 upward using only the recursion data.
 
-    The tables are in the b normalization of `closed_b`, except in dimension
-    0, whose single table is in the B normalization of `closed_B`.  Like
-    every value here they are normalized to lambda_0 = 0; substituting
-    `setup.to_lambda()` gives them in lambda_0..lambda_n.
+    Returns {i: {d: coefficient}} for every fixed point i and degree
+    0 <= d <= d_max, with i and d ascending.  The tables are in the b
+    normalization of `closed_b`, except in dimension 0, whose single table
+    is in the B normalization of `closed_B`.  Like every value here they
+    are normalized to lambda_0 = 0; substituting `setup.to_lambda()` gives
+    them in lambda_0..lambda_n.
     """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
@@ -251,14 +236,10 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> list[ProjSeriesTable]:
         # the exponential closed form is exact here
         one = RatFunc.one(setup.registry)
         h = RatFunc.from_poly(setup.h)
-        coeffs = {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}
-        return [ProjSeriesTable(setup, 0, coeffs)]
+        return {0: {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}}
     tables = solve_tables(setup.registry, _recursion_terms(setup, d_max),
                           [(d,) for d in range(d_max + 1)])
-    return [
-        ProjSeriesTable(setup, i, {d: c for (d,), c in tables[i].items()})
-        for i in setup.points()
-    ]
+    return {i: {d: c for (d,), c in table.items()} for i, table in tables.items()}
 
 
 # -- verification --------------------------------------------------------------------
@@ -282,7 +263,7 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
             report.note("no recursion terms in dimension 0; exponential form checked")
             table = solve_recursion(setup, d_max)[0]
             for d in range(d_max + 1):
-                report.check_equal(f"d={d}", table.coefficient(d), closed_B(setup, 0, d))
+                report.check_equal(f"d={d}", table[d], closed_B(setup, 0, d))
             return report
         if method == "direct":
             terms = dict(_recursion_terms(setup, d_max))
@@ -310,13 +291,9 @@ def verify_solver(setup: ProjSetup, d_max: int) -> VerificationReport:
     """
     report = VerificationReport("proj-solver", {"n": setup.n, "max_d": d_max})
     with timed(report):
-        for table in solve_recursion(setup, d_max):
+        for i, table in solve_recursion(setup, d_max).items():
             for d in range(d_max + 1):
-                report.check_equal(
-                    f"i={table.i} d={d}",
-                    table.coefficient(d),
-                    closed_b(setup, table.i, d),
-                )
+                report.check_equal(f"i={i} d={d}", table[d], closed_b(setup, i, d))
     return report
 
 

@@ -413,15 +413,15 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     report = VerificationReport("corollary35", {"max_total": n_max})
     with timed(report):
         setup = flaggw._a2_setup()
-        (z_id,) = flaggw.solve_flag_recursion(
+        z_id = flaggw.solve_flag_recursion(
             setup, (n_max, n_max), total_max=n_max, elements=[setup.system.identity]
-        )
+        )[setup.system.identity]
         h = RatFunc.from_poly(ALPHA_REGISTRY.var("h"))
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):
                 report.check_equal(
                     f"i={i} j={j}",
-                    z_id.coefficient((i, j)) / h ** (i + j),
+                    z_id[(i, j)] / h ** (i + j),
                     closed_a_equivariant(i, j),
                 )
     return report

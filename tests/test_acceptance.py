@@ -34,19 +34,18 @@ def test_01_projective_recursion_matches_closed_form():
         setup = projgw.ProjSetup(n)
         tables = projgw.solve_recursion(setup, d_max)
         assert len(tables) == n + 1
-        for table in tables:
+        for i, table in tables.items():
             for d in range(d_max + 1):
-                assert table.coefficient(d) == projgw.closed_b(setup, table.i, d)
+                assert table[d] == projgw.closed_b(setup, i, d)
         _ok(projgw.verify_theorem_3_3(setup, d_max, "direct"))
     print("PASS 01 projective solver equals closed form, recursion verified")
 
 
 def test_02_rank_one_series_renders_exactly():
-    tables = projgw.solve_recursion(projgw.ProjSetup(1), 2)
-    table = next(t for t in tables if t.i == 0)
+    table = projgw.solve_recursion(projgw.ProjSetup(1), 2)[0]
     target, bindings = cli._proj_chart(1, "part1")
     texts = [
-        substitute(table.coefficient(d), bindings, target).text()
+        substitute(table[d], bindings, target).text()
         for d in range(3)
     ]
     assert (

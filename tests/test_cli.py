@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so exit codes, stdout bytes, and
 stderr diagnostics are exercised exactly as a shell user would see them.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -158,6 +159,24 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, where,
     code, out, err = run(capsys, "verify", "batyrev", "--max", "1", "--out", str(path))
     assert code == 2 and out == ""
     assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_that_fails_is_usage_error(capsys, monkeypatch):
+    # /dev/full refuses the truncate; a file that is not seekable skips it,
+    # so its write fails when the buffer is flushed on close
+    code, out, err = run(capsys, "verify", "batyrev", "--out", "/dev/full")
+    assert (code, out, err) == (2, "", "error: cannot write --out /dev/full: Invalid argument\n")
+
+    class Unseekable(io.TextIOWrapper):
+        def seekable(self):
+            return False
+
+    monkeypatch.setattr(cli, "open", lambda path, mode, encoding: Unseekable(
+        open(path, mode + "b"), encoding=encoding), raising=False)
+    code, out, err = run(capsys, "verify", "batyrev", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write --out /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -169,6 +169,17 @@ def test_ratfunc_substitute_raises_like_multipoly_substitute():
         (ALPHA + H).substitute({"h": h_only.var("h")}, h_only)
     with pytest.raises(ValueError):
         f.substitute({"h": h_only.var("h")}, h_only)
+    # a polynomial value over a registry other than the target
+    for g in (H, f):
+        with pytest.raises(ValueError):
+            g.substitute({"h": h_only.var("h")})
+    # a value is a polynomial: one with a denominator factor raises
+    reciprocal = rf(1) / rf(ALPHA)
+    for g in (H, f):
+        with pytest.raises(ValueError):
+            g.substitute({"h": reciprocal})
+        with pytest.raises(ValueError):
+            substitute(g, {"h": reciprocal})
     # a vanishing factor is a pole, also where the numerator vanishes too
     with pytest.raises(PoleError):
         f.substitute({"h": -ALPHA})
@@ -663,22 +674,18 @@ def test_divide_exact_fails_exactly_when_sympy_leaves_a_remainder(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_substitute_matches_sympy(data):
-    # each variable is kept, bound to a small constant, a small polynomial or
-    # the reciprocal of one; sympy substitutes simultaneously
+    # each variable is kept, bound to a small constant or a small polynomial;
+    # sympy substitutes simultaneously
     sympy = pytest.importorskip("sympy")
     reg = data.draw(st.sampled_from(SYMPY_REGS))
     p = data.draw(registry_polys(reg, maxdeg=2))
-    nonconstant = registry_polys(reg, min_size=1, max_size=2, maxdeg=1).filter(
-        lambda f: not f.is_const)
     values = st.one_of(
         st.none(), st.integers(-3, 3), registry_polys(reg, max_size=2, maxdeg=1),
-        nonconstant.map(lambda f: RatFunc.from_factored(reg.one(), [f])),
     )
     bindings = {nm: v for nm in reg.names if (v := data.draw(values)) is not None}
     got = p.substitute(bindings)
-    if not any(isinstance(v, RatFunc) for v in bindings.values()):
-        # a polynomial image is built as a polynomial
-        assert got.factors == ()
+    # a polynomial image is built as a polynomial
+    assert got.factors == ()
 
     def as_sympy(v):
         if isinstance(v, RatFunc):
@@ -760,15 +767,14 @@ def field_value(p, point):
 @given(st.data())
 def test_substitute_matches_per_factor_division_and_sympy(data):
     # repeated and shared linear factors; each variable is kept, or bound to
-    # a constant, a linear form or the reciprocal of one.  sympy's field of
-    # rational functions reduces by gcd, so equal values are equal elements.
+    # a constant or a linear form.  sympy's field of rational functions
+    # reduces by gcd, so equal values are equal elements.
     sympy = pytest.importorskip("sympy")
     pool = data.draw(st.lists(linear_forms(), min_size=2, max_size=4))
     f = data.draw(linear_ratfuncs(pool))
     values = st.one_of(
         st.none(), st.integers(-3, 3), linear_forms(),
         linear_forms().map(lambda g: g.scale(Fraction(1, 2))),
-        linear_forms().map(lambda g: RatFunc.from_factored(PREG.one(), [g])),
     )
     bindings = {nm: v for nm in PREG.names if (v := data.draw(values)) is not None}
     try:

@@ -10,7 +10,6 @@ from qcseries.exactalg import RatFunc, VarRegistry, homogeneous_degree, substitu
 from qcseries.flaggw import (
     A2_THETA,
     FlagSetup,
-    FlagSeriesTable,
     _pole_weight,
     a2_closed_coeff,
     coeff_C_id,
@@ -112,34 +111,33 @@ def test_coeff_entry_type_checks_degree():
 def test_solver_rank_one_closed_form():
     reg = A1.registry
     alpha, h = reg.var("alpha_1"), reg.var("h")
-    tables = {t.w: t for t in solve_flag_recursion(A1, 4)}
+    tables = solve_flag_recursion(A1, 4)
     z_id = tables[A1.system.identity]
     z_s1 = tables[A1.system.simple_reflections[0]]
     for d in range(5):
         dens = [alpha + h.scale(m) for m in range(1, d + 1)]
-        assert z_id.coefficient((d,)) == RatFunc.from_factored(
+        assert z_id[(d,)] == RatFunc.from_factored(
             reg.one(), dens, scale=factorial(d)
         )
         flipped = [h.scale(m) - alpha for m in range(1, d + 1)]
-        assert z_s1.coefficient((d,)) == RatFunc.from_factored(
+        assert z_s1[(d,)] == RatFunc.from_factored(
             reg.one(), flipped, scale=factorial(d)
         )
 
 
 def test_solver_rank_two_matches_closed_form_all_elements():
-    tables = {t.w: t for t in solve_flag_recursion(A2, (2, 2))}
+    tables = solve_flag_recursion(A2, (2, 2))
     system = A2.system
     for w, table in tables.items():
         for i in range(3):
             for j in range(3):
                 want = system.act_on_ratfunc(w, a2_closed_coeff(A2, i, j))
-                assert table.coefficient((i, j)) == want, (w, i, j)
+                assert table[(i, j)] == want, (w, i, j)
 
 
 def test_solver_grading():
-    tables = {t.w: t for t in solve_flag_recursion(A2, (2, 2))}
-    z_id = tables[A2.system.identity]
-    for (i, j), c in z_id.coeffs.items():
+    z_id = solve_flag_recursion(A2, (2, 2))[A2.system.identity]
+    for (i, j), c in z_id.items():
         assert homogeneous_degree(c) == -(i + j)
 
 
@@ -148,18 +146,15 @@ def test_solver_caps():
         solve_flag_recursion(FlagSetup(RootSystem(CartanMatrix.type_A(4))), 1)
     with pytest.raises(ValueError):
         solve_flag_recursion(A2, (1,))
-    with pytest.raises(ValueError):
-        FlagSeriesTable(A1, A1.system.identity, {(0,): RatFunc.zero(A1.registry)})
 
 
 def test_solver_rank_three_smoke():
-    tables = {t.w: t for t in solve_flag_recursion(A3, (1, 1, 0))}
-    z_id = tables[A3.system.identity]
+    z_id = solve_flag_recursion(A3, (1, 1, 0))[A3.system.identity]
     reg = A3.registry
     a1, h = reg.var("alpha_1"), reg.var("h")
-    assert z_id.coefficient((0, 0, 0)) == RatFunc.one(reg)
-    assert z_id.coefficient((1, 0, 0)) == RatFunc.one(reg) / RatFunc.from_poly(h + a1)
-    for beta, c in z_id.coeffs.items():
+    assert z_id[(0, 0, 0)] == RatFunc.one(reg)
+    assert z_id[(1, 0, 0)] == RatFunc.one(reg) / RatFunc.from_poly(h + a1)
+    for beta, c in z_id.items():
         assert homogeneous_degree(c) == -sum(beta)
 
 

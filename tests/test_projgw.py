@@ -8,7 +8,6 @@ from qcseries import projgw
 from qcseries.exactalg import RatFunc, homogeneous_degree, substitute
 from qcseries.projgw import (
     ProjSetup,
-    ProjSeriesTable,
     closed_B,
     closed_b,
     euler_e,
@@ -187,28 +186,29 @@ def test_homogeneity_degrees():
 def test_solver_matches_closed_forms():
     for setup, dmax in ((P1, 4), (P2, 3)):
         tables = solve_recursion(setup, dmax)
-        for t in tables:
+        assert list(tables) == list(setup.points())
+        for i, table in tables.items():
             for d in range(dmax + 1):
-                assert t.coefficient(d) == closed_b(setup, t.i, d)
+                assert table[d] == closed_b(setup, i, d)
 
 
 def test_solver_dimension_zero_is_exponential():
     p0 = ProjSetup(0)
-    (table,) = solve_recursion(p0, 3)
+    tables = solve_recursion(p0, 3)
+    assert list(tables) == [0]
+    table = tables[0]
     for d in range(4):
-        assert table.coefficient(d) == closed_B(p0, 0, d)
+        assert table[d] == closed_B(p0, 0, d)
     h = RatFunc.from_poly(p0.h)
-    assert table.coefficient(2) == RatFunc.one(p0.registry) / (h**2 * 2)
-    assert table.coefficient(3) == RatFunc.one(p0.registry) / (h**3 * 6)
+    assert table[2] == RatFunc.one(p0.registry) / (h**2 * 2)
+    assert table[3] == RatFunc.one(p0.registry) / (h**3 * 6)
 
 
 def test_table_form_conversions():
     # a solver table in the b form becomes the B form on dividing by h^d
     h = RatFunc.from_poly(P1.h)
-    for t in solve_recursion(P1, 2):
-        assert t.coefficient(2) / h**2 == closed_B(P1, t.i, 2)
-    with pytest.raises(ValueError):
-        ProjSeriesTable(P1, 0, {0: closed_b(P1, 0, 1)})
+    for i, table in solve_recursion(P1, 2).items():
+        assert table[2] / h**2 == closed_B(P1, i, 2)
 
 
 # -- verification reports ------------------------------------------------------------

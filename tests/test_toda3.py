@@ -302,11 +302,15 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
 def test_identity_only_solve_matches_the_full_solve():
     setup = flaggw._a2_setup()
     identity = setup.system.identity
-    full = {t.w: t for t in flaggw.solve_flag_recursion(setup, (4, 4), total_max=4)}
-    (alone,) = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4, elements=[identity])
-    assert alone.w == identity
-    assert {b: c.text() for b, c in alone.coeffs.items()} == \
-        {b: c.text() for b, c in full[identity].coeffs.items()}
+    full = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4)
+    alone = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4, elements=[identity])
+    assert list(alone) == [identity]
+    assert {b: c.text() for b, c in alone[identity].items()} == \
+        {b: c.text() for b, c in full[identity].items()}
+    # the tables come back keyed in the order the elements are given
+    s1 = setup.system.simple_reflections[0]
+    assert list(flaggw.solve_flag_recursion(setup, (1, 1), elements=[s1, identity])) == \
+        [s1, identity]
 
 
 def test_closed_solution_specialization_tower():
