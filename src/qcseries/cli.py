@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import os
 import sys
 from typing import Sequence
 
@@ -352,6 +352,9 @@ def _run_checks(args, work) -> tuple[list[str], int]:
             broken.fail("runner", f"{type(exc).__name__}: {exc}", "no exception")
             reports.append(broken)
     if args.json:
+        # imported only here, as traceback above: text output does not need it
+        import json
+
         payload = {"format": "qcseries.verify.v1", "reports": [r.payload() for r in reports]}
         lines = [json.dumps(payload, sort_keys=True)]
     else:
@@ -398,6 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> bool:
+    """Write and flush stdout; on failure report it on stderr and return False."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        # the text stays buffered, and the interpreter's final flush would
+        # fail again, print a second error and exit 120; it goes to the null
+        # device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -427,8 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         text = "\n".join(lines) + "\n"
         if out is None:
-            sys.stdout.write(text)
-            return code
+            return code if _write_stdout(text) else 2
         try:
             # closed here, so that a failed flush is reported as well
             with out:

@@ -30,7 +30,6 @@ from .exactalg import (
     homogeneous_degree,
     partial_fractions,
     recombine,
-    shifted_factorial,
     substitute,
 )
 from .report import VerificationReport, timed
@@ -210,12 +209,19 @@ def _a2_setup() -> FlagSetup:
 A2_THETA = Root((1, 1))
 
 
+@cache
 def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
     """Closed bidegree-(i,j) coefficient of the rank-two type-A identity table.
 
-    Shifted factorials of the two simple roots and their sum over plain
-    factorials; the shared factors of the highest-root factorials cancel
-    against the numerator.
+    With (x)_p = (h + x)(2h + x)...(ph + x) and theta = alpha_1 + alpha_2,
+    the coefficient is (theta)_(i+j) over i! j! (alpha_1)_i (theta)_i
+    (alpha_2)_j (theta)_j.  A factor mh + theta with m <= i + j occurs once
+    above and [m <= i] + [m <= j] times below, so the quotient is built
+    cancelled: the mh + theta with max(i, j) < m <= i + j over i! j!
+    (alpha_1)_i (alpha_2)_j (theta)_min(i,j).  The linear forms mh + alpha_1,
+    mh + alpha_2 and mh + theta are distinct primes, so no two are
+    associates and nothing else cancels: this is the canonical form of the
+    uncancelled quotient.
     """
     if i < 0 or j < 0:
         raise ValueError("bidegree must be nonnegative")
@@ -224,14 +230,12 @@ def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
     a2 = reg.var("alpha_2")
     th = a1 + a2
     h = setup.h
-    num = shifted_factorial(reg, i + j, th, h)
-    dens = []
-    for m in range(1, i + 1):
-        dens.append(h.scale(m) + a1)
-        dens.append(h.scale(m) + th)
-    for m in range(1, j + 1):
-        dens.append(h.scale(m) + a2)
-        dens.append(h.scale(m) + th)
+    num = reg.one()
+    for m in range(max(i, j) + 1, i + j + 1):
+        num = num * (h.scale(m) + th)
+    dens = [h.scale(m) + a1 for m in range(1, i + 1)]
+    dens += [h.scale(m) + a2 for m in range(1, j + 1)]
+    dens += [h.scale(m) + th for m in range(1, min(i, j) + 1)]
     return RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
 
 

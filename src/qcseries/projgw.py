@@ -25,11 +25,21 @@ Two routes are therefore equal in mu exactly when they are equal in lambda,
 and comparing with lambda_0 = 0 drops no check while every polynomial
 carries one variable fewer.  `series proj` prints its tables in lambda by
 applying phi.
+
+Memoization rule: only the inputs a route reads are memoized, once per
+process.  These are the closed forms (`closed_b`) and the couplings
+(`recursion_coeff`), pure functions of the dimension and their indices,
+which `ProjSetup` hashes by.  A route's output is never memoized: solver
+tables, `recursion_sum` results and residue splits are computed afresh, so
+every comparison still computes both of its sides.  The memoized functions
+stay module-level names that callers look up at call time, so replacing one
+(as a negative control does) reaches every caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .exactalg import (
@@ -61,6 +71,12 @@ class ProjSetup:
             raise ValueError("dimension must be >= 0")
         self.n = n
         self.registry = VarRegistry([f"lambda_{i}" for i in range(n + 1)] + ["h"])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProjSetup) and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
     def lam(self, i: int) -> MultiPoly:
         if not 0 <= i <= self.n:
@@ -94,6 +110,7 @@ def euler_e(setup: ProjSetup, i: int) -> MultiPoly:
 # -- closed-form series coefficients ------------------------------------------------
 
 
+@cache
 def closed_b(setup: ProjSetup, i: int, d: int) -> RatFunc:
     """Coefficient of q^d in the s-normalization: 1/(d! prod_{j!=i} prod_m (lambda_i-lambda_j+mh))."""
     if d < 0:
@@ -119,6 +136,7 @@ def closed_B(setup: ProjSetup, i: int, d: int) -> RatFunc:
     return closed_b(setup, i, d) / RatFunc.from_poly(setup.h) ** d
 
 
+@cache
 def recursion_coeff(setup: ProjSetup, i: int, j: int, k: int) -> RatFunc:
     """Coupling coefficient between fixed points i and j for a k-fold cover."""
     if i == j:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 
 def _as_text(value) -> str:
@@ -18,14 +17,17 @@ def _as_text(value) -> str:
     return text() if callable(text) else str(value)
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    params: dict[str, object] = field(default_factory=dict)
-    status: str = "pass"
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    wall_ms: float | None = None
+    def __init__(self, check: str, params: dict[str, object] | None = None,
+                 status: str = "pass",
+                 failures: list[tuple[str, str, str]] | None = None,
+                 notes: list[str] | None = None, wall_ms: float | None = None):
+        self.check = check
+        self.params = {} if params is None else params
+        self.status = status
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+        self.wall_ms = wall_ms
 
     @property
     def ok(self) -> bool:

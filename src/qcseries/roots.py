@@ -16,7 +16,6 @@ non-finite input from spinning; hitting a cap raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import MultiPoly, RatFunc, VarRegistry
@@ -25,17 +24,48 @@ MAX_POSITIVE_ROOTS = 200
 MAX_WEYL_ELEMENTS = 10000
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class _Value:
+    """Read-only value object, equal and hashed by its one field.
+
+    The field is set once, in the subclass's __init__, through
+    object.__setattr__; assigning or deleting an attribute afterwards raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _key(self):
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._key(),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._key()!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CartanMatrix(_Value):
     """Integer Cartan matrix, rows indexed so that rows[i][j] = <alpha_j, alpha_i_check>."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        n = len(self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        n = len(rows)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
             for j, a in enumerate(row):
@@ -45,7 +75,7 @@ class CartanMatrix:
                     raise ValueError("Cartan diagonal must be 2")
                 if i != j and a > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if i != j and (a == 0) != (self.rows[j][i] == 0):
+                if i != j and (a == 0) != (rows[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
 
     @property
@@ -78,11 +108,13 @@ class CartanMatrix:
         return CartanMatrix(((2, -1), (-3, 2)))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Value):
     """Root written in the simple-root basis; integer coordinates."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_positive(self) -> bool:

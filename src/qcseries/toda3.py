@@ -22,7 +22,6 @@ h = 1 over the rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -120,25 +119,25 @@ class TodaOperator:
 # -- double series ---------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class BiSeries:
     """Truncated double series: coefficients for all index pairs with i+j <= order."""
 
-    registry: VarRegistry
-    order: int
-    coeffs: dict[tuple[int, int], RatFunc] = field(default_factory=dict)
+    __slots__ = ("registry", "order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, registry: VarRegistry, order: int,
+                 coeffs: dict[tuple[int, int], RatFunc] | None = None):
+        if order < 0:
             raise ValueError("truncation order must be >= 0")
         clean = {}
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError("indices must be nonnegative")
-            if i + j > self.order:
+            if i + j > order:
                 raise ValueError("coefficient beyond the truncation order")
             if not c.is_zero:
                 clean[(i, j)] = c
+        self.registry = registry
+        self.order = order
         self.coeffs = clean
 
     def coefficient(self, i: int, j: int) -> RatFunc:

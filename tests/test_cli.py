@@ -179,6 +179,23 @@ def test_out_write_that_fails_is_usage_error(capsys, monkeypatch):
     assert err == "error: cannot write --out /dev/full: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_write_that_fails_is_usage_error():
+    # a fresh interpreter, so that its final flush of stdout is exercised
+    # too: it must neither report the failure a second time nor change the
+    # exit code
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcseries", "verify", "batyrev", "--max", "2"],
+            cwd=root, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--max", "17"),
     ("--out", "missing/dir/x.out"),

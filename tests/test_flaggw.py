@@ -6,7 +6,13 @@ from math import factorial
 import pytest
 
 from qcseries import flaggw
-from qcseries.exactalg import RatFunc, VarRegistry, homogeneous_degree, substitute
+from qcseries.exactalg import (
+    RatFunc,
+    VarRegistry,
+    homogeneous_degree,
+    shifted_factorial,
+    substitute,
+)
 from qcseries.flaggw import (
     A2_THETA,
     FlagSetup,
@@ -175,6 +181,23 @@ def test_a2_closed_low_bidegrees():
     assert a2_closed_coeff(A2, 1, 1) == want
 
 
+def test_a2_closed_is_built_cancelled():
+    # reference: the whole shifted factorial of theta over every factor,
+    # cancelled by the trial divisions of from_factored
+    reg = A2.registry
+    a1, a2, h = reg.var("alpha_1"), reg.var("alpha_2"), reg.var("h")
+    th = a1 + a2
+    for total in range(9):
+        for i in range(total + 1):
+            j = total - i
+            num = shifted_factorial(reg, i + j, th, h)
+            dens = [h.scale(m) + a for m in range(1, i + 1) for a in (a1, th)]
+            dens += [h.scale(m) + a for m in range(1, j + 1) for a in (a2, th)]
+            old = RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
+            assert a2_closed_coeff(A2, i, j).text() == old.text(), (i, j)
+    assert a2_closed_coeff(A2, 2, 3) is a2_closed_coeff(A2, 2, 3)
+
+
 def test_a2_closed_symmetry():
     reg = A2.registry
     a1, a2 = reg.var("alpha_1"), reg.var("alpha_2")
@@ -218,7 +241,9 @@ def test_verify_a2_recursion_report():
 
 def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
     # the check reads its lower bidegrees from a2_closed_coeff, so a wrong
-    # value there must break the recursion one step up
+    # value there must break the recursion one step up, also once the
+    # memoized values are built
+    assert verify_a2_theorem_3_2(2).ok
     closed = flaggw.a2_closed_coeff
 
     def perturbed_at_1_0(setup, i, j):
@@ -227,7 +252,7 @@ def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
 
     monkeypatch.setattr(flaggw, "a2_closed_coeff", perturbed_at_1_0)
     rep = verify_a2_theorem_3_2(2)
-    assert rep.status == "fail"
+    assert [loc for loc, _, _ in rep.failures] == ["i=1 j=0", "i=1 j=1", "i=2 j=0"]
 
 
 def test_verify_lemma_3_4_fails_on_a_wrong_pole_weight(monkeypatch):

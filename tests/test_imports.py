@@ -1,4 +1,4 @@
-"""Every imported name is used.
+"""Every imported name is used, and the CLI imports only what it runs.
 
 An AST scan of the package, the tests and the demos: each name an import
 binds must be read somewhere in the same module, or listed in its
@@ -7,6 +7,9 @@ exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +56,18 @@ def test_scan_sees_through_all_and_future():
         "print(os.sep, read)\n"
     )
     assert unused_imports(source) == ["dumps (line 3)"]
+
+
+def test_cli_import_leaves_out_what_a_run_may_not_need():
+    # every CLI run is a fresh interpreter that pays for each import again;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize, json serves
+    # only --json and traceback only a runner that raised
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    heavy = ("dataclasses", "inspect", "json", "traceback")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, qcseries.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -222,9 +222,25 @@ def test_verify_recursion_direct_and_residue():
     assert rep.ok
 
 
+def warm_both_routes(setup, d_max):
+    # closed_b and recursion_coeff are memoized: a perturbation installed
+    # after both routes have filled the caches must still reach every caller
+    for method in ("direct", "residue"):
+        assert verify_theorem_3_3(setup, d_max, method).ok
+
+
+def test_closed_forms_and_couplings_are_built_once():
+    # ProjSetup hashes by its dimension, so a fresh setup finds the entry
+    assert closed_b(ProjSetup(2), 1, 3) is closed_b(ProjSetup(2), 1, 3)
+    assert recursion_coeff(ProjSetup(2), 0, 2, 2) is recursion_coeff(ProjSetup(2), 0, 2, 2)
+    assert ProjSetup(2) == P2 and hash(ProjSetup(2)) == hash(P2)
+    assert ProjSetup(1) != P2
+
+
 def test_verify_recursion_direct_fails_on_a_wrong_lower_coefficient(monkeypatch):
     # the direct check reads its lower degrees from closed_b, so one wrong
     # lower value must surface at the degree that reads it
+    warm_both_routes(ProjSetup(1), 2)
     closed = projgw.closed_b
 
     def doubled_at_1_1(setup, i, d):
@@ -250,6 +266,7 @@ def doubled_coupling_at_0_1_1(monkeypatch):
 def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
     # the residue route predicts each residue from recursion_coeff, so one
     # wrong coupling must surface at every pole that reads it
+    warm_both_routes(ProjSetup(1), 2)
     doubled_coupling_at_0_1_1(monkeypatch)
     rep = verify_theorem_3_3(ProjSetup(1), 2, "residue")
     assert [loc for loc, _, _ in rep.failures] == [

@@ -163,6 +163,25 @@ def test_weyl_permutation_matches_chart(system):
         assert imaged == expected
 
 
+def test_roots_and_cartan_matrices_are_read_only_values():
+    # equal and hashed by value, as frozen dataclasses are, and read-only:
+    # roots are gathered in sets and compared throughout the package
+    assert Root((1, 0)) == AL1 and Root((1, 0)) is not AL1
+    assert AL1 != AL2 and AL1 != (1, 0)
+    assert len({AL1, Root((1, 0)), AL2, THETA}) == 3
+    assert repr(THETA) == "Root(coords=(1, 1))"
+    assert A2.cartan == CartanMatrix(((2, -1), (-1, 2)))
+    assert hash(A2.cartan) == hash(CartanMatrix(((2, -1), (-1, 2))))
+    assert A2.cartan != CartanMatrix.type_B(2) and A2.cartan != A2.cartan.rows
+    for value, name in ((Root((1, 0)), "coords"), (CartanMatrix.type_A(2), "rows")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
 def test_cartan_validation():
     with pytest.raises(ValueError):
         CartanMatrix(((2, -1),))
