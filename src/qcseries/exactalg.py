@@ -48,6 +48,15 @@ Design notes that the rest of the package relies on:
   exact quotient of primitive integer polynomials is again primitive, which
   keeps every numerator canonical without renormalizing, and lets
   `divide_exact` stay in integer arithmetic when the divisor is primitive.
+* `divide_exact` divides by a divisor g of total degree 1 (every
+  denominator factor of a check) by long division in one variable.  In the
+  graded order the leading monomial of such a g is its lex-first variable
+  x, so g = a*x + r with a a nonzero constant and r free of x.  Over the
+  ring of polynomials in the other variables, g then has degree 1 in x and
+  a unit leading coefficient, so division by g leaves a unique quotient and
+  a remainder free of x, and g divides exactly when that remainder is 0.
+  Any other divisor goes through multivariate division in the graded order,
+  driven by a heap.
 * `partial_fractions` splits a `RatFunc` whose poles in one variable are
   distinct linear factors into first-order terms, reading the poles from
   the value's own factored denominator.
@@ -183,7 +192,7 @@ class VarRegistry:
 
 
 def _check_same_registry(a: "MultiPoly | RatFunc", b: "MultiPoly | RatFunc") -> None:
-    if a.registry != b.registry:
+    if a.registry is not b.registry and a.registry != b.registry:
         raise ValueError("registry mismatch between operands")
 
 
@@ -290,11 +299,11 @@ class MultiPoly:
         """
         if self._key is None:
             lex = self.registry._lex_mask
-            items = []
-            for m, c in sorted((m & lex, c) for m, c in self.terms.items()):
-                c = Fraction(c)
-                items.append((m, c.numerator, c.denominator))
-            self._key = tuple(items)
+            # an int is its own numerator over denominator 1
+            self._key = tuple(
+                (m, c.numerator, c.denominator)
+                for m, c in sorted((m & lex, c) for m, c in self.terms.items())
+            )
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -397,10 +406,25 @@ class MultiPoly:
         """Write self = scale * prim with prim integer, content 1, positive lead.
 
         The zero polynomial returns (0, 1) so that callers can fold the zero
-        into a scalar uniformly.
+        into a scalar uniformly.  A polynomial that already is primitive is
+        returned as its own primitive part, not copied.
         """
         if self.is_zero:
             return Fraction(0), self.registry.one()
+        terms = self.terms
+        try:
+            # one C call for the content when every coefficient is an int;
+            # math.gcd refuses a Fraction
+            num_gcd = gcd(*terms.values())
+        except TypeError:
+            pass
+        else:
+            if terms[max(terms)] < 0:
+                num_gcd = -num_gcd
+            if num_gcd == 1:
+                return Fraction(1), self
+            return Fraction(num_gcd), MultiPoly._raw(
+                self.registry, {m: v // num_gcd for m, v in terms.items()})
         den_lcm = 1
         for c in self.terms.values():
             if isinstance(c, Fraction):
@@ -439,49 +463,10 @@ class MultiPoly:
         diff = min(self.terms) - min(g.terms)
         if diff < 0 or diff & guard:
             return None
-        gc = g.terms[glead]
-        rest = [(m, c) for m, c in g.terms.items() if m != glead]
-        # an integer dividend over a primitive integer divisor has an integral
-        # quotient if any (Gauss's lemma), so a leading coefficient that does
-        # not divide in Z already proves failure
-        integral = (all(type(c) is int for c in g.terms.values())
-                    and gcd(*g.terms.values()) == 1
-                    and all(type(c) is int for c in self.terms.values()))
-        r = dict(self.terms)
-        q: dict[int, Coeff] = {}
-        # max-heap on the graded order via negated packed monomials; stale
-        # entries are skipped, and every monomial entering r is pushed
-        # exactly once more
-        heap = [-m for m in r]
-        heapq.heapify(heap)
-        while heap:
-            rlead = -heapq.heappop(heap)
-            if rlead not in r:
-                continue
-            diff = rlead - glead
-            if diff < 0 or diff & guard:
-                return None
-            if integral:
-                c, rem = divmod(r[rlead], gc)
-                if rem:
-                    return None
-            else:
-                c = r[rlead] * Fraction(1)
-                c = c / gc
-                c = _as_coeff(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-            q[diff] = c
-            del r[rlead]
-            for m, gcoef in rest:
-                mm = diff + m
-                fresh = mm not in r
-                acc = r.get(mm, 0) - c * gcoef
-                if acc == 0:
-                    r.pop(mm, None)
-                else:
-                    r[mm] = acc
-                    if fresh:
-                        heapq.heappush(heap, -mm)
-        return MultiPoly._raw(self.registry, q)
+        # a divisor of total degree 1 is linear in its lex-first variable
+        if glead >> self.registry._deg_shift == 1:
+            return _divide_linear(self, g, glead)
+        return _divide_heap(self, g, glead)
 
     def degree_if_homogeneous(self):
         """Total degree if all terms share one, else None.  Zero -> 0."""
@@ -518,6 +503,124 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self.text()}>"
+
+
+def _integral(p: MultiPoly, g: MultiPoly) -> bool:
+    """Whether p and g are integer polynomials with g primitive.
+
+    An exact quotient p/g is then integral (Gauss's lemma), so a quotient
+    coefficient that does not divide in Z already proves failure.
+    """
+    return (all(type(c) is int for c in g.terms.values())
+            and gcd(*g.terms.values()) == 1
+            and all(type(c) is int for c in p.terms.values()))
+
+
+def _divide_heap(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
+    """p / g for any nonconstant g with leading monomial glead, or None.
+
+    Multivariate long division in the graded order, one quotient term per
+    leading term of the remainder.
+    """
+    guard = p.registry._guard
+    gc = g.terms[glead]
+    rest = [(m, c) for m, c in g.terms.items() if m != glead]
+    integral = _integral(p, g)
+    r = dict(p.terms)
+    q: dict[int, Coeff] = {}
+    # max-heap on the graded order via negated packed monomials; stale
+    # entries are skipped, and every monomial entering r is pushed
+    # exactly once more
+    heap = [-m for m in r]
+    heapq.heapify(heap)
+    while heap:
+        rlead = -heapq.heappop(heap)
+        if rlead not in r:
+            continue
+        diff = rlead - glead
+        if diff < 0 or diff & guard:
+            return None
+        if integral:
+            c, rem = divmod(r[rlead], gc)
+            if rem:
+                return None
+        else:
+            c = r[rlead] * Fraction(1)
+            c = c / gc
+            c = _as_coeff(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+        q[diff] = c
+        del r[rlead]
+        for m, gcoef in rest:
+            mm = diff + m
+            fresh = mm not in r
+            acc = r.get(mm, 0) - c * gcoef
+            if acc == 0:
+                r.pop(mm, None)
+            else:
+                r[mm] = acc
+                if fresh:
+                    heapq.heappush(heap, -mm)
+    return MultiPoly._raw(p.registry, q)
+
+
+def _divide_linear(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
+    """p / g for g = a*x + r of total degree 1, by long division in x, or None.
+
+    x is the variable of g's leading monomial glead, and r is free of x (see
+    the module docstring).  p is split once into its x-slices N_E ... N_0,
+    each keyed by its monomials with x^e removed.  With Q_E = 0, the slice
+    R_e = N_e - r*Q_e gives the quotient slice Q_(e-1) = R_e / a for e >= 1,
+    and g divides p exactly when R_0 = 0.
+    """
+    reg = p.registry
+    a = g.terms[glead]
+    rest = [(m, c) for m, c in g.terms.items() if m != glead]
+    shift = (glead & reg._lex_mask).bit_length() - 1
+    field = (1 << _FIELD_BITS) - 1
+    slices: dict[int, dict[int, Coeff]] = {}
+    for m, c in p.terms.items():
+        e = m >> shift & field
+        got = slices.get(e)
+        if got is None:
+            slices[e] = {m - e * glead: c}
+        else:
+            got[m - e * glead] = c
+    # dividing by a unit a needs no test
+    integral = a not in (1, -1) and _integral(p, g)
+    q: dict[int, Coeff] = {}
+    prev: dict[int, Coeff] = {}
+    for e in range(max(slices), 0, -1):
+        cur = _minus_product(slices.get(e, {}), rest, prev)
+        if a == -1:
+            cur = {m: -c for m, c in cur.items()}
+        elif integral:
+            for m, c in cur.items():
+                c, rem = divmod(c, a)
+                if rem:
+                    return None
+                cur[m] = c
+        elif a != 1:
+            cur = {m: _as_coeff(Fraction(c) / a) for m, c in cur.items()}
+        offset = (e - 1) * glead
+        for m, c in cur.items():
+            q[m + offset] = c
+        prev = cur
+    return None if _minus_product(slices.get(0, {}), rest, prev) else MultiPoly._raw(reg, q)
+
+
+def _minus_product(n: Mapping[int, Coeff], r: list[tuple[int, Coeff]],
+                   q: Mapping[int, Coeff]) -> dict[int, Coeff]:
+    """The terms of n - r*q, as a new dict."""
+    out = dict(n)
+    for mr, cr in r:
+        for mq, cq in q.items():
+            mm = mq + mr
+            acc = out.get(mm, 0) - cq * cr
+            if acc:
+                out[mm] = acc
+            else:
+                del out[mm]
+    return out
 
 
 def _coeff_text(c: Coeff) -> str:

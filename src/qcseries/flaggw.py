@@ -119,14 +119,17 @@ def _beta_range(bmax: tuple[int, ...]):
     return betas
 
 
-def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
+def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
+                     total_max: int | None = None):
     """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
 
     Returns (w, terms) per element of `elements`, each term in the form
     `projgw.recursion_sum` reads: (lower_w, k*cocoords, weight, shift), so it
     adds weight times the table at lower_w, read at the multidegree
     k*cocoords lower and then substituted by shift.  Covers run over every
-    positive root alpha and every k that fits under bmax.
+    positive root alpha and every k that fits under bmax and, if given,
+    whose step has coordinate sum at most total_max: a longer step reads
+    below multidegree 0 from every multidegree the tables hold.
     """
     system = setup.system
     steps = []
@@ -135,6 +138,8 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements):
         k_cap = min(
             (b // c for b, c in zip(bmax, cocoords) if c), default=0
         )
+        if total_max is not None:
+            k_cap = min(k_cap, total_max // sum(cocoords))
         refl = system.reflection(alpha)
         for k in range(1, k_cap + 1):
             base = coeff_C_id(setup, alpha, k)
@@ -188,8 +193,8 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
     elements = system.weyl_elements if elements is None else elements
     return projgw.solve_tables(
-        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements), betas,
-        elements,
+        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements, total_max),
+        betas, elements,
     )
 
 
@@ -236,7 +241,11 @@ def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
     dens = [h.scale(m) + a1 for m in range(1, i + 1)]
     dens += [h.scale(m) + a2 for m in range(1, j + 1)]
     dens += [h.scale(m) + th for m in range(1, min(i, j) + 1)]
-    return RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
+    # every factor is primitive with a positive lead and occurs once, and
+    # none divides num, so no trial division is tried
+    s, prim = num.primitive()
+    return RatFunc._reduced(reg, s / (factorial(i) * factorial(j)), prim,
+                            {f.key(): (f, 1) for f in dens}, trial=())
 
 
 # -- verification: rank one against the projective line -------------------------------
@@ -302,7 +311,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
         setup = _a2_setup()
         system = setup.system
         reg = setup.registry
-        ((_, terms),) = _recursion_terms(setup, (n_max, n_max), [system.identity])
+        ((_, terms),) = _recursion_terms(setup, (n_max, n_max), [system.identity], n_max)
 
         closed = {
             (i, j): a2_closed_coeff(setup, i, j)

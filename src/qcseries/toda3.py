@@ -220,11 +220,13 @@ def batyrev_b(i: int, j: int) -> Fraction:
     return Fraction(total, factorial(i) ** 2 * factorial(j) ** 2)
 
 
+@cache
 def closed_a_equivariant(i: int, j: int) -> RatFunc:
     """Weighted coefficient: the rank-two flag closed form over h^(i+j).
 
     The 1/h^(i+j) normalization makes the h=1, zero-weight limit the plain
-    coefficient.
+    coefficient.  An input the checks read, so it is built once per process
+    (the memoization rule of `projgw`).
     """
     if i < 0 or j < 0:
         return RatFunc.zero(ALPHA_REGISTRY)
@@ -265,6 +267,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     l0, l1, l2, h = weights
     al1, al2 = l1 - l0, l2 - l1
     theta = al1 + al2
+    l012 = l0 * l1 * l2
     rebuilt = {(0, 0): 1}
     for i in range(n_max + 1):
         for j in range(n_max + 1 - i):
@@ -278,7 +281,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
             report.check_equal(
                 f"{loc} second-order", bracket * a(i, j), a(i - 1, j) + a(i, j - 1)
             )
-            eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l0 * l1 * l2
+            eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l012
             report.check_equal(
                 f"{loc} third-order",
                 eig3 * a(i, j),

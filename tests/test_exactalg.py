@@ -1,6 +1,7 @@
 """Core exact-arithmetic tests: frozen examples plus algebraic property suites."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -604,6 +605,87 @@ def test_divide_exact_fraction_and_nonprimitive_paths():
     # the integer path gives up on the first non-dividing leading coefficient
     assert (3 * x**2 + y).divide_exact(2 * x + y) is None
     assert (6 * x**2 + 3 * x * y).divide_exact(2 * x + y) == 3 * x
+
+
+def test_linear_division_takes_no_heap(monkeypatch):
+    # a divisor of total degree 1 is divided slice by slice in its
+    # lex-first variable, so this fails if the heap loop runs
+    monkeypatch.setattr(exactalg, "heapq", None)
+    x, y, z = PREG.var("x"), PREG.var("y"), PREG.var("z")
+    q = x**2 * y - 3 * y * z + z.scale(Fraction(1, 2)) + 5
+    for g in (x + y - 2, y - z, 3 * y + 2 * z + 1, -x, z + Fraction(1, 3)):
+        assert (q * g).divide_exact(g) == q
+    assert (q * (x + y) + 1).divide_exact(x + y) is None
+    assert (y * q + z).divide_exact(y - z) is None
+
+
+@st.composite
+def linear_divisors(draw, reg):
+    # a*x_k + (later variables) + c: a unit or not, with or without a
+    # constant term, integer or Fraction coefficients
+    first = draw(st.integers(0, len(reg) - 1))
+    form = {reg.names[first]: draw(coeffs().filter(bool))}
+    for nm in reg.names[first + 1:]:
+        form[nm] = draw(st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(1, 2)]))
+    return reg.linear(form, draw(st.sampled_from([0, 0, 1, -2, 5, Fraction(3, 2)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_linear_division_matches_the_heap_loop_and_sympy(data):
+    # the dividend is g*q + e, integral or not; a small e makes both
+    # outcomes common, and the unit, integer and rational paths all run
+    sympy = pytest.importorskip("sympy")
+    reg = data.draw(st.sampled_from(SYMPY_REGS[:3]))
+    g = data.draw(linear_divisors(reg))
+    integer = st.integers(-6, 6)
+    q = data.draw(registry_polys(reg, coeff=data.draw(st.sampled_from([integer, coeffs()]))))
+    e = data.draw(st.sampled_from([reg.zero(), reg.const(1)]) | registry_polys(reg, max_size=2))
+    num = g * q + e
+    if num.is_zero:
+        return
+    glead = max(g.terms)
+    fast = exactalg._divide_linear(num, g, glead)
+    heap = exactalg._divide_heap(num, g, glead)
+    assert (fast is None) == (heap is None)
+    if fast is not None:
+        assert fast.terms == heap.terms
+        assert fast * g == num
+    _, rem = sympy.div(sympy_of(num), sympy_of(g), *sympy.symbols(reg.names), domain="QQ")
+    assert (fast is None) == (rem != 0)
+    # divide_exact reaches the same answer through its rejections in front
+    got = num.divide_exact(g)
+    assert (got is None) == (fast is None)
+    if got is not None:
+        assert got == fast
+
+
+def primitive_by_the_general_loop(p):
+    # the clearing of denominators that MultiPoly.primitive falls back on
+    den_lcm = 1
+    for c in p.terms.values():
+        if isinstance(c, Fraction):
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = {m: int(c * den_lcm) for m, c in p.terms.items()}
+    num_gcd = 0
+    for v in ints.values():
+        num_gcd = gcd(num_gcd, v)
+    if ints[max(ints)] < 0:
+        num_gcd = -num_gcd
+    return Fraction(num_gcd, den_lcm), {m: v // num_gcd for m, v in ints.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(int_polys().map(lambda p: p.scale(-3)), int_polys(), nonzero_polys()))
+def test_primitive_matches_the_general_loop(p):
+    scale, prim = p.primitive()
+    want_scale, want_terms = primitive_by_the_general_loop(p)
+    assert scale == want_scale and type(scale) is Fraction
+    assert prim.terms == want_terms
+    assert all(type(c) is int for c in prim.terms.values())
+    if scale == 1:
+        # an already primitive polynomial is its own primitive part
+        assert prim is p
 
 
 # -- differential tests against sympy, registries of 2 to 7 variables --------------

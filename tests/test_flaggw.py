@@ -7,6 +7,7 @@ import pytest
 
 from qcseries import flaggw
 from qcseries.exactalg import (
+    MultiPoly,
     RatFunc,
     VarRegistry,
     homogeneous_degree,
@@ -196,6 +197,30 @@ def test_a2_closed_is_built_cancelled():
             old = RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
             assert a2_closed_coeff(A2, i, j).text() == old.text(), (i, j)
     assert a2_closed_coeff(A2, 2, 3) is a2_closed_coeff(A2, 2, 3)
+
+
+def test_a2_closed_tries_no_trial_division(monkeypatch):
+    # no denominator factor divides the cancelled numerator, so a cold
+    # build (past the memo) divides nothing
+    calls = []
+    divide = MultiPoly.divide_exact
+    monkeypatch.setattr(MultiPoly, "divide_exact",
+                        lambda p, g: calls.append(g) or divide(p, g))
+    value = a2_closed_coeff.__wrapped__(A2, 3, 4)
+    assert calls == []
+    assert value.text() == a2_closed_coeff(A2, 3, 4).text()
+
+
+def test_solver_builds_no_step_past_the_total_degree(monkeypatch):
+    # with total_max 4, the theta step k*(1, 1) fits only for k <= 2, though
+    # the per-coordinate bound 4 would allow k = 4
+    built = []
+    coeff = flaggw.coeff_C_id
+    monkeypatch.setattr(flaggw, "coeff_C_id",
+                        lambda setup, alpha, k: built.append((alpha, k)) or coeff(setup, alpha, k))
+    flaggw.solve_flag_recursion(A2, (4, 4), total_max=4)
+    assert max(k for alpha, k in built if alpha == A2_THETA) == 2
+    assert max(k for alpha, k in built if alpha != A2_THETA) == 4
 
 
 def test_a2_closed_symmetry():

@@ -149,6 +149,8 @@ def test_equivariant_coefficients_spot_values():
     )
     assert closed_a_equivariant(1, 1) == expected11
     assert closed_a_equivariant(-1, 0).is_zero
+    # an input of the checks, built once per process
+    assert closed_a_equivariant(2, 3) is closed_a_equivariant(2, 3)
 
 
 def test_equivariant_specialization_to_plain_coefficients():
@@ -285,11 +287,11 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     terms = flaggw._recursion_terms
     s1 = flaggw._a2_setup().system.simple_reflections[0]
 
-    def doubled(setup, bmax, elements):
+    def doubled(setup, bmax, elements, total_max=None):
         return [
             (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
              if w == s1 else ts)
-            for w, ts in terms(setup, bmax, elements)
+            for w, ts in terms(setup, bmax, elements, total_max)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
