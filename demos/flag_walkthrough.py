@@ -19,14 +19,16 @@ print("Weyl elements:", ", ".join(w.word_text() for w in system.weyl_elements))
 print("simple alpha_1, k=2:", coeff_C_id(setup, system.simple_roots[0], 2).text())
 print("long root,      k=2:", coeff_C_id(setup, A2_THETA, 2).text())
 
-# solve the recursion for all six series at once, up to total degree 2
-tables = flaggw.solve_flag_recursion(setup, (2, 2), total_max=2)
-z_id = tables[system.identity]
+# solve the recursion for the identity series, up to total degree 2; the
+# other five series are its images under the Weyl action
+z_id = flaggw.solve_flag_recursion(setup, (2, 2), total_max=2)
 for beta in sorted(z_id, key=lambda b: (sum(b), b)):
     print(f"identity series, beta={beta}: {z_id[beta].text()}")
+s1 = system.simple_reflections[0]
+print(f"s1 series, beta=(1, 1): {system.act_on_ratfunc(s1, z_id[(1, 1)]).text()}")
 
-# every coefficient of every series is fixed by the identity series through
-# the Weyl action; the verifier checks the recursion wiring underneath
+# the identity series also equals a closed two-index table; the verifier
+# feeds that table, through the Weyl action, into the recursion
 report = flaggw.verify_a2_theorem_3_2(3)
 print(report.render())
 

@@ -139,11 +139,14 @@ def _series_flag(args, rank: int):
                  f"param max={bound}"]
 
     def run() -> list[str]:
-        for w, table in flaggw.solve_flag_recursion(setup, bmax, total_max=total_max).items():
+        z_id = flaggw.solve_flag_recursion(setup, bmax, total_max=total_max)
+        # the table of w is w applied to the identity table
+        for w in setup.system.weyl_elements:
             word = w.word_text()
-            for beta in sorted(table, key=lambda b: (sum(b), b)):
+            for beta in sorted(z_id, key=lambda b: (sum(b), b)):
                 coord = ",".join(str(b) for b in beta)
-                lines.append(f"row w={word} beta={coord} {table[beta].text()}")
+                value = setup.system.act_on_ratfunc(w, z_id[beta])
+                lines.append(f"row w={word} beta={coord} {value.text()}")
         return lines
     return run
 

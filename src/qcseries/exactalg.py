@@ -352,9 +352,6 @@ class MultiPoly:
             return self
         return MultiPoly._raw(self.registry, {m: v * c for m, v in self.terms.items()})
 
-    def as_ratfunc(self) -> "RatFunc":
-        return RatFunc.from_poly(self)
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

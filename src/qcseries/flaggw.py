@@ -11,6 +11,14 @@ reflection makes gamma negative, so the product may be pruned to the
 reflection's inversion set without changing the value; both routes are kept
 and compared in tests.
 
+Only the identity table is solved.  The (w, alpha, k) term of the recursion
+is w applied to the identity's (alpha, k) term, weight and shift
+h -> -alpha/k alike, and it reads the table at w s_alpha where that term
+reads the one at s_alpha.  So the field automorphism w takes the identity's
+recursion to w's, and Z_w(beta) = w.Z_id(beta) by induction on the degree
+from Z_w(0) = 1; a test compares these w-images with a solve of all |W|
+tables.
+
 Rank-one tables reduce to the projective-line series under the lambda
 chart, and the rank-two type-A tables have an independent closed form;
 verification routines check both, along with the simple-fraction split of
@@ -33,7 +41,7 @@ from .exactalg import (
     substitute,
 )
 from .report import VerificationReport, timed
-from .roots import CartanMatrix, Root, RootSystem, WeylElement
+from .roots import CartanMatrix, Root, RootSystem
 from . import projgw
 
 MAX_SOLVER_RANK = 3
@@ -62,15 +70,21 @@ class FlagSetup:
 
 def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
                prune: bool = True) -> RatFunc:
-    """Identity-element recursion coefficient for the k-fold alpha-cover."""
+    """Identity-element recursion coefficient for the k-fold alpha-cover.
+
+    With n = <rho, alpha_check>, the sum of alpha_check's simple-coroot
+    coordinates, the value has degree 1 - k*n: the power of alpha has degree
+    k*n - 2k + 1 and the gamma factors -k sum <gamma, alpha_check> =
+    -k(2n - 2), the pairing of 2 rho - alpha; pruning drops pairs gamma,
+    s_alpha(gamma) of opposite pairing, which keeps that sum.
+    """
     system = setup.system
     if not alpha.is_positive:
         raise ValueError("the covered direction must be a positive root")
-    system.root_index(alpha)
     if k < 1:
         raise ValueError("cover multiplicity must be >= 1")
     reg = setup.registry
-    ht = alpha.height
+    n = sum(system.coroot_coords(alpha))
     a_form = setup.root_form(alpha)
 
     if prune:
@@ -83,7 +97,6 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
 
     num = reg.one()
     dens: list[MultiPoly] = []
-    expected_deg = k * ht - 2 * k + 1
     for gamma in gammas:
         c = system.pairing(gamma, alpha)
         g_form = setup.root_form(gamma)
@@ -93,17 +106,16 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
         elif c < 0:
             for m in range(0, -k * c):
                 num = num * (g_form + a_form.scale(Fraction(m, k)))
-        expected_deg -= k * c
 
-    e = k * ht - 2 * k + 1
+    e = k * n - 2 * k + 1
     if e >= 0:
         num = num * a_form**e
     else:
         dens.extend([a_form] * (-e))
-    sign = -1 if (k * (ht + 1)) % 2 else 1
-    scalar = Fraction(sign) * Fraction(k) ** (k * (2 - ht)) / factorial(k) ** 2
+    sign = -1 if (k * (n + 1)) % 2 else 1
+    scalar = Fraction(sign) * Fraction(k) ** (k * (2 - n)) / factorial(k) ** 2
     value = RatFunc.from_factored(num, dens, scale=1 / scalar)
-    if homogeneous_degree(value) != expected_deg:
+    if homogeneous_degree(value) != 1 - k * n:
         raise AssertionError(
             "degree bookkeeping failed assembling the recursion coefficient"
         )
@@ -149,37 +161,41 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
     for w in elements:
         terms = []
         for alpha, k, step, refl, base in steps:
-            image = w.act(alpha)
-            image_form = setup.root_form(image)
+            image_form = setup.root_form(w.act(alpha))
             weight = (
                 system.act_on_ratfunc(w, base)
                 / RatFunc.from_poly(setup.h.scale(k) + image_form)
             )
             shift = {"h": image_form.scale(Fraction(-1, k))}
-            # applying w to the identity-element relation turns its s_alpha
-            # factor into the table at w followed by the reflection, so that
-            # is the table the (w, alpha, k) term must read
+            # w applied to the identity's term, which reads the table at s_alpha
             terms.append((w * refl, step, weight, shift))
         per_w.append((w, terms))
     return per_w
 
 
-def solve_flag_recursion(setup: FlagSetup, beta_max,
-                         total_max: int | None = None,
-                         elements=None) -> dict[WeylElement, dict[tuple[int, ...], RatFunc]]:
-    """Build the per-Weyl-element tables {w: {beta: coefficient}} from multidegree 0 upward.
+def _weyl_reader(system: RootSystem, table):
+    """lower(w, beta) = w.table[beta], acted on once per (w, beta) and reader."""
+    acted = {}
 
-    A multidegree beta is in coroot coordinates, and the pole attached to a
-    (w, alpha, k) term is k*h + w(alpha).
+    def lower(w, beta):
+        if (w, beta) not in acted:
+            acted[(w, beta)] = system.act_on_ratfunc(w, table[beta])
+        return acted[(w, beta)]
+    return lower
+
+
+def solve_flag_recursion(setup: FlagSetup, beta_max,
+                         total_max: int | None = None) -> dict[tuple[int, ...], RatFunc]:
+    """Build the identity table {beta: coefficient} from multidegree 0 upward.
+
+    A multidegree beta is in coroot coordinates, and the pole attached to an
+    (alpha, k) term is k*h + alpha.  The term reads the table at s_alpha,
+    which is s_alpha applied to this one, as the table of any w is w applied
+    to it (see the module docstring).
 
     total_max, if given, skips multidegrees whose coordinate sum exceeds it;
     the recursion only ever reads strictly smaller sums, so the triangle is
     self-contained.
-
-    elements lists the Weyl elements whose tables are returned, in order
-    (default: every element).  Their tables are complete; an entry of
-    another element is built only when one of theirs reads it, by the same
-    recursion, so each returned entry is the value the full solve gives.
     """
     system = setup.system
     if system.rank > MAX_SOLVER_RANK:
@@ -191,11 +207,12 @@ def solve_flag_recursion(setup: FlagSetup, beta_max,
     if len(bmax) != system.rank or any(b < 0 for b in bmax):
         raise ValueError("need one nonnegative bound per simple coroot")
     betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
-    elements = system.weyl_elements if elements is None else elements
-    return projgw.solve_tables(
-        setup.registry, _recursion_terms(setup, bmax, system.weyl_elements, total_max),
-        betas, elements,
-    )
+    ((_, terms),) = _recursion_terms(setup, bmax, [system.identity], total_max)
+    z_id = {betas[0]: RatFunc.one(setup.registry)}
+    lower = _weyl_reader(system, z_id)
+    for beta in betas[1:]:
+        z_id[beta] = projgw.recursion_sum(setup.registry, terms, beta, lower)
+    return z_id
 
 
 # -- rank-two type-A closed form -----------------------------------------------------
@@ -254,7 +271,9 @@ def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
 def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     """Rank-one tables against the n=1 projective series under the lambda chart.
 
-    The chart is part1 with lambda_0 = 0, the normalization of projgw.
+    The chart is part1 with lambda_0 = 0, the normalization of projgw.  The
+    s1 table is read as s1 applied to the identity table, and must also
+    satisfy s1's own recursion, whose terms read both tables.
     """
     report = VerificationReport("a1-cross", {"max_d": d_max})
     with timed(report):
@@ -263,13 +282,14 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         reg = setup.registry
         alpha = reg.var("alpha_1")
         s1 = system.simple_reflections[0]
-        tables = solve_flag_recursion(setup, (d_max,))
-        z_id = tables[system.identity]
-        z_s1 = tables[s1]
+        z_id = solve_flag_recursion(setup, (d_max,))
+        lower = _weyl_reader(system, z_id)
+        ((_, s1_terms),) = _recursion_terms(setup, (d_max,), [s1])
 
         proj = projgw.ProjSetup(1)
         chart = {"alpha_1": proj.lam(0) - proj.lam(1)}
         for d in range(d_max + 1):
+            z_s1 = lower(s1, (d,))
             report.check_equal(
                 f"chart id d={d}",
                 substitute(z_id[(d,)], chart, proj.registry),
@@ -277,19 +297,19 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
             )
             report.check_equal(
                 f"chart s1 d={d}",
-                substitute(z_s1[(d,)], chart, proj.registry),
+                substitute(z_s1, chart, proj.registry),
                 projgw.closed_b(proj, 1, d),
             )
-            # shifted-factorial closed form and the alpha -> -alpha flip
+            # shifted-factorial closed form
             closed = RatFunc.from_factored(
                 reg.one(), [setup.h.scale(m) + alpha for m in range(1, d + 1)],
                 scale=factorial(d),
             )
             report.check_equal(f"closed d={d}", z_id[(d,)], closed)
             report.check_equal(
-                f"flip d={d}",
-                substitute(z_id[(d,)], {"alpha_1": -alpha}),
-                z_s1[(d,)],
+                f"s1 recursion d={d}", z_s1,
+                projgw.recursion_sum(reg, s1_terms, (d,), lower) if d
+                else RatFunc.one(reg),
             )
     return report
 
@@ -318,11 +338,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
-        lowers = {lower_w for lower_w, _, _, _ in terms}
-        acted = {
-            w: {ij: system.act_on_ratfunc(w, c) for ij, c in closed.items()}
-            for w in lowers
-        }
+        lower = _weyl_reader(system, closed)
 
         for i, j in closed:
             if i == 0 and j == 0:
@@ -330,7 +346,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
                 continue
             report.check_equal(
                 f"i={i} j={j}", closed[(i, j)],
-                projgw.recursion_sum(reg, terms, (i, j), lambda w, e: acted[w][e]),
+                projgw.recursion_sum(reg, terms, (i, j), lower),
             )
     return report
 

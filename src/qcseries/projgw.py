@@ -186,33 +186,21 @@ def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
     return acc
 
 
-def solve_tables(registry: VarRegistry, per_target, degrees, wanted=None):
+def solve_tables(registry: VarRegistry, per_target, degrees):
     """Tables target -> degree -> coefficient, filled by `recursion_sum`.
 
-    per_target lists (target, terms) pairs.  degrees[0] is the zero degree,
-    whose coefficient is 1; every later degree comes after each degree its
-    terms read.  The tables of the `wanted` targets (default: every target)
-    are filled degree by degree, target by target; an entry of another
-    target is built when an entry being built reads it.  Each entry is built
-    once, so when every target is wanted every entry is built in the same
-    order as by a plain degree-then-target loop.
+    per_target lists (target, terms) pairs; each term reads the table of a
+    listed target at a strictly lower degree.  degrees[0] is the zero degree,
+    whose coefficient is 1, and each later degree comes after every degree
+    its terms read; the loop runs degree by degree, then target by target.
     """
-    terms = dict(per_target)
     one = RatFunc.one(registry)
-    tables = {target: {degrees[0]: one} for target in terms}
-
-    def entry(target, degree):
-        got = tables[target].get(degree)
-        if got is None:
-            got = recursion_sum(registry, terms[target], degree, entry)
-            tables[target][degree] = got
-        return got
-
-    wanted = list(terms) if wanted is None else wanted
+    tables = {target: {degrees[0]: one} for target, _ in per_target}
     for degree in degrees[1:]:
-        for target in wanted:
-            entry(target, degree)
-    return {target: tables[target] for target in wanted}
+        for target, terms in per_target:
+            tables[target][degree] = recursion_sum(
+                registry, terms, degree, lambda t, e: tables[t][e])
+    return tables
 
 
 def _recursion_terms(setup: ProjSetup, k_max: int) -> list[tuple[int, list]]:

@@ -405,19 +405,14 @@ def verify_batyrev(n_max: int) -> VerificationReport:
 def verify_corollary_3_5(n_max: int) -> VerificationReport:
     """Flag-recursion output, rescaled by q -> q/h, equals the lattice solution.
 
-    The left side comes from the reflection recursion (built by the rank-two
-    solver); the right side is certified by operator annihilation.  Their
-    equality is the bridge between the two halves.  Only the identity table
-    is compared, so the solver is asked for that table alone: it builds
-    every identity entry up to total degree n_max and each entry of another
-    element that those read, and no comparison is dropped.
+    The left side comes from the reflection recursion (the identity table of
+    the rank-two solver); the right side is certified by operator
+    annihilation.  Their equality is the bridge between the two halves.
     """
     report = VerificationReport("corollary35", {"max_total": n_max})
     with timed(report):
         setup = flaggw._a2_setup()
-        z_id = flaggw.solve_flag_recursion(
-            setup, (n_max, n_max), total_max=n_max, elements=[setup.system.identity]
-        )[setup.system.identity]
+        z_id = flaggw.solve_flag_recursion(setup, (n_max, n_max), total_max=n_max)
         h = RatFunc.from_poly(ALPHA_REGISTRY.var("h"))
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):

@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so exit codes, stdout bytes, and
 stderr diagnostics are exercised exactly as a shell user would see them.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,20 @@ def test_series_flag_a2_identity_rows(capsys):
         "row w=id beta=1,1 (alpha_1 + alpha_2 + 2*h)"
         "/((alpha_2 + h)(alpha_1 + alpha_2 + h)(alpha_1 + h))" in lines
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("series", "flag-a2", "--max", "5"),
+     "7ec880abc1793a69ff1d75706ca18fdf59408f98755c2d27ef70f18b9b5afaac"),
+    (("series", "flag-a1", "--max-d", "8"),
+     "5ba6e85542f2f07f21ae814809217543354ca3ade606acd3cc841fd3a2314dd7"),
+], ids=["flag-a2-max-5", "flag-a1-max-d-8"])
+def test_series_flag_at_its_cap_holds_its_bytes(capsys, argv, digest):
+    # the goldens stop at the default bound 3; these digests pin every
+    # Weyl element's rows at the caps, read as w-images of the identity table
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_series_deterministic_bytes(capsys):

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qcseries import flaggw
+from qcseries import flaggw, projgw
 from qcseries.exactalg import (
     MultiPoly,
     RatFunc,
@@ -32,6 +32,8 @@ A1 = FlagSetup(RootSystem(CartanMatrix.type_A(1)))
 A2 = FlagSetup(RootSystem(CartanMatrix.type_A(2)))
 A3 = FlagSetup(RootSystem(CartanMatrix.type_A(3)))
 B2 = FlagSetup(RootSystem(CartanMatrix.type_B(2)))
+B3 = FlagSetup(RootSystem(CartanMatrix.type_B(3)))
+G2 = FlagSetup(RootSystem(CartanMatrix.type_G2()))
 
 
 def simple_root_value(setup, alpha, k):
@@ -47,8 +49,7 @@ def simple_root_value(setup, alpha, k):
 
 
 def test_simple_root_coefficients_all_types():
-    g2 = FlagSetup(RootSystem(CartanMatrix.type_G2()))
-    for setup, kmax in ((A1, 4), (A2, 4), (A3, 4), (B2, 3), (g2, 2)):
+    for setup, kmax in ((A1, 4), (A2, 4), (A3, 4), (B2, 3), (G2, 2)):
         for alpha in setup.system.simple_roots:
             for k in range(1, kmax + 1):
                 got = coeff_C_id(setup, alpha, k)
@@ -74,8 +75,7 @@ def test_pruning_never_changes_the_value():
 
 
 def test_coefficients_are_homogeneous():
-    g2 = FlagSetup(RootSystem(CartanMatrix.type_G2()))
-    for setup in (B2, g2):
+    for setup in (B2, G2):
         for alpha in setup.system.positive_roots:
             got = coeff_C_id(setup, alpha, 2 if setup is B2 else 1)
             assert homogeneous_degree(got) is not None
@@ -106,7 +106,7 @@ def test_acted_coefficients():
 
 
 def test_coeff_entry_type_checks_degree():
-    # C(alpha, k) has degree 1 - k * height(alpha), at every Weyl element
+    # C(alpha, k) has degree 1 - k<rho, alpha_check>, at every Weyl element
     for w in A2.system.weyl_elements:
         value = A2.system.act_on_ratfunc(w, coeff_C_id(A2, A2_THETA, 2))
         assert homogeneous_degree(value) == -3
@@ -115,12 +115,18 @@ def test_coeff_entry_type_checks_degree():
 # -- the solver -----------------------------------------------------------------------
 
 
+def full_solve(setup, bmax, total_max=None):
+    """Reference route: all |W| tables solved side by side, each reading the others."""
+    betas = [b for b in flaggw._beta_range(bmax) if total_max is None or sum(b) <= total_max]
+    terms = flaggw._recursion_terms(setup, bmax, setup.system.weyl_elements, total_max)
+    return projgw.solve_tables(setup.registry, terms, betas)
+
+
 def test_solver_rank_one_closed_form():
     reg = A1.registry
     alpha, h = reg.var("alpha_1"), reg.var("h")
-    tables = solve_flag_recursion(A1, 4)
-    z_id = tables[A1.system.identity]
-    z_s1 = tables[A1.system.simple_reflections[0]]
+    z_id = solve_flag_recursion(A1, 4)
+    z_s1 = full_solve(A1, (4,))[A1.system.simple_reflections[0]]
     for d in range(5):
         dens = [alpha + h.scale(m) for m in range(1, d + 1)]
         assert z_id[(d,)] == RatFunc.from_factored(
@@ -133,8 +139,12 @@ def test_solver_rank_one_closed_form():
 
 
 def test_solver_rank_two_matches_closed_form_all_elements():
-    tables = solve_flag_recursion(A2, (2, 2))
+    z_id = solve_flag_recursion(A2, (2, 2))
+    tables = full_solve(A2, (2, 2))
     system = A2.system
+    for i in range(3):
+        for j in range(3):
+            assert z_id[(i, j)] == a2_closed_coeff(A2, i, j), (i, j)
     for w, table in tables.items():
         for i in range(3):
             for j in range(3):
@@ -142,8 +152,33 @@ def test_solver_rank_two_matches_closed_form_all_elements():
                 assert table[(i, j)] == want, (w, i, j)
 
 
+def test_every_weyl_table_is_the_w_image_of_the_identity_table():
+    # the solver reads every table but the identity's as a w-image; the
+    # reference route solves all |W| tables, each from its own terms
+    entries = 0
+    for setup, t in ((A2, 4), (B2, 4), (G2, 4), (A3, 3)):
+        system = setup.system
+        bmax = (t,) * system.rank
+        z_id = solve_flag_recursion(setup, bmax, total_max=t)
+        for w, table in full_solve(setup, bmax, t).items():
+            for beta, value in table.items():
+                assert value == system.act_on_ratfunc(w, z_id[beta]), (w, beta)
+                entries += 1
+    assert entries == 870
+
+
+def test_identity_tables_are_homogeneous():
+    # Z_id(beta) has degree -sum(beta) in every type; with the coefficient
+    # built from the height of alpha instead of <rho, alpha_check>, B2 and G2
+    # fail first at (1, 1) and B3 at (0, 1, 1)
+    for setup, t in ((A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3)):
+        z_id = solve_flag_recursion(setup, (t,) * setup.rank, total_max=t)
+        wrong = [beta for beta, c in z_id.items() if homogeneous_degree(c) != -sum(beta)]
+        assert wrong == [], setup.system.cartan
+
+
 def test_solver_grading():
-    z_id = solve_flag_recursion(A2, (2, 2))[A2.system.identity]
+    z_id = solve_flag_recursion(A2, (2, 2))
     for (i, j), c in z_id.items():
         assert homogeneous_degree(c) == -(i + j)
 
@@ -156,7 +191,7 @@ def test_solver_caps():
 
 
 def test_solver_rank_three_smoke():
-    z_id = solve_flag_recursion(A3, (1, 1, 0))[A3.system.identity]
+    z_id = solve_flag_recursion(A3, (1, 1, 0))
     reg = A3.registry
     a1, h = reg.var("alpha_1"), reg.var("h")
     assert z_id[(0, 0, 0)] == RatFunc.one(reg)
@@ -243,9 +278,10 @@ def test_verify_a1_crosscheck():
 
 
 def test_verify_a1_crosscheck_fails_on_a_wrong_coupling(monkeypatch):
-    # both tables come from coeff_C_id, so doubling it at k = 1 breaks the
-    # chart and closed-form comparisons from d = 1 on; the flip compares the
-    # two broken tables with each other, and they stay consistent
+    # both tables come from coeff_C_id (the s1 table as the s1-image of the
+    # identity table), so doubling it at k = 1 breaks the chart and
+    # closed-form comparisons from d = 1 on; s1's own recursion is built from
+    # the same doubled coefficient, so the broken tables still satisfy it
     coeff = flaggw.coeff_C_id
 
     def doubled_at_k_1(setup, alpha, k, prune=True):
@@ -256,6 +292,26 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_coupling(monkeypatch):
     rep = verify_a1_crosscheck(2)
     assert [loc for loc, _, _ in rep.failures] == [
         f"{check} d={d}" for d in (1, 2) for check in ("chart id", "chart s1", "closed")
+    ]
+
+
+def test_verify_a1_crosscheck_fails_on_a_wrong_s1_recursion(monkeypatch):
+    # the solver reads only the identity's terms, so doubling s1's terms
+    # breaks s1's own recursion and no other comparison
+    terms = flaggw._recursion_terms
+    s1 = flaggw._a1_setup().system.simple_reflections[0]
+
+    def doubled(setup, bmax, elements, total_max=None):
+        return [
+            (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
+             if w == s1 else ts)
+            for w, ts in terms(setup, bmax, elements, total_max)
+        ]
+
+    monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
+    rep = verify_a1_crosscheck(5)
+    assert [loc for loc, _, _ in rep.failures] == [
+        f"s1 recursion d={d}" for d in range(1, 6)
     ]
 
 

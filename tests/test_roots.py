@@ -2,7 +2,7 @@
 
 import pytest
 
-from qcseries.exactalg import VarRegistry
+from qcseries.exactalg import RatFunc, VarRegistry
 from qcseries.roots import CartanMatrix, Root, RootSystem
 
 
@@ -106,12 +106,12 @@ def test_euler_class_sign():
 def test_act_on_ratfunc():
     reg = A2.alpha_registry()
     s1 = A2.simple_reflections[0]
-    f = reg.one().as_ratfunc() / reg.var("alpha_1").as_ratfunc()
+    f = RatFunc.one(reg) / RatFunc.from_poly(reg.var("alpha_1"))
     assert A2.act_on_ratfunc(s1, f) == -f
-    g = reg.var("alpha_2").as_ratfunc()
-    assert A2.act_on_ratfunc(s1, g) == (
+    g = RatFunc.from_poly(reg.var("alpha_2"))
+    assert A2.act_on_ratfunc(s1, g) == RatFunc.from_poly(
         reg.var("alpha_1") + reg.var("alpha_2")
-    ).as_ratfunc()
+    )
 
 
 def test_lambda_chart_part1():

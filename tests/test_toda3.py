@@ -281,38 +281,26 @@ def test_flag_bridge_fails_on_a_wrong_closed_coefficient(monkeypatch):
 
 
 def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
-    # doubling every term of the s_1 table's recursion corrupts the identity
-    # entries that read it, so the identity-only solve still reads the other
-    # tables
+    # the identity terms that read the s_1 table are the alpha_1 steps;
+    # doubling them corrupts every identity entry with i >= 1, each of which
+    # takes such a step, and no entry with i = 0
     terms = flaggw._recursion_terms
-    s1 = flaggw._a2_setup().system.simple_reflections[0]
+    system = flaggw._a2_setup().system
+    s1 = system.simple_reflections[0]
 
     def doubled(setup, bmax, elements, total_max=None):
         return [
-            (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
-             if w == s1 else ts)
+            (w, [(lw, step, 2 * weight if lw == s1 else weight, shift)
+                 for lw, step, weight, shift in ts]
+             if w == system.identity else ts)
             for w, ts in terms(setup, bmax, elements, total_max)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
     report = verify_corollary_3_5(3)
     assert [loc for loc, _, _ in report.failures] == [
-        "i=1 j=1", "i=1 j=2", "i=2 j=0", "i=2 j=1", "i=3 j=0",
+        "i=1 j=0", "i=1 j=1", "i=1 j=2", "i=2 j=0", "i=2 j=1", "i=3 j=0",
     ]
-
-
-def test_identity_only_solve_matches_the_full_solve():
-    setup = flaggw._a2_setup()
-    identity = setup.system.identity
-    full = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4)
-    alone = flaggw.solve_flag_recursion(setup, (4, 4), total_max=4, elements=[identity])
-    assert list(alone) == [identity]
-    assert {b: c.text() for b, c in alone[identity].items()} == \
-        {b: c.text() for b, c in full[identity].items()}
-    # the tables come back keyed in the order the elements are given
-    s1 = setup.system.simple_reflections[0]
-    assert list(flaggw.solve_flag_recursion(setup, (1, 1), elements=[s1, identity])) == \
-        [s1, identity]
 
 
 def test_closed_solution_specialization_tower():
