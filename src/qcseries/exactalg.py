@@ -57,9 +57,18 @@ Design notes that the rest of the package relies on:
   a remainder free of x, and g divides exactly when that remainder is 0.
   Any other divisor goes through multivariate division in the graded order,
   driven by a heap.
+* Substitution maps a polynomial of total degree at most 1 (every
+  denominator factor of a check) as an integer linear map.  Each variable's
+  image is built once per substitution, times D, the lcm of the
+  denominators of the values' coefficients, so a linear form's image is a
+  few int dict updates, with no unpacking and no products, and its content
+  and sign take one gcd.  `RatFunc.substitute` folds D and every content
+  into the scalar in int arithmetic and builds one Fraction.  Other
+  polynomials are mapped through products of powers.
 * `partial_fractions` splits a `RatFunc` whose poles in one variable are
   distinct linear factors into first-order terms, reading the poles from
-  the value's own factored denominator.
+  the value's own factored denominator; the linear map evaluates each
+  remaining factor at the root directly.
 """
 
 from __future__ import annotations
@@ -487,11 +496,16 @@ class MultiPoly:
         Bound variables are replaced simultaneously by their values over
         `target`: a MultiPoly, a rational constant, or a RatFunc without a
         denominator; any other value raises.  Unbound variables must exist
-        in `target` by name.  Default target is this registry.  The image is
-        built in MultiPoly arithmetic and normalized once.
+        in `target` by name.  Default target is this registry.  The image of
+        a polynomial of total degree at most 1 is built by the integer linear
+        map (see the module docstring), any other in MultiPoly arithmetic,
+        and it is normalized once.
         """
         ev = _Evaluation(self.registry, _union(self), bindings, target)
-        return RatFunc.from_poly(ev.image(self))
+        up, down, prim = ev.primitive_image(self)
+        if not up:
+            return RatFunc.zero(ev.target)
+        return RatFunc._make(ev.target, Fraction(up, down), prim, ())
 
     # -- text ------------------------------------------------------------
 
@@ -655,15 +669,21 @@ class _Evaluation:
     """The evaluation homomorphism of one substitution, prepared once.
 
     Each binding is turned into a MultiPoly over the target and the unbound
-    variables that occur are mapped into the target once, and one power
-    cache serves every polynomial the substitution maps.  `occurs` is a
-    packed monomial whose nonzero fields mark the variables that those
+    variables that occur are mapped into the target once.  `occurs` is a
+    packed monomial whose nonzero fields mark the variables that the mapped
     polynomials use.  A value is a MultiPoly over the target, a rational
     constant, or a RatFunc without a denominator: ValueError for a value
     with a denominator or over another registry, TypeError for any other.
+
+    `table` maps the packed monomial of each such variable, and the constant
+    monomial 0, to its image times `scale` as (target monomial, int) pairs;
+    `scale` is the lcm of the denominators of the values' coefficients.  A
+    polynomial of total degree at most 1 is mapped through it; any other
+    through products of powers (`_expand`), with one power cache per
+    substitution.
     """
 
-    __slots__ = ("target", "values", "resid", "_powers")
+    __slots__ = ("target", "values", "resid", "scale", "table", "_powers")
 
     def __init__(self, source: VarRegistry, occurs: int, bindings: Mapping[str, object],
                  target: VarRegistry | None):
@@ -688,9 +708,23 @@ class _Evaluation:
         for nm in bindings:
             if nm not in source:
                 raise KeyError(f"binding for unknown variable {nm!r}")
+        scale = 1
+        for v in values.values():
+            for c in v.terms.values():
+                if type(c) is not int:
+                    scale = lcm(scale, c.denominator)
+        table = {0: ((0, scale),)}
+        for i, v in values.items():
+            table[source._var_monos[i]] = tuple(
+                (m, c * scale if type(c) is int else c.numerator * (scale // c.denominator))
+                for m, c in v.terms.items())
+        for i, j in resid.items():
+            table[source._var_monos[i]] = ((target._var_monos[j], scale),)
         self.target = target
         self.resid = resid
         self.values = values
+        self.scale = scale
+        self.table = table
         self._powers: dict[tuple[int, int], MultiPoly] = {}
 
     def _power(self, i: int, e: int) -> MultiPoly:
@@ -706,7 +740,34 @@ class _Evaluation:
             tm[j] = mono[i]
         return self.target._pack(tm)
 
-    def image(self, p: MultiPoly) -> MultiPoly:
+    def primitive_image(self, p: MultiPoly) -> tuple[int, int, MultiPoly]:
+        """(a, b, prim) with p(values) = a/b * prim, prim as `MultiPoly.primitive` gives it.
+
+        A zero image has a = 0.  For p of total degree at most 1, scale *
+        p(values) is a sum of `table` rows, all int when p is, so its content
+        takes one gcd; any other p goes through `_expand`.
+        """
+        if max(p.terms, default=0) >> p.registry._deg_shift > 1:
+            img, scale = self._expand(p), 1
+        else:
+            table = self.table
+            out: dict[int, Coeff] = {}
+            for m, c in p.terms.items():
+                for tm, tc in table[m]:
+                    acc = out.get(tm)
+                    if acc is None:
+                        out[tm] = c * tc
+                    else:
+                        acc += c * tc
+                        if acc:
+                            out[tm] = acc
+                        else:
+                            del out[tm]
+            img, scale = MultiPoly._raw(self.target, out), self.scale
+        s, prim = img.primitive()
+        return s.numerator, s.denominator * scale, prim
+
+    def _expand(self, p: MultiPoly) -> MultiPoly:
         unpack = p.registry._unpack
         # terms that share their bound exponents share one product of powers
         groups: dict[Mono, dict[int, Coeff]] = {}
@@ -734,6 +795,18 @@ def _factor_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     ((exps, _),) = p.monomials()
     reg = p.registry
     return [(reg.var(nm), e) for nm, e in zip(reg.names, exps) if e]
+
+
+def _merge_factor(fac: dict[tuple, tuple[MultiPoly, int]], p: MultiPoly, mult: int) -> None:
+    """Add the primitive factor p to fac mult times, split by `_factor_parts`.
+
+    A constant p adds nothing, and equal factors merge into one multiplicity.
+    """
+    if p.is_const:
+        return
+    for f, e in _factor_parts(p):
+        k = f.key()
+        fac[k] = (f, fac[k][1] + e * mult if k in fac else e * mult)
 
 
 def _cancel(num: MultiPoly, f: MultiPoly, mult: int) -> tuple[MultiPoly, int]:
@@ -835,11 +908,7 @@ class RatFunc:
                 raise ZeroDivisionError("zero denominator factor")
             ds, dp = d.primitive()
             scalar = scalar / ds
-            if dp.is_const:
-                continue
-            for f, e in _factor_parts(dp):
-                k = f.key()
-                fac[k] = (f, fac[k][1] + e if k in fac else e)
+            _merge_factor(fac, dp, 1)
         return RatFunc._reduced(registry, scalar, prim, fac)
 
     @staticmethod
@@ -989,9 +1058,7 @@ class RatFunc:
         if self.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         fac: dict[tuple, tuple[MultiPoly, int]] = {}
-        if not self.num.is_const:
-            for f, e in _factor_parts(self.num):
-                fac[f.key()] = (f, e)
+        _merge_factor(fac, self.num, 1)
         # when the old factors are prime, none divides the old numerator, so
         # the old numerator's factors share no prime with the new one
         trial = () if self._linear() else None
@@ -1052,6 +1119,14 @@ class RatFunc:
         canonical form that dividing by the images one at a time reaches: a
         linear form is prime, so both cancel it min(its multiplicity in the
         numerator image, its total multiplicity) times.
+
+        The images come from `_Evaluation.primitive_image`: a linear
+        numerator or factor is mapped by the integer linear map, with its
+        content and sign taken by one gcd.  Every content meets `scalar` in
+        one Fraction at the end.  Equal images merge, a monomial image splits
+        into its variables, and a constant image joins the scalar, as in
+        `from_factored`.  A zero factor image raises PoleError before the
+        numerator is mapped.
         """
         occurs = _union(self.num)
         for f, _ in self.factors:
@@ -1059,14 +1134,18 @@ class RatFunc:
         ev = _Evaluation(self.registry, occurs, bindings, target)
         if self.is_zero:
             return RatFunc.zero(ev.target)
-        num = ev.image(self.num)
-        dens = []
+        # the scalar is up/down, built in ints
+        up, down = self.scalar.numerator, self.scalar.denominator
+        fac: dict[tuple, tuple[MultiPoly, int]] = {}
         for f, m in self.factors:
-            fr = ev.image(f)
-            if fr.is_zero:
+            a, b, prim = ev.primitive_image(f)
+            if not a:
                 raise PoleError("substitution makes a denominator factor vanish")
-            dens += [fr] * m
-        return RatFunc.from_factored(num, dens, 1 / self.scalar)
+            up *= b ** m
+            down *= a ** m
+            _merge_factor(fac, prim, m)
+        a, b, num = ev.primitive_image(self.num)
+        return RatFunc._reduced(ev.target, Fraction(up * a, down * b), num, fac)
 
     # -- text -------------------------------------------------------------------
 

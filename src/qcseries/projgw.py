@@ -174,15 +174,21 @@ def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
 
     Each term (target, step, weight, shift) adds weight times the
     coefficient lower(target, degree - step), substituted by shift; a term
-    whose lower degree would be negative adds nothing.  The sum runs in term
-    order with incremental cancellation, which keeps the numerators small.
+    whose lower degree would be negative adds nothing.  Each target's terms
+    are summed first, with incremental cancellation, and the partial sums
+    are then added in order of the targets' first appearance.  That keeps
+    the sums' numerators smaller than adding in term order does.
     """
-    acc = RatFunc.zero(registry)
+    partial: dict = {}
     for target, step, weight, shift in terms:
         prev = tuple(d - s for d, s in zip(degree, step))
         if min(prev) < 0:
             continue
-        acc = acc + weight * substitute(lower(target, prev), shift)
+        term = weight * substitute(lower(target, prev), shift)
+        partial[target] = partial[target] + term if target in partial else term
+    acc = RatFunc.zero(registry)
+    for part in partial.values():
+        acc = acc + part
     return acc
 
 

@@ -343,7 +343,12 @@ class RootSystem:
         )
 
     def act_on_ratfunc(self, w: WeylElement, f: RatFunc) -> RatFunc:
-        """Field automorphism induced by w on functions of alpha_1..alpha_rank."""
+        """Field automorphism induced by w on functions of alpha_1..alpha_rank.
+
+        The identity returns f itself.
+        """
+        if w == self.identity:
+            return f
         registry = f.registry
         bindings = {
             f"alpha_{i + 1}": self.root_form(registry, w.act(self.simple_roots[i]))

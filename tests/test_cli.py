@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qcseries import cli, flaggw, projgw, toda3
+from qcseries import cli, exactalg, flaggw, projgw, toda3
 from qcseries.exactalg import PoleError, RatFunc, VarRegistry
 from qcseries.report import VerificationReport
 
@@ -492,6 +492,25 @@ def test_checks_compare_only_linear_denominators_in_canonical_form(capsys, monke
     code, _, _ = run(capsys, "verify", "all", "--level", "quick")
     assert code == 0
     assert nonlinear == [] and differ == []
+
+
+def test_checks_map_no_linear_form_through_powers(capsys, monkeypatch):
+    # a substitution maps a polynomial of total degree at most 1 through its
+    # integer linear map, so this fails if one reaches the loop over products
+    # of powers; nonlinear numerators still take that loop
+    expand = exactalg._Evaluation._expand
+    expanded = []
+
+    def nonlinear_only(self, p):
+        if max(p.terms, default=0) >> p.registry._deg_shift <= 1:
+            raise AssertionError(f"linear form {p.text()} reached the power loop")
+        expanded.append(p)
+        return expand(self, p)
+
+    monkeypatch.setattr(exactalg._Evaluation, "_expand", nonlinear_only)
+    code, _, err = run(capsys, "verify", "all", "--level", "quick")
+    assert code == 0, err
+    assert expanded
 
 
 # -- runner failures -----------------------------------------------------------------

@@ -811,11 +811,25 @@ def test_text_round_trip_matches_sympy(data):
     assert sympy.cancel(read - want) == 0
 
 
-def divide_per_factor(f, bindings):
-    # substitute the numerator and each factor apart, dividing by each image
-    out = f.num.substitute(bindings) * f.scalar
+def evaluate(p, bindings, target=None):
+    # p at the bindings by ring arithmetic over the target, term by term; this
+    # shares no code with substitution
+    target = p.registry if target is None else target
+    out = target.zero()
+    for mono, c in p.monomials():
+        term = target.const(c)
+        for nm, e in zip(p.registry.names, mono):
+            if e:
+                term = term * (bindings[nm] if nm in bindings else target.var(nm)) ** e
+        out = out + term
+    return out
+
+
+def divide_per_factor(f, bindings, target=None):
+    # evaluate the numerator and each factor apart, dividing by each image
+    out = RatFunc.from_poly(evaluate(f.num, bindings, target)) * f.scalar
     for g, m in f.factors:
-        image = g.substitute(bindings)
+        image = evaluate(g, bindings, target)
         if image.is_zero:
             raise PoleError("a denominator factor vanishes")
         for _ in range(m):
@@ -877,3 +891,83 @@ def test_substitute_matches_per_factor_division_and_sympy(data):
 
     point = [value(bindings[nm]) if nm in bindings else g for nm, g in zip(PREG.names, gens)]
     assert value(got) == field_value(f.numerator, point) / field_value(f.denominator, point)
+
+
+def test_linear_map_folds_every_kind_of_factor_image():
+    # every factor is linear, so each one's image is read off the integer
+    # linear map; each case agrees with per-factor division and with a value
+    # built by hand
+    x, y, z = (PREG.var(nm) for nm in PREG.names)
+    f = RatFunc.from_factored(x + 2 * y, [x + z, y + z, x - y], 3)
+    # a factor that maps to zero is a pole
+    with pytest.raises(PoleError):
+        f.substitute({"z": -x})
+    # a constant image joins the scalar
+    got = f.substitute({"x": 3, "z": -2})
+    assert got == RatFunc.from_factored(2 * y + 3, [y - 2, 3 - y], 3)
+    assert all(not g.is_const for g, _ in got.factors)
+    assert f.substitute({"x": 1, "y": 2, "z": 0}) == Fraction(-5, 6)
+    # a monomial image keeps its variables: 2x is the factor x, and x*y
+    # (from a nonlinear value) splits into x and y
+    assert f.substitute({"z": x}).text() == "(x + 2*y)/(6(x - y)(x + y)x)"
+    got = f.substitute({"z": x * y - x})
+    assert [g.text() for g, _ in got.factors if len(g.terms) == 1] == ["y", "x"]
+    # equal images merge, also when they differ in sign
+    g = RatFunc.from_factored(PREG.one(), [x + z, y + z])
+    assert canonical(g.substitute({"x": y})) == canonical(
+        RatFunc.from_factored(PREG.one(), [y + z, y + z]))
+    assert canonical(g.substitute({"x": -y - 2 * z})) == canonical(
+        RatFunc.from_factored(PREG.const(-1), [y + z, y + z]))
+    # values over denominators 2 and 3 share the scale lcm(2, 3) = 6
+    thirds = {"x": y.scale(Fraction(1, 2)), "z": y.scale(Fraction(1, 3))}
+    assert exactalg._Evaluation(PREG, exactalg._union(x + y + z), thirds, None).scale == 6
+    assert canonical(f.substitute(thirds)) == canonical(
+        RatFunc.from_factored(PREG.const(-3), [y, y], 2))
+    # a polynomial image divides the scale back out, also over a nonlinear
+    # factor, whose image is built from products of powers
+    assert (x + 2 * y + z).substitute(thirds) == RatFunc.from_poly(y.scale(Fraction(17, 6)))
+    nonlinear = RatFunc.from_factored(x + 2 * y + z, [x * y + z])
+    assert nonlinear.substitute(thirds).text() == "17*y/(3*y^2 + 2*y)"
+    for bindings in ({"x": 3, "z": -2}, {"x": 1, "y": 2, "z": 0}, {"z": x},
+                     {"z": x * y - x}, thirds):
+        assert f.substitute(bindings).text() == divide_per_factor(f, bindings).text()
+        assert nonlinear.substitute(bindings).text() == \
+            divide_per_factor(nonlinear, bindings).text()
+    for bindings in ({"x": y}, {"x": -y - 2 * z}):
+        assert g.substitute(bindings).text() == divide_per_factor(g, bindings).text()
+
+
+TREG = VarRegistry(["u", "y", "x", "v"])
+
+
+def target_linear_forms():
+    return st.tuples(*[st.integers(-3, 3)] * 5).map(
+        lambda t: TREG.linear(dict(zip(TREG.names, t[:4])), t[4]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_into_another_registry_matches_per_factor_division(data):
+    # x and y are kept (the target has them, in another order) or bound; z is
+    # not in the target, so it is always bound; a value is a constant or a
+    # linear form over the target, with denominators 1 to 3
+    pool = data.draw(st.lists(linear_forms(), min_size=2, max_size=4))
+    f = data.draw(linear_ratfuncs(pool))
+    values = st.one_of(
+        st.integers(-3, 3),
+        st.tuples(target_linear_forms(), st.integers(1, 3)).map(
+            lambda t: t[0].scale(Fraction(1, t[1]))),
+    )
+    bindings = {"z": data.draw(values)}
+    for nm in ("x", "y"):
+        if (v := data.draw(st.one_of(st.none(), values))) is not None:
+            bindings[nm] = v
+    try:
+        want = divide_per_factor(f, bindings, TREG)
+    except PoleError:
+        with pytest.raises(PoleError):
+            f.substitute(bindings, TREG)
+        return
+    got = f.substitute(bindings, TREG)
+    assert got.registry is TREG
+    assert got.text() == want.text()

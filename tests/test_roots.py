@@ -108,6 +108,8 @@ def test_act_on_ratfunc():
     s1 = A2.simple_reflections[0]
     f = RatFunc.one(reg) / RatFunc.from_poly(reg.var("alpha_1"))
     assert A2.act_on_ratfunc(s1, f) == -f
+    # the identity returns its argument, not a substituted copy
+    assert A2.act_on_ratfunc(A2.identity, f) is f
     g = RatFunc.from_poly(reg.var("alpha_2"))
     assert A2.act_on_ratfunc(s1, g) == RatFunc.from_poly(
         reg.var("alpha_1") + reg.var("alpha_2")
