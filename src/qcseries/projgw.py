@@ -26,6 +26,20 @@ and comparing with lambda_0 = 0 drops no check while every polynomial
 carries one variable fewer.  `series proj` prints its tables in lambda by
 applying phi.
 
+Only the table of fixed point 0 is solved.  The swap tau = (0 j) of two
+fixed points permutes the weights, lambda_a -> lambda_tau(a), and fixes h;
+in difference coordinates it is the field automorphism
+mu_a -> mu_tau(a) - mu_tau(0) of Q(mu_1..mu_n, h) (`ProjSetup.swap`).  The
+coupling, the pole lambda_i - lambda_j + k*h and the shift
+h -> (lambda_j - lambda_i)/k of the (i, j, k) recursion term are built from
+the weights of i and j and, symmetrically, those of the other points, so
+their tau-images are the coupling, pole and shift at (tau i, tau j, k).
+Since tau fixes h it commutes with the h-substitution, and it carries the
+recursion of point i to that of point tau(i).  Every table is 1 at degree 0
+and the recursion fixes each later degree from lower ones, so induction on d
+gives Z_tau(i) = tau.Z_i, and Z_j = tau_j.Z_0; a test compares these images
+with a solve of all n+1 tables.
+
 Memoization rule: only the inputs a route reads are memoized, once per
 process.  These are the closed forms (`closed_b`) and the couplings
 (`recursion_coeff`), pure functions of the dimension and their indices,
@@ -89,6 +103,19 @@ class ProjSetup:
         """Bindings of phi: the variable lambda_a goes to lambda_a - lambda_0."""
         lam0 = self.registry.var("lambda_0")
         return {f"lambda_{a}": self.lam(a) - lam0 for a in range(1, self.n + 1)}
+
+    def swap(self, j: int) -> dict[str, MultiPoly]:
+        """Bindings of the swap tau = (0 j) of fixed points, which fixes h.
+
+        tau sends lambda_a to lambda_tau(a), so the variable lambda_a, which
+        stands for lambda_a - lambda_0, goes to lambda_tau(a) - lambda_j:
+        lambda_j to -lambda_j and lambda_a to lambda_a - lambda_j otherwise.
+        """
+        shift = self.lam(j)
+        return {
+            f"lambda_{a}": self.lam(0 if a == j else a) - shift
+            for a in range(1, self.n + 1)
+        }
 
     @property
     def h(self) -> MultiPoly:
@@ -199,6 +226,9 @@ def solve_tables(registry: VarRegistry, per_target, degrees):
     listed target at a strictly lower degree.  degrees[0] is the zero degree,
     whose coefficient is 1, and each later degree comes after every degree
     its terms read; the loop runs degree by degree, then target by target.
+    This is the reference route that solves every table from its own terms;
+    the solvers here and in flaggw solve one table and read the others as its
+    images, and only the tests that compare the two call it, no check.
     """
     one = RatFunc.one(registry)
     tables = {target: {degrees[0]: one} for target, _ in per_target}
@@ -209,15 +239,15 @@ def solve_tables(registry: VarRegistry, per_target, degrees):
     return tables
 
 
-def _recursion_terms(setup: ProjSetup, k_max: int) -> list[tuple[int, list]]:
-    """Per fixed point i, the (j, k) terms of its recursion, for k <= k_max.
+def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, list]]:
+    """Per fixed point i of `points`, the (j, k) terms of its recursion, for k <= k_max.
 
     A term reads fixed point j at k degrees lower; its weight is
     recursion_coeff(i, j, k) over the pole lambda_i - lambda_j + k*h, and
     its shift is h -> (lambda_j - lambda_i)/k.  j runs outer, k inner.
     """
     per_i = []
-    for i in setup.points():
+    for i in points:
         terms = []
         for j in setup.points():
             if j == i:
@@ -231,6 +261,21 @@ def _recursion_terms(setup: ProjSetup, k_max: int) -> list[tuple[int, list]]:
     return per_i
 
 
+def _swap_reader(setup: ProjSetup, table):
+    """lower(j, (d,)) = tau_j.table[d], substituted once per (j, d) and reader."""
+    swaps = {j: setup.swap(j) for j in setup.points() if j != 0}
+    swapped = {}
+
+    def lower(j, degree):
+        (d,) = degree
+        if j == 0:
+            return table[d]
+        if (j, d) not in swapped:
+            swapped[(j, d)] = substitute(table[d], swaps[j])
+        return swapped[(j, d)]
+    return lower
+
+
 def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc]]:
     """Build all tables from degree 0 upward using only the recursion data.
 
@@ -240,6 +285,10 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
     is in the B normalization of `closed_B`.  Like every value here they
     are normalized to lambda_0 = 0; substituting `setup.to_lambda()` gives
     them in lambda_0..lambda_n.
+
+    Only the table of point 0 is solved; a term that reads point j != 0
+    reads tau_j applied to it, and the table of point i is tau_i applied to
+    it (see the module docstring).
     """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
@@ -249,9 +298,12 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
         one = RatFunc.one(setup.registry)
         h = RatFunc.from_poly(setup.h)
         return {0: {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}}
-    tables = solve_tables(setup.registry, _recursion_terms(setup, d_max),
-                          [(d,) for d in range(d_max + 1)])
-    return {i: {d: c for (d,), c in table.items()} for i, table in tables.items()}
+    ((_, terms),) = _recursion_terms(setup, d_max, [0])
+    z0 = {0: RatFunc.one(setup.registry)}
+    lower = _swap_reader(setup, z0)
+    for d in range(1, d_max + 1):
+        z0[d] = recursion_sum(setup.registry, terms, (d,), lower)
+    return {i: {d: lower(i, (d,)) for d in range(d_max + 1)} for i in setup.points()}
 
 
 # -- verification --------------------------------------------------------------------
@@ -278,7 +330,7 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
                 report.check_equal(f"d={d}", table[d], closed_B(setup, 0, d))
             return report
         if method == "direct":
-            terms = dict(_recursion_terms(setup, d_max))
+            terms = dict(_recursion_terms(setup, d_max, setup.points()))
         for i in setup.points():
             for d in range(1, d_max + 1):
                 if method == "direct":

@@ -147,6 +147,20 @@ def test_series_flag_at_its_cap_holds_its_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("series", "proj", "--n", "3", "--max-d", "3"),
+     "6f11bc043cadc159ff75a9d6bf2227b49b4ac1fc8f1b3b7f6fda9d539200b453"),
+    (("series", "proj", "--n", "2", "--max-d", "6"),
+     "fcc87847c16af2114833126bc9cf94222ad91884d60b3f035b92ab19b64678e2"),
+], ids=["proj-n-3-max-d-3", "proj-n-2-max-d-6"])
+def test_series_proj_at_its_cap_holds_its_bytes(capsys, argv, digest):
+    # the goldens stop at d = 3 for n = 1; these digests pin every fixed
+    # point's rows at the caps, read as swap images of point 0's table
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_series_deterministic_bytes(capsys):
     argv = ("series", "proj", "--n", "2", "--max-d", "3")
     _, first, _ = run(capsys, *argv)

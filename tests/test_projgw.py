@@ -192,6 +192,49 @@ def test_solver_matches_closed_forms():
                 assert table[d] == closed_b(setup, i, d)
 
 
+def test_every_table_is_the_swap_image_of_table_0():
+    # the solver reads every table but point 0's as a tau_j-image; the
+    # reference route solves all n+1 tables, each from its own terms
+    for setup, dmax in ((P1, 6), (P2, 5), (ProjSetup(3), 4), (ProjSetup(4), 2)):
+        got = solve_recursion(setup, dmax)
+        terms = projgw._recursion_terms(setup, dmax, setup.points())
+        want = projgw.solve_tables(setup.registry, terms, [(d,) for d in range(dmax + 1)])
+        assert list(got) == list(want)
+        for i in setup.points():
+            assert list(got[i]) == list(range(dmax + 1))
+            for d in range(dmax + 1):
+                assert got[i][d] == want[i][(d,)], (setup.n, i, d)
+                assert got[i][d].text() == want[i][(d,)].text(), (setup.n, i, d)
+
+
+def test_swap_images_of_the_weights():
+    # tau_j sends mu_j to -mu_j and mu_a to mu_a - mu_j, and fixes h
+    setup = ProjSetup(3)
+    lam = setup.lam
+    assert setup.swap(2) == {
+        "lambda_1": lam(1) - lam(2), "lambda_2": -lam(2), "lambda_3": lam(3) - lam(2),
+    }
+    for j in setup.points():
+        for a in setup.points():
+            b = {0: j, j: 0}.get(a, a)
+            assert substitute(lam(a), setup.swap(j)) == RatFunc.from_poly(lam(b) - lam(j))
+
+
+def test_solver_sums_one_recursion_per_degree(monkeypatch):
+    # only point 0's table is solved: one recursion sum per degree, where
+    # solving all n+1 tables takes n+1
+    calls = []
+    summed = projgw.recursion_sum
+
+    def counted(*args):
+        calls.append(args[2])
+        return summed(*args)
+
+    monkeypatch.setattr(projgw, "recursion_sum", counted)
+    solve_recursion(ProjSetup(3), 3)
+    assert calls == [(1,), (2,), (3,)]
+
+
 def test_solver_dimension_zero_is_exponential():
     p0 = ProjSetup(0)
     tables = solve_recursion(p0, 3)
@@ -275,12 +318,53 @@ def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
 
 
 def test_verify_solver_fails_on_a_wrong_coupling(monkeypatch):
-    # the wrong coupling enters table 0 at every degree from d = 1, and
-    # table 1 where it reads table 0's broken d = 1 value, at d = 2
+    # the wrong coupling enters table 0 at every degree from d = 1; table 1
+    # is the swap image of table 0, so it fails at the same degrees
     assert verify_solver(P1, 2).ok
     doubled_coupling_at_0_1_1(monkeypatch)
     rep = verify_solver(P1, 2)
-    assert [loc for loc, _, _ in rep.failures] == ["i=0 d=1", "i=0 d=2", "i=1 d=2"]
+    assert [loc for loc, _, _ in rep.failures] == [
+        "i=0 d=1", "i=0 d=2", "i=1 d=1", "i=1 d=2",
+    ]
+
+
+def test_a_wrong_coupling_at_point_1_reaches_the_routes_that_read_it(monkeypatch):
+    # the solver builds point 0's terms only, so the (1, 0, 1) coupling no
+    # longer reaches it; the direct and residue routes read every point's
+    # couplings and still catch it
+    warm_both_routes(P1, 2)
+    coupling = projgw.recursion_coeff
+
+    def doubled_at_1_0_1(setup, i, j, k):
+        value = coupling(setup, i, j, k)
+        return value * 2 if (i, j, k) == (1, 0, 1) else value
+
+    monkeypatch.setattr(projgw, "recursion_coeff", doubled_at_1_0_1)
+    assert verify_solver(P1, 2).ok
+    rep = verify_theorem_3_3(P1, 2, "direct")
+    assert [loc for loc, _, _ in rep.failures] == ["i=1 d=1", "i=1 d=2"]
+    rep = verify_theorem_3_3(P1, 2, "residue")
+    assert [loc for loc, _, _ in rep.failures] == [
+        "i=1 d=1 pole j=0 k=1", "i=1 d=2 pole j=0 k=1",
+    ]
+
+
+def test_verify_solver_fails_on_a_wrong_swap(monkeypatch):
+    # mu_a -> mu_a for a not in {0, j}, with the -mu_j dropped: on P^1 there
+    # is no such a and the map is right; on P^2 table 0 first reads a wrong
+    # image at d = 2, and the other tables are wrong images from d = 1
+    def without_shift(setup, j):
+        return {
+            f"lambda_{a}": -setup.lam(a) if a == j else setup.lam(a)
+            for a in range(1, setup.n + 1)
+        }
+
+    monkeypatch.setattr(ProjSetup, "swap", without_shift)
+    assert verify_solver(P1, 2).ok
+    rep = verify_solver(P2, 2)
+    assert [loc for loc, _, _ in rep.failures] == [
+        "i=0 d=2", "i=1 d=1", "i=1 d=2", "i=2 d=1", "i=2 d=2",
+    ]
 
 
 def test_euler_prefactor_fails_on_a_wrong_coupling(monkeypatch):
