@@ -21,7 +21,7 @@ print("long root,      k=2:", coeff_C_id(setup, A2_THETA, 2).text())
 
 # solve the recursion for the identity series, up to total degree 2; the
 # other five series are its images under the Weyl action
-z_id = flaggw.solve_flag_recursion(setup, (2, 2), total_max=2)
+z_id = flaggw.solve_flag_recursion(setup, 2)
 for beta in sorted(z_id, key=lambda b: (sum(b), b)):
     print(f"identity series, beta={beta}: {z_id[beta].text()}")
 s1 = system.simple_reflections[0]

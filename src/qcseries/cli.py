@@ -129,17 +129,17 @@ def _series_flag(args, rank: int):
     # the golden format names the pole convention, of which one is left
     if rank == 1:
         bound = _bound(args.max_d, 3, 8, "--max-d")
-        setup, bmax, total_max = flaggw._a1_setup(), (bound,), None
+        setup = flaggw._a1_setup()
         lines = ["target flag-a1", "param convention=lemma37",
                  f"param max_d={bound}"]
     else:
         bound = _bound(args.max, 3, 5, "--max")
-        setup, bmax, total_max = flaggw._a2_setup(), (bound, bound), bound
+        setup = flaggw._a2_setup()
         lines = ["target flag-a2", "param convention=lemma37",
                  f"param max={bound}"]
 
     def run() -> list[str]:
-        z_id = flaggw.solve_flag_recursion(setup, bmax, total_max=total_max)
+        z_id = flaggw.solve_flag_recursion(setup, bound)
         # the table of w is w applied to the identity table
         for w in setup.system.weyl_elements:
             word = w.word_text()
@@ -296,10 +296,11 @@ def _check_lemma34(args, quick: bool):
 
 def _check_toda_operators(args, quick: bool):
     # as for toda-eq, the equivariant operators stop at 8 at the full level;
-    # an explicit --max sets both orders, under toda-eq's cap
+    # an explicit --max sets both orders, up to the plain operators' full
+    # order 12, so every order the full level runs can be rerun by name
     n_plain, n_eq = (6, 6) if quick else (12, 8)
     if args.max is not None:
-        n_plain = n_eq = _bound(args.max, n_eq, 10, "--max", low=1)
+        n_plain = n_eq = _bound(args.max, n_eq, 12, "--max", low=1)
     return lambda: [
         toda3.verify_operator_annihilation(n_plain, equivariant=False),
         toda3.verify_operator_annihilation(n_eq, equivariant=True),

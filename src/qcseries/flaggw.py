@@ -125,35 +125,29 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
 # -- the solver ----------------------------------------------------------------------
 
 
-def _beta_range(bmax: tuple[int, ...]):
-    betas = list(itertools.product(*(range(b + 1) for b in bmax)))
-    betas.sort(key=lambda b: (sum(b), b))
-    return betas
+def _beta_range(rank: int, total_max: int):
+    """Multidegrees of coordinate sum at most total_max, by sum, then lexicographically."""
+    betas = itertools.product(range(total_max + 1), repeat=rank)
+    return sorted((b for b in betas if sum(b) <= total_max), key=lambda b: (sum(b), b))
 
 
-def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
-                     total_max: int | None = None):
+def _recursion_terms(setup: FlagSetup, total_max: int, elements):
     """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
 
     Returns (w, terms) per element of `elements`, each term in the form
     `projgw.recursion_sum` reads: (lower_w, k*cocoords, weight, shift), so it
     adds weight times the table at lower_w, read at the multidegree
     k*cocoords lower and then substituted by shift.  Covers run over every
-    positive root alpha and every k that fits under bmax and, if given,
-    whose step has coordinate sum at most total_max: a longer step reads
-    below multidegree 0 from every multidegree the tables hold.
+    positive root alpha and every k whose step has coordinate sum at most
+    total_max: a longer step reads below multidegree 0 from every
+    multidegree of the triangle.
     """
     system = setup.system
     steps = []
     for alpha in system.positive_roots:
         cocoords = system.coroot_coords(alpha)
-        k_cap = min(
-            (b // c for b, c in zip(bmax, cocoords) if c), default=0
-        )
-        if total_max is not None:
-            k_cap = min(k_cap, total_max // sum(cocoords))
         refl = system.reflection(alpha)
-        for k in range(1, k_cap + 1):
+        for k in range(1, total_max // sum(cocoords) + 1):
             base = coeff_C_id(setup, alpha, k)
             steps.append((alpha, k, tuple(k * c for c in cocoords), refl, base))
 
@@ -173,43 +167,25 @@ def _recursion_terms(setup: FlagSetup, bmax: tuple[int, ...], elements,
     return per_w
 
 
-def _weyl_reader(system: RootSystem, table):
-    """lower(w, beta) = w.table[beta], acted on once per (w, beta) and reader."""
-    acted = {}
-
-    def lower(w, beta):
-        if (w, beta) not in acted:
-            acted[(w, beta)] = system.act_on_ratfunc(w, table[beta])
-        return acted[(w, beta)]
-    return lower
-
-
-def solve_flag_recursion(setup: FlagSetup, beta_max,
-                         total_max: int | None = None) -> dict[tuple[int, ...], RatFunc]:
+def solve_flag_recursion(setup: FlagSetup, total_max: int) -> dict[tuple[int, ...], RatFunc]:
     """Build the identity table {beta: coefficient} from multidegree 0 upward.
 
-    A multidegree beta is in coroot coordinates, and the pole attached to an
-    (alpha, k) term is k*h + alpha.  The term reads the table at s_alpha,
-    which is s_alpha applied to this one, as the table of any w is w applied
-    to it (see the module docstring).
-
-    total_max, if given, skips multidegrees whose coordinate sum exceeds it;
-    the recursion only ever reads strictly smaller sums, so the triangle is
-    self-contained.
+    A multidegree beta is in coroot coordinates, and the table holds those
+    of coordinate sum at most total_max; the recursion only ever reads
+    strictly smaller sums, so the triangle is self-contained.  The pole
+    attached to an (alpha, k) term is k*h + alpha.  The term reads the table
+    at s_alpha, which is s_alpha applied to this one, as the table of any w
+    is w applied to it (see the module docstring).
     """
     system = setup.system
     if system.rank > MAX_SOLVER_RANK:
         raise ValueError(f"solver is capped at rank {MAX_SOLVER_RANK}")
-    if isinstance(beta_max, int):
-        bmax = (beta_max,) * system.rank
-    else:
-        bmax = tuple(beta_max)
-    if len(bmax) != system.rank or any(b < 0 for b in bmax):
-        raise ValueError("need one nonnegative bound per simple coroot")
-    betas = [b for b in _beta_range(bmax) if total_max is None or sum(b) <= total_max]
-    ((_, terms),) = _recursion_terms(setup, bmax, [system.identity], total_max)
+    if total_max < 0:
+        raise ValueError("total-degree bound must be >= 0")
+    betas = _beta_range(system.rank, total_max)
+    ((_, terms),) = _recursion_terms(setup, total_max, [system.identity])
     z_id = {betas[0]: RatFunc.one(setup.registry)}
-    lower = _weyl_reader(system, z_id)
+    lower = projgw.image_reader(z_id, system.act_on_ratfunc)
     for beta in betas[1:]:
         z_id[beta] = projgw.recursion_sum(setup.registry, terms, beta, lower)
     return z_id
@@ -282,9 +258,9 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         reg = setup.registry
         alpha = reg.var("alpha_1")
         s1 = system.simple_reflections[0]
-        z_id = solve_flag_recursion(setup, (d_max,))
-        lower = _weyl_reader(system, z_id)
-        ((_, s1_terms),) = _recursion_terms(setup, (d_max,), [s1])
+        z_id = solve_flag_recursion(setup, d_max)
+        lower = projgw.image_reader(z_id, system.act_on_ratfunc)
+        ((_, s1_terms),) = _recursion_terms(setup, d_max, [s1])
 
         proj = projgw.ProjSetup(1)
         chart = {"alpha_1": proj.lam(0) - proj.lam(1)}
@@ -331,14 +307,14 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
         setup = _a2_setup()
         system = setup.system
         reg = setup.registry
-        ((_, terms),) = _recursion_terms(setup, (n_max, n_max), [system.identity], n_max)
+        ((_, terms),) = _recursion_terms(setup, n_max, [system.identity])
 
         closed = {
             (i, j): a2_closed_coeff(setup, i, j)
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
-        lower = _weyl_reader(system, closed)
+        lower = projgw.image_reader(closed, system.act_on_ratfunc)
 
         for i, j in closed:
             if i == 0 and j == 0:

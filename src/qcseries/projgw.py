@@ -219,6 +219,22 @@ def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
     return acc
 
 
+def image_reader(table, act):
+    """lower(g, degree) = act(g, table[degree]), acted on once per (g, degree) and reader.
+
+    The solvers solve one table and read every other as its image under a
+    symmetry g of the recursion.  A reader keeps its images for the one
+    solve or check that made it, and nothing across them.
+    """
+    images = {}
+
+    def lower(g, degree):
+        if (g, degree) not in images:
+            images[(g, degree)] = act(g, table[degree])
+        return images[(g, degree)]
+    return lower
+
+
 def solve_tables(registry: VarRegistry, per_target, degrees):
     """Tables target -> degree -> coefficient, filled by `recursion_sum`.
 
@@ -261,21 +277,6 @@ def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, li
     return per_i
 
 
-def _swap_reader(setup: ProjSetup, table):
-    """lower(j, (d,)) = tau_j.table[d], substituted once per (j, d) and reader."""
-    swaps = {j: setup.swap(j) for j in setup.points() if j != 0}
-    swapped = {}
-
-    def lower(j, degree):
-        (d,) = degree
-        if j == 0:
-            return table[d]
-        if (j, d) not in swapped:
-            swapped[(j, d)] = substitute(table[d], swaps[j])
-        return swapped[(j, d)]
-    return lower
-
-
 def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc]]:
     """Build all tables from degree 0 upward using only the recursion data.
 
@@ -299,10 +300,11 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
         h = RatFunc.from_poly(setup.h)
         return {0: {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}}
     ((_, terms),) = _recursion_terms(setup, d_max, [0])
-    z0 = {0: RatFunc.one(setup.registry)}
-    lower = _swap_reader(setup, z0)
+    swaps = {j: setup.swap(j) for j in setup.points() if j != 0}
+    z0 = {(0,): RatFunc.one(setup.registry)}
+    lower = image_reader(z0, lambda j, value: substitute(value, swaps[j]) if j else value)
     for d in range(1, d_max + 1):
-        z0[d] = recursion_sum(setup.registry, terms, (d,), lower)
+        z0[(d,)] = recursion_sum(setup.registry, terms, (d,), lower)
     return {i: {d: lower(i, (d,)) for d in range(d_max + 1)} for i in setup.points()}
 
 
@@ -355,6 +357,8 @@ def verify_solver(setup: ProjSetup, d_max: int) -> VerificationReport:
     """
     report = VerificationReport("proj-solver", {"n": setup.n, "max_d": d_max})
     with timed(report):
+        if setup.n == 0:
+            raise ValueError("the solver check needs n >= 1")
         for i, table in solve_recursion(setup, d_max).items():
             for d in range(d_max + 1):
                 report.check_equal(f"i={i} d={d}", table[d], closed_b(setup, i, d))

@@ -412,7 +412,7 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     report = VerificationReport("corollary35", {"max_total": n_max})
     with timed(report):
         setup = flaggw._a2_setup()
-        z_id = flaggw.solve_flag_recursion(setup, (n_max, n_max), total_max=n_max)
+        z_id = flaggw.solve_flag_recursion(setup, n_max)
         h = RatFunc.from_poly(ALPHA_REGISTRY.var("h"))
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):

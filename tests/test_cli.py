@@ -357,6 +357,19 @@ def test_verify_bound_cap_enforced(capsys):
     assert "cap" in err
 
 
+def test_toda_operators_reruns_every_full_level_order_by_name(capsys):
+    # the full level runs the plain operators at order 12, so --max 12 must
+    # be accepted; it sets both orders
+    code, out, _ = run(capsys, "verify", "toda-operators", "--max", "12")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines.count("status pass") == 2
+    assert lines.count("param max_total=12") == 2
+    code, out, err = run(capsys, "verify", "toda-operators", "--max", "13")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max exceeds the cap 12\n"
+
 def test_chart_rejected_off_target(capsys):
     code, _, err = run(capsys, "series", "toda", "--max", "2", "--chart", "part3")
     assert code == 2

@@ -115,10 +115,10 @@ def test_coeff_entry_type_checks_degree():
 # -- the solver -----------------------------------------------------------------------
 
 
-def full_solve(setup, bmax, total_max=None):
+def full_solve(setup, total_max):
     """Reference route: all |W| tables solved side by side, each reading the others."""
-    betas = [b for b in flaggw._beta_range(bmax) if total_max is None or sum(b) <= total_max]
-    terms = flaggw._recursion_terms(setup, bmax, setup.system.weyl_elements, total_max)
+    betas = flaggw._beta_range(setup.rank, total_max)
+    terms = flaggw._recursion_terms(setup, total_max, setup.system.weyl_elements)
     return projgw.solve_tables(setup.registry, terms, betas)
 
 
@@ -126,7 +126,7 @@ def test_solver_rank_one_closed_form():
     reg = A1.registry
     alpha, h = reg.var("alpha_1"), reg.var("h")
     z_id = solve_flag_recursion(A1, 4)
-    z_s1 = full_solve(A1, (4,))[A1.system.simple_reflections[0]]
+    z_s1 = full_solve(A1, 4)[A1.system.simple_reflections[0]]
     for d in range(5):
         dens = [alpha + h.scale(m) for m in range(1, d + 1)]
         assert z_id[(d,)] == RatFunc.from_factored(
@@ -139,8 +139,9 @@ def test_solver_rank_one_closed_form():
 
 
 def test_solver_rank_two_matches_closed_form_all_elements():
-    z_id = solve_flag_recursion(A2, (2, 2))
-    tables = full_solve(A2, (2, 2))
+    # total degree 4 covers the bidegrees (i, j) with i, j <= 2
+    z_id = solve_flag_recursion(A2, 4)
+    tables = full_solve(A2, 4)
     system = A2.system
     for i in range(3):
         for j in range(3):
@@ -158,9 +159,8 @@ def test_every_weyl_table_is_the_w_image_of_the_identity_table():
     entries = 0
     for setup, t in ((A2, 4), (B2, 4), (G2, 4), (A3, 3)):
         system = setup.system
-        bmax = (t,) * system.rank
-        z_id = solve_flag_recursion(setup, bmax, total_max=t)
-        for w, table in full_solve(setup, bmax, t).items():
+        z_id = solve_flag_recursion(setup, t)
+        for w, table in full_solve(setup, t).items():
             for beta, value in table.items():
                 assert value == system.act_on_ratfunc(w, z_id[beta]), (w, beta)
                 entries += 1
@@ -172,13 +172,13 @@ def test_identity_tables_are_homogeneous():
     # built from the height of alpha instead of <rho, alpha_check>, B2 and G2
     # fail first at (1, 1) and B3 at (0, 1, 1)
     for setup, t in ((A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3)):
-        z_id = solve_flag_recursion(setup, (t,) * setup.rank, total_max=t)
+        z_id = solve_flag_recursion(setup, t)
         wrong = [beta for beta, c in z_id.items() if homogeneous_degree(c) != -sum(beta)]
         assert wrong == [], setup.system.cartan
 
 
 def test_solver_grading():
-    z_id = solve_flag_recursion(A2, (2, 2))
+    z_id = solve_flag_recursion(A2, 4)
     for (i, j), c in z_id.items():
         assert homogeneous_degree(c) == -(i + j)
 
@@ -187,11 +187,11 @@ def test_solver_caps():
     with pytest.raises(ValueError):
         solve_flag_recursion(FlagSetup(RootSystem(CartanMatrix.type_A(4))), 1)
     with pytest.raises(ValueError):
-        solve_flag_recursion(A2, (1,))
+        solve_flag_recursion(A2, -1)
 
 
 def test_solver_rank_three_smoke():
-    z_id = solve_flag_recursion(A3, (1, 1, 0))
+    z_id = solve_flag_recursion(A3, 2)
     reg = A3.registry
     a1, h = reg.var("alpha_1"), reg.var("h")
     assert z_id[(0, 0, 0)] == RatFunc.one(reg)
@@ -247,15 +247,34 @@ def test_a2_closed_tries_no_trial_division(monkeypatch):
 
 
 def test_solver_builds_no_step_past_the_total_degree(monkeypatch):
-    # with total_max 4, the theta step k*(1, 1) fits only for k <= 2, though
-    # the per-coordinate bound 4 would allow k = 4
+    # at total degree 4 the theta step k*(1, 1) fits only for k <= 2, the
+    # simple-root steps for k <= 4
     built = []
     coeff = flaggw.coeff_C_id
     monkeypatch.setattr(flaggw, "coeff_C_id",
                         lambda setup, alpha, k: built.append((alpha, k)) or coeff(setup, alpha, k))
-    flaggw.solve_flag_recursion(A2, (4, 4), total_max=4)
+    flaggw.solve_flag_recursion(A2, 4)
     assert max(k for alpha, k in built if alpha == A2_THETA) == 2
     assert max(k for alpha, k in built if alpha != A2_THETA) == 4
+
+
+def test_solver_sums_once_per_multidegree_and_acts_once_per_image(monkeypatch):
+    # one recursion sum per multidegree of the triangle past 0, and each
+    # w-image of a table entry is acted on once however many terms read it
+    sums = []
+    summed = projgw.recursion_sum
+    monkeypatch.setattr(projgw, "recursion_sum",
+                        lambda *args: sums.append(args[2]) or summed(*args))
+    acted = []
+    act = RootSystem.act_on_ratfunc
+    monkeypatch.setattr(RootSystem, "act_on_ratfunc",
+                        lambda system, w, f: acted.append((w, f)) or act(system, w, f))
+    z_id = solve_flag_recursion(A2, 4)
+    assert len(sums) == 14 and sorted(sums) == sorted(z_id)[1:]
+    # acted holds every argument, so no id is reused while this runs
+    beta_of = {id(value): beta for beta, value in z_id.items()}
+    images = [(w, beta_of[id(f)]) for w, f in acted if id(f) in beta_of]
+    assert images and len(images) == len(set(images))
 
 
 def test_a2_closed_symmetry():
@@ -301,11 +320,11 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_s1_recursion(monkeypatch):
     terms = flaggw._recursion_terms
     s1 = flaggw._a1_setup().system.simple_reflections[0]
 
-    def doubled(setup, bmax, elements, total_max=None):
+    def doubled(setup, total_max, elements):
         return [
             (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
              if w == s1 else ts)
-            for w, ts in terms(setup, bmax, elements, total_max)
+            for w, ts in terms(setup, total_max, elements)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)

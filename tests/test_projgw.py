@@ -317,6 +317,12 @@ def test_verify_recursion_residue_fails_on_a_wrong_coupling(monkeypatch):
     ]
 
 
+def test_verify_solver_rejects_dimension_zero():
+    # the n = 0 table is in the B normalization and closed_b is in the b
+    # one, so a comparison there would report a false failure at d = 1
+    with pytest.raises(ValueError, match="n >= 1"):
+        verify_solver(ProjSetup(0), 2)
+
 def test_verify_solver_fails_on_a_wrong_coupling(monkeypatch):
     # the wrong coupling enters table 0 at every degree from d = 1; table 1
     # is the swap image of table 0, so it fails at the same degrees

@@ -288,12 +288,12 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     system = flaggw._a2_setup().system
     s1 = system.simple_reflections[0]
 
-    def doubled(setup, bmax, elements, total_max=None):
+    def doubled(setup, total_max, elements):
         return [
             (w, [(lw, step, 2 * weight if lw == s1 else weight, shift)
                  for lw, step, weight, shift in ts]
              if w == system.identity else ts)
-            for w, ts in terms(setup, bmax, elements, total_max)
+            for w, ts in terms(setup, total_max, elements)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
