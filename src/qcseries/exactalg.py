@@ -28,14 +28,23 @@ Design notes that the rest of the package relies on:
   selection, canonical text output, and the sign normalization of
   denominators.
 * `RatFunc` stores its denominator as a multiset of primitive factors and
-  cancels them by exact trial division.  There is no multivariate gcd;
-  equality is decided by cross-multiplication, which the factored form makes
-  cheap.  All denominators arising in this package are products of linear
-  forms, so trial division recovers fully reduced quotients.
+  cancels them by exact trial division.  There is no multivariate gcd.
+  Every denominator factor has total degree 1, as localization makes every
+  denominator a product of torus characters.  `_merge_factor`, through
+  which `from_factored`, `reciprocal` and `RatFunc.substitute` add factors,
+  splits a monomial into its variables and raises ``ValueError`` for any
+  other factor of higher degree; `divide_exact` raises it for a divisor of
+  total degree above 1.  Numerators may have any degree.
+* The reduced form is unique, so equality compares canonical forms.  A
+  linear primitive form with a positive lead is prime in Z[x_1, ..., x_n],
+  and two distinct ones are not associates.  A reduced numerator is
+  divisible by none of its factors, so in s*N/D = s'*N'/D' each factor L
+  occurs in D exactly as often as in D' (compare the powers of L on the two
+  sides of N*D' = N'*D, up to a constant); then D = D', and N = N' and
+  s = s' since both numerators are primitive with a positive lead.
 * Arithmetic tries only the divisions that can succeed (Knuth, TAOCP
-  Vol. 2, 4.5.1).  Two facts decide it: a linear form is prime, and a
-  reduced operand's factors never divide its own numerator.  When every
-  factor of both operands is linear:
+  Vol. 2, 4.5.1).  Two facts decide it: every factor is prime, and a
+  reduced operand's factors never divide its own numerator.  So:
   - in a/F * b/G, a factor of both F and G divides neither a nor b, so it
     stays; a factor of F alone can only cancel against b, and one of G
     alone only against a, so each is divided out of that smaller numerator;
@@ -44,21 +53,19 @@ Design notes that the rest of the package relies on:
     sum; only factors of equal multiplicity are tried;
   - the reciprocal F/a shares no factor with its numerator F.
   Each rule only skips a division that would fail, so results never depend
-  on it.  Other factors keep exact trial division.  By Gauss's lemma an
-  exact quotient of primitive integer polynomials is again primitive, which
-  keeps every numerator canonical without renormalizing, and lets
-  `divide_exact` stay in integer arithmetic when the divisor is primitive.
-* `divide_exact` divides by a divisor g of total degree 1 (every
-  denominator factor of a check) by long division in one variable.  In the
-  graded order the leading monomial of such a g is its lex-first variable
-  x, so g = a*x + r with a a nonzero constant and r free of x.  Over the
-  ring of polynomials in the other variables, g then has degree 1 in x and
-  a unit leading coefficient, so division by g leaves a unique quotient and
-  a remainder free of x, and g divides exactly when that remainder is 0.
-  Any other divisor goes through multivariate division in the graded order,
-  driven by a heap.
+  on it.  By Gauss's lemma an exact quotient of primitive integer
+  polynomials is again primitive, which keeps every numerator canonical
+  without renormalizing, and lets `divide_exact` stay in integer arithmetic
+  when the divisor is primitive.
+* `divide_exact` divides by a divisor g of total degree 1 by long division
+  in one variable.  In the graded order the leading monomial of such a g is
+  its lex-first variable x, so g = a*x + r with a a nonzero constant and r
+  free of x.  Over the ring of polynomials in the other variables, g then
+  has degree 1 in x and a unit leading coefficient, so division by g leaves
+  a unique quotient and a remainder free of x, and g divides exactly when
+  that remainder is 0.
 * Substitution maps a polynomial of total degree at most 1 (every
-  denominator factor of a check) as an integer linear map.  Each variable's
+  denominator factor) as an integer linear map.  Each variable's
   image is built once per substitution, times D, the lcm of the
   denominators of the values' coefficients, so a linear form's image is a
   few int dict updates, with no unpacking and no products, and its content
@@ -73,7 +80,6 @@ Design notes that the rest of the package relies on:
 
 from __future__ import annotations
 
-import heapq
 import re
 import struct
 from fractions import Fraction
@@ -448,15 +454,21 @@ class MultiPoly:
         return Fraction(num_gcd, den_lcm), prim
 
     def divide_exact(self, g: "MultiPoly") -> "MultiPoly | None":
-        """Exact polynomial quotient self/g, or None if g does not divide."""
+        """Exact polynomial quotient self/g, or None if g does not divide.
+
+        g must have total degree at most 1 (see the module docstring);
+        ValueError otherwise.
+        """
         _check_same_registry(self, g)
         if g.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        glead = max(g.terms)
+        if glead >> self.registry._deg_shift > 1:
+            raise ValueError("divisor has total degree above 1")
         if self.is_zero:
             return self
-        if g.is_const:
+        if not glead:
             return self.scale(Fraction(1) / g.const_value())
-        glead = max(g.terms)
         guard = self.registry._guard
         # glead divides a monomial iff their difference borrows from no field;
         # a borrow sets the guard bit of the lowest field that underflows.
@@ -469,10 +481,7 @@ class MultiPoly:
         diff = min(self.terms) - min(g.terms)
         if diff < 0 or diff & guard:
             return None
-        # a divisor of total degree 1 is linear in its lex-first variable
-        if glead >> self.registry._deg_shift == 1:
-            return _divide_linear(self, g, glead)
-        return _divide_heap(self, g, glead)
+        return _divide_linear(self, g, glead)
 
     def degree_if_homogeneous(self):
         """Total degree if all terms share one, else None.  Zero -> 0."""
@@ -525,53 +534,6 @@ def _integral(p: MultiPoly, g: MultiPoly) -> bool:
     return (all(type(c) is int for c in g.terms.values())
             and gcd(*g.terms.values()) == 1
             and all(type(c) is int for c in p.terms.values()))
-
-
-def _divide_heap(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
-    """p / g for any nonconstant g with leading monomial glead, or None.
-
-    Multivariate long division in the graded order, one quotient term per
-    leading term of the remainder.
-    """
-    guard = p.registry._guard
-    gc = g.terms[glead]
-    rest = [(m, c) for m, c in g.terms.items() if m != glead]
-    integral = _integral(p, g)
-    r = dict(p.terms)
-    q: dict[int, Coeff] = {}
-    # max-heap on the graded order via negated packed monomials; stale
-    # entries are skipped, and every monomial entering r is pushed
-    # exactly once more
-    heap = [-m for m in r]
-    heapq.heapify(heap)
-    while heap:
-        rlead = -heapq.heappop(heap)
-        if rlead not in r:
-            continue
-        diff = rlead - glead
-        if diff < 0 or diff & guard:
-            return None
-        if integral:
-            c, rem = divmod(r[rlead], gc)
-            if rem:
-                return None
-        else:
-            c = r[rlead] * Fraction(1)
-            c = c / gc
-            c = _as_coeff(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-        q[diff] = c
-        del r[rlead]
-        for m, gcoef in rest:
-            mm = diff + m
-            fresh = mm not in r
-            acc = r.get(mm, 0) - c * gcoef
-            if acc == 0:
-                r.pop(mm, None)
-            else:
-                r[mm] = acc
-                if fresh:
-                    heapq.heappush(heap, -mm)
-    return MultiPoly._raw(p.registry, q)
 
 
 def _divide_linear(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
@@ -801,10 +763,14 @@ def _merge_factor(fac: dict[tuple, tuple[MultiPoly, int]], p: MultiPoly, mult: i
     """Add the primitive factor p to fac mult times, split by `_factor_parts`.
 
     A constant p adds nothing, and equal factors merge into one multiplicity.
+    ValueError unless every part is linear (see the module docstring).
     """
     if p.is_const:
         return
     for f, e in _factor_parts(p):
+        if max(f.terms) >> f.registry._deg_shift > 1:
+            raise ValueError(f"denominator factor {f.text()} is not linear; build the "
+                             "function with from_factored from its linear factors")
         k = f.key()
         fac[k] = (f, fac[k][1] + e * mult if k in fac else e * mult)
 
@@ -830,9 +796,8 @@ class RatFunc:
     every factor are primitive integer polynomials with positive leading
     coefficient, a monomial factor is a single variable, the factor list is
     sorted, and `num` is divisible by no factor.  The zero function is
-    scalar 0 with empty denominator.  Equality falls back to exact
-    cross-multiplication, so two representations of the same function always
-    compare equal.
+    scalar 0 with empty denominator.  Every factor is linear, so this form is
+    unique and equality compares it (see the module docstring).
     """
 
     __slots__ = ("registry", "scalar", "num", "factors", "_den")
@@ -969,11 +934,6 @@ class RatFunc:
     def _factor_dict(self) -> dict[tuple, tuple[MultiPoly, int]]:
         return {f.key(): (f, m) for f, m in self.factors}
 
-    def _linear(self) -> bool:
-        """Whether every denominator factor has total degree 1, so is prime."""
-        ds = self.registry._deg_shift
-        return all(max(f.terms) >> ds == 1 for f, _ in self.factors)
-
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(self.registry, other)
         if self.is_zero:
@@ -1006,11 +966,9 @@ class RatFunc:
         if num.is_zero:
             return RatFunc.zero(self.registry)
         s, prim = num.primitive()
-        trial = None
-        if self._linear() and other._linear():
-            # a prime of unequal multiplicity divides exactly one of the two
-            # cross-multiplied terms, so it cannot divide their sum
-            trial = {k for k, (_, m) in fa.items() if k in fb and fb[k][1] == m}
+        # a prime of unequal multiplicity divides exactly one of the two
+        # cross-multiplied terms, so it cannot divide their sum
+        trial = {k for k, (_, m) in fa.items() if k in fb and fb[k][1] == m}
         return RatFunc._reduced(self.registry, s / q, prim, union, trial)
 
     __radd__ = __add__
@@ -1032,10 +990,6 @@ class RatFunc:
         fa = self._factor_dict()
         fb = other._factor_dict()
         merged = dict(fa)
-        if not (self._linear() and other._linear()):
-            for k, (f, m) in fb.items():
-                merged[k] = (f, merged[k][1] + m) if k in merged else (f, m)
-            return RatFunc._reduced(self.registry, scalar, self.num * other.num, merged)
         # every factor is prime and divides neither operand's own numerator:
         # a shared one stays, and one of a single operand can cancel only
         # against the other operand's numerator
@@ -1059,10 +1013,9 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         fac: dict[tuple, tuple[MultiPoly, int]] = {}
         _merge_factor(fac, self.num, 1)
-        # when the old factors are prime, none divides the old numerator, so
-        # the old numerator's factors share no prime with the new one
-        trial = () if self._linear() else None
-        return RatFunc._reduced(self.registry, 1 / self.scalar, self.denominator, fac, trial)
+        # no old factor divides the old numerator, so the old numerator's
+        # factors share no prime with the new one
+        return RatFunc._reduced(self.registry, 1 / self.scalar, self.denominator, fac, ())
 
     def __truediv__(self, other) -> "RatFunc":
         other = RatFunc.coerce(self.registry, other)
@@ -1091,15 +1044,10 @@ class RatFunc:
             other = RatFunc.coerce(self.registry, other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.registry != other.registry:
-            return False
-        if self.scalar == other.scalar and self.num == other.num and \
-                [(f.key(), m) for f, m in self.factors] == [(f.key(), m) for f, m in other.factors]:
-            return True
-        return (self - other).is_zero
-
-    # deliberately unhashable: equal values may carry different factor splits
-    __hash__ = None
+        return (self.registry == other.registry and self.scalar == other.scalar
+                and self.num == other.num
+                and [(f.key(), m) for f, m in self.factors]
+                == [(f.key(), m) for f, m in other.factors])
 
     # -- substitution ---------------------------------------------------------
 
@@ -1115,18 +1063,18 @@ class RatFunc:
         `scalar` over each factor image's content to its multiplicity, its
         factors are the factor images' primitive parts, and each is
         trial-divided out of the numerator image up to its total
-        multiplicity.  For linear images (every check's case) that is the
-        canonical form that dividing by the images one at a time reaches: a
-        linear form is prime, so both cancel it min(its multiplicity in the
-        numerator image, its total multiplicity) times.
+        multiplicity.  That is the canonical form that dividing by the images
+        one at a time reaches: a linear form is prime, so both cancel it
+        min(its multiplicity in the numerator image, its total multiplicity)
+        times.
 
         The images come from `_Evaluation.primitive_image`: a linear
         numerator or factor is mapped by the integer linear map, with its
         content and sign taken by one gcd.  Every content meets `scalar` in
         one Fraction at the end.  Equal images merge, a monomial image splits
-        into its variables, and a constant image joins the scalar, as in
-        `from_factored`.  A zero factor image raises PoleError before the
-        numerator is mapped.
+        into its variables, a constant image joins the scalar, and any other
+        nonlinear image raises ValueError, as in `from_factored`.  A zero
+        factor image raises PoleError before the numerator is mapped.
         """
         occurs = _union(self.num)
         for f, _ in self.factors:

@@ -201,19 +201,26 @@ def test_14_library_property_battery():
             acc = acc + term
         return acc
 
-    def nonzero_poly():
+    def linear():
+        # every denominator factor is linear
         while True:
-            p = poly()
+            p = reg.linear({nm: rng.randint(-3, 3) for nm in ("x", "y", "h")},
+                           rng.randint(-3, 3))
             if not p.is_zero:
                 return p
 
     def ratfunc():
-        dens = [nonzero_poly() for _ in range(rng.randint(0, 2))]
+        dens = [linear() for _ in range(rng.randint(0, 2))]
         return RatFunc.from_factored(poly(), dens)
+
+    def divisor():
+        # a divisor's numerator becomes a denominator, so it is linear too
+        dens = [linear() for _ in range(rng.randint(0, 2))]
+        return RatFunc.from_factored(linear(), dens)
 
     zero, one = RatFunc.zero(reg), RatFunc.one(reg)
     for _ in range(25):
-        f, g, k = ratfunc(), ratfunc(), ratfunc()
+        f, g, k, q = ratfunc(), ratfunc(), ratfunc(), divisor()
         assert (f + g) + k == f + (g + k)
         assert f + g == g + f
         assert f * g == g * f
@@ -221,9 +228,9 @@ def test_14_library_property_battery():
         assert f * (g + k) == f * g + f * k
         assert f + zero == f and f * one == f
         assert f - f == zero
-        if not g.is_zero:
-            assert (f / g) * g == f
-            assert g / g == one
+        if not q.is_zero:
+            assert (f / q) * q == f
+            assert q / q == one
 
     # partial fractions recombine to the original function
     for _ in range(10):
@@ -232,14 +239,12 @@ def test_14_library_property_battery():
         num = reg.zero()
         for t in range(len(factors)):
             num = num + (x ** rng.randint(0, 2)).scale(rng.randint(-3, 3)) * h**t
-        scale = RatFunc.from_scalar(reg, Fraction(1, 3))
         decomp = partial_fractions(
             RatFunc.from_factored(num, factors, scale=Fraction(1, 3)), "h", factors
         )
-        prod = reg.one()
+        target = RatFunc.from_poly(num) * 3
         for f in factors:
-            prod = prod * f
-        target = RatFunc.from_poly(num) / (scale * RatFunc.from_poly(prod))
+            target = target / RatFunc.from_poly(f)
         assert recombine(decomp, reg) == target
 
     # substitution is a ring map wherever it is defined

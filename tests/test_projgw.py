@@ -27,6 +27,12 @@ def euler_rf(setup, i):
     return RatFunc.from_poly(euler_e(setup, i))
 
 
+def over_euler(setup, i, value):
+    # value / e_i, over the linear factors lambda_i - lambda_b of e_i
+    factors = [setup.lam(i) - setup.lam(b) for b in setup.points() if b != i]
+    return value * RatFunc.from_factored(setup.registry.one(), factors)
+
+
 def point_class_at(setup, i, j):
     # the point class of i is prod_{b != i} (u - lambda_b); its value at the
     # fixed point j is that product at u = lambda_j
@@ -41,7 +47,7 @@ def localize(setup, values):
     # fixed-point formula: the integral of a class is sum_i value_i / e_i
     acc = RatFunc.zero(setup.registry)
     for i in setup.points():
-        acc = acc + values[i] / euler_rf(setup, i)
+        acc = acc + over_euler(setup, i, values[i])
     return acc
 
 
@@ -125,7 +131,7 @@ def test_closed_B_and_normalized_scalings():
         h = RatFunc.from_poly(setup.h)
         assert closed_B(setup, i, d) * h**d == closed_b(setup, i, d)
         # dividing by the Euler class lowers the degree by the dimension
-        normalized = closed_B(setup, i, d) / euler_rf(setup, i)
+        normalized = over_euler(setup, i, closed_B(setup, i, d))
         assert homogeneous_degree(normalized) == -d * setup.n - d - setup.n
 
 
