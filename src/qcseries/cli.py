@@ -166,13 +166,16 @@ def _series_toda(args, equivariant: bool):
 
     def run() -> list[str]:
         if equivariant and args.chart is None:
-            coeff = toda3.closed_a_equivariant
+            table = {
+                (i, j): toda3.closed_a_equivariant(i, j)
+                for i in range(n_max + 1)
+                for j in range(n_max + 1 - i)
+            }
         else:
             # the solution series is written over the part3 chart already
-            coeff = toda3.closed_solution(n_max, equivariant).coefficient
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                lines.append(f"row i={i} j={j} {coeff(i, j).text()}")
+            table = toda3.closed_solution(n_max, equivariant)
+        for (i, j), c in table.items():
+            lines.append(f"row i={i} j={j} {c.text()}")
         return lines
     return run
 

@@ -44,8 +44,6 @@ from .report import VerificationReport, timed
 from .roots import CartanMatrix, Root, RootSystem
 from . import projgw
 
-MAX_SOLVER_RANK = 3
-
 
 class FlagSetup:
     """Root system plus the registry alpha_1..alpha_r, h."""
@@ -178,8 +176,6 @@ def solve_flag_recursion(setup: FlagSetup, total_max: int) -> dict[tuple[int, ..
     is w applied to it (see the module docstring).
     """
     system = setup.system
-    if system.rank > MAX_SOLVER_RANK:
-        raise ValueError(f"solver is capped at rank {MAX_SOLVER_RANK}")
     if total_max < 0:
         raise ValueError("total-degree bound must be >= 0")
     betas = _beta_range(system.rank, total_max)

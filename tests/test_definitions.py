@@ -1,12 +1,12 @@
-"""Every function and class the package defines is referenced by name.
+"""Every function, class and module-level constant the package defines is read.
 
-An AST scan: each function and class defined in `src/qcseries` must be
-named somewhere in the package, the tests, the demos or the benchmark
-harness.  A reference is a `Name`, an `Attribute` or a string constant (the
-harness patches functions by their string names).  A definition's own name
-is not a reference to it.  Dunder methods are called by the language and
-are exempt.
-"""
+An AST scan: each function and class defined in `src/qcseries`, and each
+name bound by assignment at module level, must be named somewhere in the
+package, the tests, the demos or the benchmark harness.  A reference is a
+`Name` that is read, an `Attribute` or a string constant (the harness
+patches functions by their string names).  A definition's own name, and an
+assignment's target, is not a reference to it.  Dunder names are used by
+the language and are exempt."""
 
 import ast
 from pathlib import Path
@@ -17,20 +17,31 @@ SCANNED = (PACKAGE, "tests", "demos", "perfbench")
 
 
 def definitions(source: str) -> dict[str, int]:
-    """Name -> line of each function and class defined, dunders left out."""
+    """Name -> line of each function, class and module-level assignment, dunders left out."""
+    tree = ast.parse(source)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {node.name: node.lineno for node in ast.walk(tree) if isinstance(node, kinds)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    found[node.id] = node.lineno
     return {
-        node.name: node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, kinds)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        name: line for name, line in found.items()
+        if not (name.startswith("__") and name.endswith("__"))
     }
 
 
 def references(source: str) -> set[str]:
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -60,15 +71,21 @@ def test_every_definition_is_referenced():
 
 def test_scan_finds_a_definition_nothing_names():
     source = (
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "UNREAD: int = 4\n"
         "class Table:\n"
-        "    def __init__(self): self.rows = []\n"
+        "    def __init__(self): self.rows = [0] * LIMIT\n"
         "    def reader(self): return helper\n"
         "def helper(): pass\n"
         "def leftover(): pass\n"
         "PATCHED = ['reader']\n"
+        "print(PATCHED)\n"
     )
     defined = definitions(source)
-    assert sorted(defined) == ["Table", "helper", "leftover", "reader"]
-    assert [name for name in defined if name not in references(source)] == [
-        "Table", "leftover",
+    assert sorted(defined) == [
+        "LIMIT", "PATCHED", "Table", "UNREAD", "helper", "leftover", "reader",
+    ]
+    assert [name for name in sorted(defined) if name not in references(source)] == [
+        "Table", "UNREAD", "leftover",
     ]

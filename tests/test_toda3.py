@@ -12,7 +12,6 @@ from qcseries.toda3 import (
     ALPHA_REGISTRY,
     LAMBDA_REGISTRY,
     UV_REGISTRY,
-    BiSeries,
     apply,
     batyrev_b,
     build_operators,
@@ -59,10 +58,10 @@ def test_plain_operators_match_hand_expansion():
         return RatFunc.from_scalar(LREG, x)
 
     for i, j in GRID:
-        assert d2.act_monomial(i, j) == nonzero(
+        assert d2.act_monomial((i, j)) == nonzero(
             {(i, j): c(-(i * i - i * j + j * j)), (i + 1, j): c(1), (i, j + 1): c(1)}
         )
-        assert d3.act_monomial(i, j) == nonzero(
+        assert d3.act_monomial((i, j)) == nonzero(
             {(i, j): c(i * j * j - i * i * j), (i, j + 1): c(-i), (i + 1, j): c(j)}
         )
 
@@ -83,11 +82,11 @@ def test_equivariant_second_operator_monomial_action():
     a1, a2 = l1 - l0, l2 - l1
     one = RatFunc.one(LREG)
     for i, j in ((1, 0), (0, 1), (2, 1), (3, 3)):
-        image = d2.act_monomial(i, j)
+        image = d2.act_monomial((i, j))
         eigen = -(h * h * (i * i - i * j + j * j) + a1 * h * i + a2 * h * j)
         assert image == {(i, j): eigen, (i + 1, j): one, (i, j + 1): one}
     # at the origin only the shifts survive
-    assert d2.act_monomial(0, 0) == {(1, 0): one, (0, 1): one}
+    assert d2.act_monomial((0, 0)) == {(1, 0): one, (0, 1): one}
 
 
 def test_equivariant_third_operator_monomial_action():
@@ -95,7 +94,7 @@ def test_equivariant_third_operator_monomial_action():
     l0, l1, l2, h = (RatFunc.from_poly(LREG.var(n)) for n in LREG.names)
     for i, j in GRID:
         e0, e1, e2 = l0 - h * i, l1 + h * (i - j), l2 + h * j
-        assert d3.act_monomial(i, j) == nonzero(
+        assert d3.act_monomial((i, j)) == nonzero(
             {(i, j): e0 * e1 * e2 - l0 * l1 * l2, (i, j + 1): e0, (i + 1, j): e2}
         )
 
@@ -107,9 +106,9 @@ def test_equivariant_specializes_to_plain():
     for eq_op, plain_op in zip(eq_ops, plain_ops):
         for i, j in GRID:
             specialized = nonzero(
-                {k: c.substitute(flat) for k, c in eq_op.act_monomial(i, j).items()}
+                {k: c.substitute(flat) for k, c in eq_op.act_monomial((i, j)).items()}
             )
-            assert specialized == nonzero(plain_op.act_monomial(i, j))
+            assert specialized == nonzero(plain_op.act_monomial((i, j)))
 
 
 # -- closed-form coefficients ----------------------------------------------------------
@@ -164,35 +163,25 @@ def test_equivariant_specialization_to_plain_coefficients():
 # -- series and truncation -------------------------------------------------------------
 
 
-def test_biseries_validation_and_lookup():
-    one = RatFunc.one(LREG)
-    s = BiSeries(LREG, 2, {(0, 0): one, (1, 1): one + one})
-    assert s.coefficient(1, 1) == one + one
-    assert s.coefficient(2, 0).is_zero
-    assert s.coefficient(-1, 0).is_zero
-    with pytest.raises(ValueError):
-        BiSeries(LREG, 1, {(1, 1): one})
-    with pytest.raises(ValueError):
-        BiSeries(LREG, 1, {(-1, 0): one})
-
-
 def test_apply_certifies_reduced_order():
     d2, _ = build_operators(equivariant=False)
-    series = closed_solution(4, equivariant=False)
-    image = apply(d2, series)
-    assert image.order == 3
-    assert image.is_zero
+    assert d2.max_shift == 1
+    assert apply(d2, closed_solution(4, equivariant=False), 4) == {}
+    # the shifts of the constant series land past order 1 - 1 = 0
+    one = RatFunc.one(LREG)
+    assert apply(d2, {(0, 0): one}, 2) == {(1, 0): one, (0, 1): one}
+    assert apply(d2, {(0, 0): one}, 1) == {}
     with pytest.raises(ValueError):
-        apply(d2, BiSeries(LREG, 0, {(0, 0): RatFunc.one(LREG)}))
+        apply(d2, {(0, 0): one}, 0)
 
 
 def test_apply_detects_wrong_coefficient():
     d2, _ = build_operators(equivariant=False)
-    coeffs = dict(closed_solution(3, equivariant=False).coeffs)
+    coeffs = closed_solution(3, equivariant=False)
     coeffs[(1, 1)] = RatFunc.from_scalar(LREG, 3)
-    image = apply(d2, BiSeries(LREG, 3, coeffs))
-    assert not image.is_zero
-    assert (1, 1) in image.coeffs
+    image = apply(d2, coeffs, 3)
+    assert image
+    assert (1, 1) in image
 
 
 def test_operator_action_matches_recursion_on_random_series():
@@ -202,17 +191,21 @@ def test_operator_action_matches_recursion_on_random_series():
         for i in range(4)
         for j in range(4 - i)
     }
-    s = BiSeries(LREG, 3, coeffs)
+    zero = RatFunc.zero(LREG)
+
+    def a(i, j):
+        return coeffs.get((i, j), zero)
+
     d2, _ = build_operators(equivariant=False)
-    image = apply(d2, s)
+    image = apply(d2, coeffs, 3)
     for idx in range(3):
         for jdx in range(3 - idx):
             direct = (
-                s.coefficient(idx - 1, jdx)
-                + s.coefficient(idx, jdx - 1)
-                - s.coefficient(idx, jdx) * (idx * idx - idx * jdx + jdx * jdx)
+                a(idx - 1, jdx)
+                + a(idx, jdx - 1)
+                - a(idx, jdx) * (idx * idx - idx * jdx + jdx * jdx)
             )
-            assert image.coefficient(idx, jdx) == direct
+            assert image.get((idx, jdx), zero) == direct
 
 
 # -- verification reports --------------------------------------------------------------
@@ -256,6 +249,20 @@ def test_operator_annihilation_both_modes():
     assert any("certified through order 4" in n for n in plain.notes)
     eq = verify_operator_annihilation(4, equivariant=True)
     assert eq.ok
+
+
+def test_operator_annihilation_fails_on_a_negated_deformation(monkeypatch):
+    # p_2 is linear in v_1, so this is p_2 with v_1 negated: the v_1 shift of
+    # the second operator changes sign, and every entry of the image that
+    # reads a(i - 1, j) fails, as does the control; d_3 is untouched
+    p1, p2, p3 = char_poly()
+    negated = p2 - UV_REGISTRY.var("v_1").scale(2)
+    monkeypatch.setattr(toda3, "char_poly", lambda: (p1, negated, p3))
+    for equivariant in (True, False):
+        report = verify_operator_annihilation(3, equivariant)
+        assert [loc for loc, _, _ in report.failures] == [
+            "second i=1 j=0", "second i=1 j=1", "second i=2 j=0", "control (1,0)",
+        ]
 
 
 def test_batyrev_report():
@@ -303,14 +310,15 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     ]
 
 
+def specialize(coeffs, flat):
+    return {ij: c.substitute(flat) for ij, c in coeffs.items()}
+
+
 def test_closed_solution_specialization_tower():
     flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
     eq = closed_solution(3, equivariant=True)
     plain = closed_solution(3, equivariant=False)
-    specialized = eq.substitute(flat)
-    for i in range(4):
-        for j in range(4 - i):
-            assert specialized.coefficient(i, j) == plain.coefficient(i, j)
+    assert specialize(eq, flat) == plain
 
 
 def test_apply_commutes_with_specialization():
@@ -322,13 +330,10 @@ def test_apply_commutes_with_specialization():
         for i in range(3)
         for j in range(3 - i)
     }
-    s = BiSeries(LREG, 2, coeffs)
     eq_ops = build_operators(equivariant=True)
     plain_ops = build_operators(equivariant=False)
     for eq_op, plain_op in zip(eq_ops, plain_ops):
-        left = apply(eq_op, s).substitute(flat)
-        right = apply(plain_op, s.substitute(flat))
-        assert left.order == right.order
-        for i in range(2):
-            for j in range(2 - i):
-                assert left.coefficient(i, j) == right.coefficient(i, j)
+        assert eq_op.max_shift == plain_op.max_shift
+        left = specialize(apply(eq_op, coeffs, 2), flat)
+        right = apply(plain_op, specialize(coeffs, flat), 2)
+        assert nonzero(left) == right
