@@ -3,7 +3,7 @@
 A report carries a check name, its parameters, a pass/fail/skipped status,
 and the list of exact-equality failures, each failure recording where it
 happened and the canonical text of both sides.  Wall time is kept in a
-separate field so golden comparisons can ignore it.
+separate field, ``wall_ms``, that no rendering prints.
 """
 
 from __future__ import annotations
@@ -63,10 +63,8 @@ class VerificationReport:
         return lines
 
     def render(self) -> str:
-        lines = self.payload_lines()
-        if self.wall_ms is not None:
-            lines.append(f"# wall_ms {self.wall_ms:.1f}")
-        return "\n".join(lines) + "\n"
+        """The payload lines as text; the same report renders the same bytes."""
+        return "\n".join(self.payload_lines()) + "\n"
 
     def payload(self) -> dict[str, object]:
         """The report body as a JSON-ready dict; excludes wall time by design."""

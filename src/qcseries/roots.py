@@ -9,13 +9,18 @@ multidegree bookkeeping correct beyond the simply-laced case.
 Weyl group elements are stored as permutations of the full root list, so
 composition, inversion sets, and reflection actions are pure index
 arithmetic.  Reduced words are recovered on demand by walking descents.
+A system builds only the identity and the simple reflections; the whole
+group is listed the first time ``weyl_elements`` is read.
 
-Hard caps (200 positive roots, 10000 Weyl elements) keep accidental
-non-finite input from spinning; hitting a cap raises ``ValueError``.
+Two caps raise ``ValueError``.  ``MAX_POSITIVE_ROOTS`` (200) guards root
+generation, so a Cartan matrix of non-finite type stops instead of
+spinning.  ``MAX_WEYL_ELEMENTS`` (10000) guards only the listing of the
+group; building a system, reflecting and acting on functions never reach it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .exactalg import MultiPoly, RatFunc, VarRegistry
@@ -151,13 +156,13 @@ class WeylElement:
         """Composition: (self * other) acts by other first, then self."""
         if self.system is not other.system:
             raise ValueError("elements belong to different root systems")
-        return self.system._element(tuple(self.perm[p] for p in other.perm))
+        return WeylElement(self.system, tuple(self.perm[p] for p in other.perm))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for i, p in enumerate(self.perm):
             inv[p] = i
-        return self.system._element(tuple(inv))
+        return WeylElement(self.system, tuple(inv))
 
     @property
     def is_identity(self) -> bool:
@@ -201,13 +206,16 @@ class WeylElement:
 
 
 class RootSystem:
-    """Finite crystallographic root system with its Weyl group enumerated."""
+    """Finite crystallographic root system; its Weyl group is listed on first read."""
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.rank = cartan.rank
         self._generate_roots()
-        self._enumerate_weyl()
+        self.identity = WeylElement(self, tuple(range(len(self.roots))))
+        self.simple_reflections: tuple[WeylElement, ...] = tuple(
+            self.reflection(alpha) for alpha in self.simple_roots
+        )
 
     # -- generation -----------------------------------------------------
 
@@ -263,43 +271,21 @@ class RootSystem:
             if self.pairing(g, g) != 2:
                 raise AssertionError("coroot bookkeeping failed: <g, g_check> != 2")
 
-    def _enumerate_weyl(self) -> None:
-        n = len(self.roots)
-        self._elements: dict[tuple[int, ...], WeylElement] = {}
-        ident = self._element(tuple(range(n)))
-        gens = []
-        for i in range(self.rank):
-            alpha = self.simple_roots[i]
-            perm = tuple(
-                self._index[self.reflect(alpha, g).coords] for g in self.roots
-            )
-            gens.append(self._element(perm))
-        self.simple_reflections: tuple[WeylElement, ...] = tuple(gens)
-        self.identity = ident
-        frontier = [ident]
-        order = [ident]
-        seen = {ident.perm}
-        while frontier:
-            nxt: list[WeylElement] = []
-            for w in frontier:
-                for s in gens:
-                    ws = w * s
-                    if ws.perm not in seen:
-                        seen.add(ws.perm)
-                        nxt.append(ws)
-                        order.append(ws)
-                        if len(order) > MAX_WEYL_ELEMENTS:
-                            raise ValueError("Weyl element cap exceeded")
-            frontier = nxt
+    @cached_property
+    def weyl_elements(self) -> tuple[WeylElement, ...]:
+        """Every element, sorted by (length, reduced word); listed on first read."""
+        order = [self.identity]
+        seen = {self.identity.perm}
+        for w in order:
+            for s in self.simple_reflections:
+                ws = w * s
+                if ws.perm not in seen:
+                    if len(order) == MAX_WEYL_ELEMENTS:
+                        raise ValueError("Weyl element cap exceeded")
+                    seen.add(ws.perm)
+                    order.append(ws)
         order.sort(key=lambda w: (w.length(), w.reduced_word()))
-        self.weyl_elements: tuple[WeylElement, ...] = tuple(order)
-
-    def _element(self, perm: tuple[int, ...]) -> WeylElement:
-        got = self._elements.get(perm)
-        if got is None:
-            got = WeylElement(self, perm)
-            self._elements[perm] = got
-        return got
+        return tuple(order)
 
     # -- root-level operations -------------------------------------------
 
@@ -332,7 +318,7 @@ class RootSystem:
 
     def reflection(self, alpha: Root) -> WeylElement:
         perm = tuple(self._index[self.reflect(alpha, g).coords] for g in self.roots)
-        return self._element(perm)
+        return WeylElement(self, perm)
 
     # -- symbolic forms ------------------------------------------------------
 

@@ -170,13 +170,17 @@ def test_every_weyl_table_is_the_w_image_of_the_identity_table():
 def test_identity_tables_are_homogeneous():
     # Z_id(beta) has degree -sum(beta) in every type; with the coefficient
     # built from the height of alpha instead of <rho, alpha_check>, B2 and G2
-    # fail first at (1, 1) and B3 at (0, 1, 1); no rank caps the solver
-    a4 = FlagSetup(RootSystem(CartanMatrix.type_A(4)))
-    b4 = FlagSetup(RootSystem(CartanMatrix.type_B(4)))
-    for setup, t in ((A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3), (a4, 3), (b4, 3)):
+    # fail first at (1, 1) and B3 at (0, 1, 1); no rank caps the solver, and
+    # it never lists the Weyl group (A7 has 40,320 elements, B6 46,080)
+    fresh = [(FlagSetup(RootSystem(cartan)), t) for cartan, t in (
+        (CartanMatrix.type_A(4), 3), (CartanMatrix.type_B(4), 3),
+        (CartanMatrix.type_A(7), 2), (CartanMatrix.type_B(6), 2))]
+    for setup, t in [(A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3)] + fresh:
         z_id = solve_flag_recursion(setup, t)
         wrong = [beta for beta, c in z_id.items() if homogeneous_degree(c) != -sum(beta)]
         assert wrong == [], setup.system.cartan
+    for setup, _ in fresh:
+        assert "weyl_elements" not in vars(setup.system), setup.system.cartan
 
 
 def test_solver_grading():

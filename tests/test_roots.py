@@ -34,6 +34,42 @@ def test_other_types_inventory():
     assert len(G2.weyl_elements) == 12
 
 
+# weyl_elements in its pinned order: by length, then by reduced word
+WEYL_WORDS = {
+    "A2": (CartanMatrix.type_A(2), "id s1 s2 s1*s2 s2*s1 s1*s2*s1"),
+    "B2": (CartanMatrix.type_B(2),
+           "id s1 s2 s1*s2 s2*s1 s1*s2*s1 s2*s1*s2 s2*s1*s2*s1"),
+    "G2": (CartanMatrix.type_G2(),
+           "id s1 s2 s1*s2 s2*s1 s1*s2*s1 s2*s1*s2 s1*s2*s1*s2 s2*s1*s2*s1"
+           " s1*s2*s1*s2*s1 s2*s1*s2*s1*s2 s2*s1*s2*s1*s2*s1"),
+    "A3": (CartanMatrix.type_A(3),
+           "id s1 s2 s3 s1*s2 s2*s1 s2*s3 s3*s1 s3*s2 s1*s2*s1 s1*s2*s3"
+           " s2*s3*s1 s2*s3*s2 s3*s1*s2 s3*s2*s1 s1*s2*s3*s1 s1*s2*s3*s2"
+           " s2*s3*s1*s2 s2*s3*s2*s1 s3*s1*s2*s1 s1*s2*s3*s1*s2"
+           " s1*s2*s3*s2*s1 s2*s3*s1*s2*s1 s1*s2*s3*s1*s2*s1"),
+}
+
+
+@pytest.mark.parametrize("name", WEYL_WORDS)
+def test_weyl_elements_order_is_pinned(name):
+    cartan, words = WEYL_WORDS[name]
+    system = RootSystem(cartan)
+    assert "weyl_elements" not in vars(system)
+    assert [w.word_text() for w in system.weyl_elements] == words.split()
+    assert system.weyl_elements[0] is system.identity
+
+
+def test_root_and_weyl_caps():
+    # A7 builds, but listing its 40,320 elements stops at the Weyl cap
+    A7 = RootSystem(CartanMatrix.type_A(7))
+    assert len(A7.simple_reflections) == 7
+    with pytest.raises(ValueError, match="Weyl element cap"):
+        A7.weyl_elements
+    # the affine A1 matrix has infinitely many roots
+    with pytest.raises(ValueError, match="positive root cap"):
+        RootSystem(CartanMatrix(((2, -2), (-2, 2))))
+
+
 def test_pairing_table_a2():
     assert A2.pairing(AL1, AL1) == 2
     assert A2.pairing(AL2, AL1) == -1
