@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import flaggw, projgw, toda3
 from .exactalg import PoleError, VarRegistry, substitute
-from .report import VerificationReport
+from .report import VerificationReport, _as_text
 
 # the presets of `verify`: quick keeps CI latency low; full is the
 # documented deep matrix
@@ -175,7 +175,7 @@ def _series_toda(args, equivariant: bool):
             # the solution series is written over the part3 chart already
             table = toda3.closed_solution(n_max, equivariant)
         for (i, j), c in table.items():
-            lines.append(f"row i={i} j={j} {c.text()}")
+            lines.append(f"row i={i} j={j} {_as_text(c)}")
         return lines
     return run
 

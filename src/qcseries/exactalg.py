@@ -12,6 +12,11 @@ Design notes that the rest of the package relies on:
 * A `VarRegistry` fixes the ordered variable set.  Polynomials over
   different registries never mix; attempting to combine them raises
   ``ValueError``.
+* Polynomials, rational functions and rational numbers mix in `+`, `-`,
+  `*` and `/` in either order, and the result is a `RatFunc` when one
+  operand is.  `MultiPoly`'s operators return ``NotImplemented`` for an
+  operand they do not know, so a `RatFunc` operand's reflected method
+  coerces the polynomial; a number over a polynomial is a `RatFunc`.
 * Each monomial is packed into one int (Monagan & Pearce, CASC 2007): 16-bit
   fields, the total degree in the top one, then one per variable with the
   first registry variable most significant.  The top bit of every field is
@@ -333,14 +338,19 @@ class MultiPoly:
 
     # -- ring operations ------------------------------------------------
 
-    def _coerce(self, other) -> "MultiPoly":
+    def _coerce(self, other):
+        # NotImplemented lets a RatFunc operand's reflected method run
         if isinstance(other, MultiPoly):
             _check_same_registry(self, other)
             return other
-        return self.registry.const(other)
+        if isinstance(other, (int, Fraction)):
+            return self.registry.const(other)
+        return NotImplemented
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         big, small = (self.terms, other.terms)
         if len(big) < len(small):
             big, small = small, big
@@ -354,7 +364,7 @@ class MultiPoly:
         return MultiPoly._raw(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
@@ -371,6 +381,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         a, b = self.terms, other.terms
         if not a or not b:
             return self.registry.zero()
@@ -397,6 +409,11 @@ class MultiPoly:
         return MultiPoly._raw(self.registry, out)
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other) -> "RatFunc":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return RatFunc.from_scalar(self.registry, other) / self
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -1232,5 +1249,5 @@ def recombine(decomposition: Iterable[tuple[RatFunc, MultiPoly]],
     """Sum residue/factor terms back into a single rational function."""
     total = RatFunc.zero(registry)
     for residue, factor in decomposition:
-        total = total + residue / RatFunc.from_poly(factor)
+        total = total + residue / factor
     return total

@@ -160,7 +160,7 @@ def _poles(setup: ProjSetup, i: int, d: int) -> dict[tuple[int, int], MultiPoly]
 
 def closed_B(setup: ProjSetup, i: int, d: int) -> RatFunc:
     """Coefficient in the unscaled normalization; equals closed_b divided by h^d."""
-    return closed_b(setup, i, d) / RatFunc.from_poly(setup.h) ** d
+    return closed_b(setup, i, d) / setup.h**d
 
 
 @cache
@@ -270,7 +270,7 @@ def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, li
                 continue
             shift_base = setup.lam(j) - setup.lam(i)
             for k in range(1, k_max + 1):
-                pole = RatFunc.from_poly(setup.lam(i) - setup.lam(j) + setup.h.scale(k))
+                pole = setup.lam(i) - setup.lam(j) + setup.h.scale(k)
                 shift = {"h": shift_base.scale(Fraction(1, k))}
                 terms.append((j, (k,), recursion_coeff(setup, i, j, k) / pole, shift))
         per_i.append((i, terms))
@@ -296,9 +296,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
     if setup.n == 0:
         # no lines between distinct fixed points, hence no recursion terms;
         # the exponential closed form is exact here
-        one = RatFunc.one(setup.registry)
-        h = RatFunc.from_poly(setup.h)
-        return {0: {d: one / (h**d * factorial(d)) for d in range(d_max + 1)}}
+        return {0: {d: 1 / (setup.h**d * factorial(d)) for d in range(d_max + 1)}}
     ((_, terms),) = _recursion_terms(setup, d_max, [0])
     swaps = {j: setup.swap(j) for j in setup.points() if j != 0}
     z0 = {(0,): RatFunc.one(setup.registry)}
@@ -440,18 +438,12 @@ def euler_prefactor_identity(setup: ProjSetup, i: int, j: int, k: int,
         for b, m, f in big:
             if b == i:
                 slice_i = slice_i * f
-        report.check_equal(
-            "b=i slice", RatFunc.from_poly(slice_i),
-            RatFunc.from_poly((weight**k).scale(factorial(k))),
-        )
+        report.check_equal("b=i slice", slice_i, (weight**k).scale(factorial(k)))
         slice_m0 = reg.one()
         for b, m, f in big:
             if m == 0:
                 slice_m0 = slice_m0 * f
-        report.check_equal(
-            "m=0 slice", RatFunc.from_poly(slice_m0),
-            RatFunc.from_poly(euler_e(setup, i)),
-        )
+        report.check_equal("m=0 slice", slice_m0, euler_e(setup, i))
 
         pole = h + (li - lj).scale(Fraction(1, k))
         lhs = RatFunc.from_factored(
@@ -459,10 +451,6 @@ def euler_prefactor_identity(setup: ProjSetup, i: int, j: int, k: int,
             [pole] + [f for _, _, f in big],
             scale=k,
         )
-        rhs = (
-            recursion_coeff(setup, i, j, k)
-            / RatFunc.from_poly(h.scale(k) + li - lj)
-            * RatFunc.from_poly(weight ** (d - k))
-        )
+        rhs = recursion_coeff(setup, i, j, k) / (h.scale(k) + li - lj) * weight ** (d - k)
         report.check_equal("identity", lhs, rhs)
     return report

@@ -18,29 +18,27 @@ def _as_text(value) -> str:
 
 
 class VerificationReport:
-    def __init__(self, check: str, params: dict[str, object] | None = None,
-                 status: str = "pass",
-                 failures: list[tuple[str, str, str]] | None = None,
-                 notes: list[str] | None = None, wall_ms: float | None = None):
+    def __init__(self, check: str, params: dict[str, object] | None = None):
         self.check = check
         self.params = {} if params is None else params
-        self.status = status
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
-        self.wall_ms = wall_ms
+        self.status = "pass"
+        self.failures: list[tuple[str, str, str]] = []
+        self.notes: list[str] = []
+        self.wall_ms: float | None = None
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
 
-    def fail(self, location: str, left: str, right: str) -> None:
-        self.failures.append((location, left, right))
+    def fail(self, location: str, left, right) -> None:
+        """Record a failure at location, with the canonical text of both sides."""
+        self.failures.append((location, _as_text(left), _as_text(right)))
         self.status = "fail"
 
     def check_equal(self, location: str, left, right) -> None:
         """Record a failure unless left == right (exact)."""
         if left != right:
-            self.fail(location, _as_text(left), _as_text(right))
+            self.fail(location, left, right)
 
     def skip(self, reason: str) -> None:
         if self.status == "pass" and not self.failures:

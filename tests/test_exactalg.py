@@ -1,5 +1,6 @@
 """Core exact-arithmetic tests: frozen examples plus algebraic property suites."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -391,6 +392,23 @@ def test_ratfunc_field_axioms(a, b, c, d):
     if not d.is_zero:
         assert d * d.reciprocal() == RatFunc.one(PREG)
         assert (b / d) * d == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.one_of(linear_forms(), monomial_polys()), ratfuncs(), st.integers(-6, 6))
+def test_polynomials_and_rational_functions_mix(p, q, f, n):
+    # a polynomial operand acts as the rational function it equals, on
+    # either side, and a number over a polynomial is a rational function
+    rp, rq = RatFunc.from_poly(p), RatFunc.from_poly(q)
+    mixed = (p * f, p + f, p - f, f - p, n / q)
+    assert mixed == (rp * f, rp + f, rp - f, f - rp, n / rq)
+    assert all(isinstance(value, RatFunc) for value in mixed)
+    stranger = VarRegistry(["u"]).var("u")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(stranger, f)
+        with pytest.raises(ValueError):
+            op(f, stranger)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from qcseries import flaggw, toda3
-from qcseries.exactalg import RatFunc
+from qcseries.exactalg import MultiPoly, RatFunc
 from qcseries.toda3 import (
     ALPHA_REGISTRY,
     LAMBDA_REGISTRY,
@@ -100,15 +100,27 @@ def test_equivariant_third_operator_monomial_action():
 
 
 def test_equivariant_specializes_to_plain():
+    # the equivariant images are lambda, h polynomials; at zero weights and
+    # h = 1 they are the plain images, which are rationals
     flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
     eq_ops = build_operators(equivariant=True)
     plain_ops = build_operators(equivariant=False)
     for eq_op, plain_op in zip(eq_ops, plain_ops):
         for i, j in GRID:
-            specialized = nonzero(
-                {k: c.substitute(flat) for k, c in eq_op.act_monomial((i, j)).items()}
-            )
-            assert specialized == nonzero(plain_op.act_monomial((i, j)))
+            image = eq_op.act_monomial((i, j))
+            assert all(isinstance(c, MultiPoly) for c in image.values())
+            specialized = nonzero({k: c.substitute(flat) for k, c in image.items()})
+            assert specialized == plain_op.act_monomial((i, j))
+
+
+def test_plain_flavor_is_exact_over_q():
+    series = closed_solution(12, equivariant=False)
+    assert all(isinstance(c, (int, Fraction)) for c in series.values())
+    for op in build_operators(equivariant=False):
+        for beta in series:
+            image = op.act_monomial(beta)
+            assert all(isinstance(c, (int, Fraction)) for c in image.values())
+        assert apply(op, series, 12) == {}
 
 
 # -- closed-form coefficients ----------------------------------------------------------
