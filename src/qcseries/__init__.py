@@ -10,25 +10,30 @@ and checks the routes against each other:
 
 All arithmetic is exact (arbitrary-precision rationals); every check is an
 exact equality of canonical rational functions.
+
+Each submodule, and each name re-exported from one, loads on first access
+(PEP 562), so that `import qcseries.cli` and the parser it builds load no
+arithmetic: every CLI run is a fresh interpreter and pays only for the
+modules its check or table reads.
 """
 
-from .exactalg import (
-    MultiPoly,
-    PoleError,
-    RatFunc,
-    VarRegistry,
-    homogeneous_degree,
-    partial_fractions,
-    recombine,
-    shifted_factorial,
-    substitute,
-)
-from .report import VerificationReport
-# cli is not imported here: `python -m qcseries.cli` would otherwise find it
-# already imported and warn; `from qcseries import cli` still works
-from . import exactalg, flaggw, projgw, report, roots, toda3
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# re-exported name -> the submodule that defines it
+_EXPORTS = {
+    "MultiPoly": "exactalg",
+    "PoleError": "exactalg",
+    "RatFunc": "exactalg",
+    "VarRegistry": "exactalg",
+    "homogeneous_degree": "exactalg",
+    "partial_fractions": "exactalg",
+    "recombine": "exactalg",
+    "shifted_factorial": "exactalg",
+    "substitute": "exactalg",
+    "VerificationReport": "report",
+}
 
 __all__ = [
     "MultiPoly",
@@ -50,3 +55,14 @@ __all__ = [
     "toda3",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # a re-exported name is read from its module on each access; every other
+    # name of __all__ but __version__ is a submodule, which importing binds
+    # on the package, so this runs once for it
+    if name in _EXPORTS:
+        return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

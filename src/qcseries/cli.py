@@ -11,6 +11,11 @@ the options it reads and to a builder.  The builder checks those options,
 raising `UsageError`, and returns the work as a function, so every usage
 error comes before any work runs.  The parser's choices, the order of
 `verify all` and the options each name accepts all come from the tables.
+
+Building the parser loads no arithmetic: each builder and runner imports
+the modules it reads, and a check looks its verify function up when it
+runs, so a run pays only for what it computes (and a function patched on
+its module is the one that runs).
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ import argparse
 import contextlib
 import os
 import sys
+from importlib import import_module
 from typing import Sequence
 
-from . import flaggw, projgw, toda3
-from .exactalg import PoleError, VarRegistry, substitute
 from .report import VerificationReport, _as_text
 
 # the presets of `verify`: quick keeps CI latency low; full is the
@@ -79,6 +83,8 @@ def q_series_text(texts: Sequence[str]) -> str:
 
 def _proj_chart(n: int, part: str):
     """Bindings from the weights lambda_a - lambda_0 of `ProjSetup` to root variables."""
+    from .exactalg import VarRegistry
+
     names = ["alpha"] if n == 1 else [f"alpha_{i}" for i in range(1, n + 1)]
     target = VarRegistry(names + ["h"])
     alphas = [target.var(nm) for nm in names]
@@ -104,6 +110,9 @@ def _series_proj(args):
         raise UsageError("no root chart in dimension 0")
 
     def run() -> list[str]:
+        from . import projgw
+        from .exactalg import substitute
+
         lines = ["target proj"]
         if args.chart is not None:
             lines.append(f"param chart={args.chart}")
@@ -126,6 +135,8 @@ def _series_proj(args):
 
 
 def _series_flag(args, rank: int):
+    from . import flaggw
+
     # the golden format names the pole convention, of which one is left
     if rank == 1:
         bound = _bound(args.max_d, 3, 8, "--max-d")
@@ -165,6 +176,8 @@ def _series_toda(args, equivariant: bool):
     lines.append(f"param max={n_max}")
 
     def run() -> list[str]:
+        from . import toda3
+
         if equivariant and args.chart is None:
             table = {
                 (i, j): toda3.closed_a_equivariant(i, j)
@@ -211,11 +224,14 @@ def cmd_series(args):
 # -- verify runners --------------------------------------------------------------------
 
 
-def _one(check, option: str, quick: int, full: int, cap: int):
-    """The table entry of a check that makes one report from one bound."""
+def _one(module: str, check: str, option: str, quick: int, full: int, cap: int):
+    """The table entry of a check that makes one report from one bound.
+
+    The check is `module.check`, looked up when the work runs.
+    """
     def runner(args, is_quick: bool):
         bound = _bound(getattr(args, option), quick if is_quick else full, cap, _flag(option))
-        return lambda: [check(bound)]
+        return lambda: [getattr(import_module(f"{__package__}.{module}"), check)(bound)]
     return (option,), runner
 
 
@@ -252,6 +268,8 @@ def _check_proj_recursion(args, quick: bool):
     ]
 
     def run() -> list[VerificationReport]:
+        from . import projgw
+
         reports = []
         for n, d_max in zip(ns, bounds):
             setup = projgw.ProjSetup(n)
@@ -269,6 +287,8 @@ def _check_euler_prefactor(args, quick: bool):
     d_max = _bound(args.max_d, 2 if quick else 3, 4, "--max-d", low=1)
 
     def run() -> list[VerificationReport]:
+        from . import projgw
+
         reports = []
         for n in ns:
             setup = projgw.ProjSetup(n)
@@ -290,11 +310,16 @@ def _check_euler_prefactor(args, quick: bool):
 
 def _check_lemma34(args, quick: bool):
     n_max = _bound(args.max, 3 if quick else 4, 5, "--max", low=1)
-    return lambda: [
-        flaggw.verify_lemma_3_4(i, total - i)
-        for total in range(1, n_max + 1)
-        for i in range(total // 2 + 1)
-    ]
+
+    def run() -> list[VerificationReport]:
+        from . import flaggw
+
+        return [
+            flaggw.verify_lemma_3_4(i, total - i)
+            for total in range(1, n_max + 1)
+            for i in range(total // 2 + 1)
+        ]
+    return run
 
 
 def _check_toda_operators(args, quick: bool):
@@ -304,10 +329,15 @@ def _check_toda_operators(args, quick: bool):
     n_plain, n_eq = (6, 6) if quick else (12, 8)
     if args.max is not None:
         n_plain = n_eq = _bound(args.max, n_eq, 12, "--max", low=1)
-    return lambda: [
-        toda3.verify_operator_annihilation(n_plain, equivariant=False),
-        toda3.verify_operator_annihilation(n_eq, equivariant=True),
-    ]
+
+    def run() -> list[VerificationReport]:
+        from . import toda3
+
+        return [
+            toda3.verify_operator_annihilation(n_plain, equivariant=False),
+            toda3.verify_operator_annihilation(n_eq, equivariant=True),
+        ]
+    return run
 
 
 # check -> (the options it reads, runner(args, quick) -> work giving the
@@ -315,16 +345,16 @@ def _check_toda_operators(args, quick: bool):
 CHECKS = {
     "proj-recursion": (("n", "max_d"), _check_proj_recursion),
     "euler-prefactor": (("n", "max_d"), _check_euler_prefactor),
-    "a1-cross": _one(flaggw.verify_a1_crosscheck, "max_d", 4, 5, 8),
-    "a2-recursion": _one(flaggw.verify_a2_theorem_3_2, "max", 3, 4, 5),
+    "a1-cross": _one("flaggw", "verify_a1_crosscheck", "max_d", 4, 5, 8),
+    "a2-recursion": _one("flaggw", "verify_a2_theorem_3_2", "max", 3, 4, 5),
     "lemma34": (("max",), _check_lemma34),
-    "toda-plain": _one(toda3.verify_recursions_plain, "max", 6, 12, 16),
+    "toda-plain": _one("toda3", "verify_recursions_plain", "max", 6, 12, 16),
     # the equivariant lattice's cross-multiplied numerators grow fast in
     # four variables, so the full level stops at 8, short of the cap
-    "toda-eq": _one(toda3.verify_recursions_equivariant, "max", 6, 8, 10),
+    "toda-eq": _one("toda3", "verify_recursions_equivariant", "max", 6, 8, 10),
     "toda-operators": (("max",), _check_toda_operators),
-    "batyrev": _one(toda3.verify_batyrev, "max", 6, 12, 20),
-    "corollary35": _one(toda3.verify_corollary_3_5, "max", 3, 6, 6),
+    "batyrev": _one("toda3", "verify_batyrev", "max", 6, 12, 20),
+    "corollary35": _one("toda3", "verify_corollary_3_5", "max", 3, 6, 6),
 }
 VERIFY_CHECKS = tuple(CHECKS)
 
@@ -339,6 +369,8 @@ def cmd_verify(args):
 
 
 def _run_checks(args, work) -> tuple[list[str], int]:
+    from .exactalg import PoleError
+
     reports: list[VerificationReport] = []
     for name, run in work:
         try:
@@ -446,6 +478,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: cannot write --out {args.out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
+    # every run computes with exactalg, so this import costs it nothing
+    from .exactalg import PoleError
+
     with out if out is not None else contextlib.nullcontext():
         try:
             lines, code = run()

@@ -1057,6 +1057,9 @@ class RatFunc:
         return result
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, MultiPoly) and other.registry != self.registry:
+            # unequal, as between two RatFuncs; only arithmetic raises
+            return False
         if isinstance(other, (int, Fraction, MultiPoly)):
             other = RatFunc.coerce(self.registry, other)
         if not isinstance(other, RatFunc):

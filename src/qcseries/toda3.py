@@ -34,14 +34,23 @@ from .exactalg import (
     substitute,
 )
 from .report import VerificationReport, timed
-from . import flaggw
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
-ALPHA_REGISTRY = flaggw._a2_setup().registry
+# the registry of the rank-two flag setup; registries compare by names
+ALPHA_REGISTRY = VarRegistry(["alpha_1", "alpha_2", "h"])
 
-# weight chart linking the two coefficient registries
-ALPHA_TO_LAMBDA = flaggw._a2_setup().system.lambda_chart(LAMBDA_REGISTRY, "part3")
+
+@cache
+def _alpha_to_lambda() -> dict[str, MultiPoly]:
+    """The weight chart linking the two coefficient registries.
+
+    Built on first use, as `flaggw._a2_setup` is: the plain flavor and
+    the parser need no root system.
+    """
+    from . import flaggw
+
+    return flaggw._a2_setup().system.lambda_chart(LAMBDA_REGISTRY, "part3")
 
 
 # -- the matrix side -------------------------------------------------------------------
@@ -176,6 +185,8 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
     """
     if i < 0 or j < 0:
         return RatFunc.zero(ALPHA_REGISTRY)
+    from . import flaggw
+
     setup = flaggw._a2_setup()
     return flaggw.a2_closed_coeff(setup, i, j) * RatFunc.from_factored(
         setup.registry.one(), [setup.h] * (i + j)
@@ -184,7 +195,7 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
 
 @cache
 def _lambda_coeff(i: int, j: int) -> RatFunc:
-    return substitute(closed_a_equivariant(i, j), ALPHA_TO_LAMBDA, LAMBDA_REGISTRY)
+    return substitute(closed_a_equivariant(i, j), _alpha_to_lambda(), LAMBDA_REGISTRY)
 
 
 def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int], object]:
@@ -349,6 +360,8 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     """
     report = VerificationReport("corollary35", {"max_total": n_max})
     with timed(report):
+        from . import flaggw
+
         setup = flaggw._a2_setup()
         z_id = flaggw.solve_flag_recursion(setup, n_max)
         h = ALPHA_REGISTRY.var("h")

@@ -241,6 +241,30 @@ def test_usage_error_comes_before_any_check_runs(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name, function, option", [
+    ("a1-cross", "flaggw.verify_a1_crosscheck", "--max-d"),
+    ("a2-recursion", "flaggw.verify_a2_theorem_3_2", "--max"),
+    ("toda-plain", "toda3.verify_recursions_plain", "--max"),
+    ("toda-eq", "toda3.verify_recursions_equivariant", "--max"),
+    ("batyrev", "toda3.verify_batyrev", "--max"),
+    ("corollary35", "toda3.verify_corollary_3_5", "--max"),
+])
+def test_a_check_runs_the_function_its_module_holds(capsys, monkeypatch,
+                                                    name, function, option):
+    # a check looks its verify function up when it runs, so a function
+    # patched on its module, as a tracer or a test does, is the one called
+    calls = []
+
+    def patched(bound):
+        calls.append(bound)
+        return VerificationReport(name, {"patched": bound})
+
+    monkeypatch.setattr(f"qcseries.{function}", patched)
+    code, out, _ = run(capsys, "verify", name, option, "0")
+    assert (code, calls) == (0, [0])
+    assert "param patched=0" in out
+
+
 def test_a_run_that_ends_early_leaves_an_existing_out_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "report.txt"
     path.write_text("an earlier, longer report\n" * 3, encoding="utf-8")

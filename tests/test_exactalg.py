@@ -61,6 +61,22 @@ def test_registry_mismatch_rejected():
         rf(ALPHA) * RatFunc.coerce(other, other.var("x"))
 
 
+def test_values_over_different_registries_compare_unequal():
+    # comparison across registries says False, as it does between two
+    # polynomials or two rational functions, so a check records a failure
+    # instead of crashing; arithmetic across them still raises
+    other = VarRegistry(["x"])
+    x = other.var("x")
+    f = rf(ALPHA) / rf(H)
+    for left, right in [(f, x), (x, f), (rf(ALPHA), other.one()), (other.one(), rf(ALPHA)),
+                        (ALPHA, x), (f, RatFunc.coerce(other, x))]:
+        assert (left == right, left != right) == (False, True)
+    with pytest.raises(ValueError):
+        f - x
+    with pytest.raises(ValueError):
+        x * f
+
+
 def test_divide_exact_roundtrip_and_failure():
     p = (H + ALPHA) ** 3 * (2 * H + ALPHA)
     q = p.divide_exact(H + ALPHA)
