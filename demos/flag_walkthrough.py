@@ -9,19 +9,18 @@ from qcseries.flaggw import A2_THETA, coeff_C_id
 from qcseries.roots import CartanMatrix, RootSystem
 
 system = RootSystem(CartanMatrix.type_A(2))
-setup = flaggw.FlagSetup(system)
 
 # six chamber elements, ordered by length then reduced word
 print("Weyl elements:", ", ".join(w.word_text() for w in system.weyl_elements))
 
 # the coupling coefficient attached to a simple root is a pure power,
 # the one attached to the long root mixes both simple variables
-print("simple alpha_1, k=2:", coeff_C_id(setup, system.simple_roots[0], 2).text())
-print("long root,      k=2:", coeff_C_id(setup, A2_THETA, 2).text())
+print("simple alpha_1, k=2:", coeff_C_id(system, system.simple_roots[0], 2).text())
+print("long root,      k=2:", coeff_C_id(system, A2_THETA, 2).text())
 
 # solve the recursion for the identity series, up to total degree 2; the
 # other five series are its images under the Weyl action
-z_id = flaggw.solve_flag_recursion(setup, 2)
+z_id = flaggw.solve_flag_recursion(system, 2)
 for beta in sorted(z_id, key=lambda b: (sum(b), b)):
     print(f"identity series, beta={beta}: {z_id[beta].text()}")
 s1 = system.simple_reflections[0]

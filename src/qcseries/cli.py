@@ -140,23 +140,23 @@ def _series_flag(args, rank: int):
     # the golden format names the pole convention, of which one is left
     if rank == 1:
         bound = _bound(args.max_d, 3, 8, "--max-d")
-        setup = flaggw._a1_setup()
+        system = flaggw._a1_system()
         lines = ["target flag-a1", "param convention=lemma37",
                  f"param max_d={bound}"]
     else:
         bound = _bound(args.max, 3, 5, "--max")
-        setup = flaggw._a2_setup()
+        system = flaggw._a2_system()
         lines = ["target flag-a2", "param convention=lemma37",
                  f"param max={bound}"]
 
     def run() -> list[str]:
-        z_id = flaggw.solve_flag_recursion(setup, bound)
+        z_id = flaggw.solve_flag_recursion(system, bound)
         # the table of w is w applied to the identity table
-        for w in setup.system.weyl_elements:
+        for w in system.weyl_elements:
             word = w.word_text()
             for beta in sorted(z_id, key=lambda b: (sum(b), b)):
                 coord = ",".join(str(b) for b in beta)
-                value = setup.system.act_on_ratfunc(w, z_id[beta])
+                value = system.act_on_ratfunc(w, z_id[beta])
                 lines.append(f"row w={word} beta={coord} {value.text()}")
         return lines
     return run
@@ -248,12 +248,8 @@ def _combine(name: str, params: dict,
              subs: list[tuple[str, VerificationReport]]) -> VerificationReport:
     out = VerificationReport(name, params)
     for prefix, sub in subs:
-        if sub.status == "fail":
-            out.status = "fail"
         for loc, left, right in sub.failures:
-            out.failures.append((f"{prefix} {loc}", left, right))
-        if sub.status == "skipped":
-            out.notes.append(f"{prefix} skipped")
+            out.fail(f"{prefix} {loc}", left, right)
     return out
 
 

@@ -45,28 +45,7 @@ from .roots import CartanMatrix, Root, RootSystem
 from . import projgw
 
 
-class FlagSetup:
-    """Root system plus the registry alpha_1..alpha_r, h."""
-
-    __slots__ = ("system", "registry")
-
-    def __init__(self, system: RootSystem):
-        self.system = system
-        self.registry = system.alpha_registry()
-
-    @property
-    def rank(self) -> int:
-        return self.system.rank
-
-    @property
-    def h(self) -> MultiPoly:
-        return self.registry.var("h")
-
-    def root_form(self, root: Root) -> MultiPoly:
-        return self.system.root_form(self.registry, root)
-
-
-def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
+def coeff_C_id(system: RootSystem, alpha: Root, k: int,
                prune: bool = True) -> RatFunc:
     """Identity-element recursion coefficient for the k-fold alpha-cover.
 
@@ -76,14 +55,13 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
     -k(2n - 2), the pairing of 2 rho - alpha; pruning drops pairs gamma,
     s_alpha(gamma) of opposite pairing, which keeps that sum.
     """
-    system = setup.system
     if not alpha.is_positive:
         raise ValueError("the covered direction must be a positive root")
     if k < 1:
         raise ValueError("cover multiplicity must be >= 1")
-    reg = setup.registry
+    reg = system.registry
     n = sum(system.coroot_coords(alpha))
-    a_form = setup.root_form(alpha)
+    a_form = system.root_form(reg, alpha)
 
     if prune:
         gammas = [
@@ -97,7 +75,7 @@ def coeff_C_id(setup: FlagSetup, alpha: Root, k: int,
     dens: list[MultiPoly] = []
     for gamma in gammas:
         c = system.pairing(gamma, alpha)
-        g_form = setup.root_form(gamma)
+        g_form = system.root_form(reg, gamma)
         if c > 0:
             for m in range(1, k * c + 1):
                 dens.append(g_form - a_form.scale(Fraction(m, k)))
@@ -129,7 +107,7 @@ def _beta_range(rank: int, total_max: int):
     return sorted((b for b in betas if sum(b) <= total_max), key=lambda b: (sum(b), b))
 
 
-def _recursion_terms(setup: FlagSetup, total_max: int, elements):
+def _recursion_terms(system: RootSystem, total_max: int, elements):
     """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
 
     Returns (w, terms) per element of `elements`, each term in the form
@@ -140,21 +118,21 @@ def _recursion_terms(setup: FlagSetup, total_max: int, elements):
     total_max: a longer step reads below multidegree 0 from every
     multidegree of the triangle.
     """
-    system = setup.system
+    reg = system.registry
     steps = []
     for alpha in system.positive_roots:
         cocoords = system.coroot_coords(alpha)
         refl = system.reflection(alpha)
         for k in range(1, total_max // sum(cocoords) + 1):
-            base = coeff_C_id(setup, alpha, k)
+            base = coeff_C_id(system, alpha, k)
             steps.append((alpha, k, tuple(k * c for c in cocoords), refl, base))
 
     per_w = []
     for w in elements:
         terms = []
         for alpha, k, step, refl, base in steps:
-            image_form = setup.root_form(w.act(alpha))
-            weight = system.act_on_ratfunc(w, base) / (setup.h.scale(k) + image_form)
+            image_form = system.root_form(reg, w.act(alpha))
+            weight = system.act_on_ratfunc(w, base) / (reg.var("h").scale(k) + image_form)
             shift = {"h": image_form.scale(Fraction(-1, k))}
             # w applied to the identity's term, which reads the table at s_alpha
             terms.append((w * refl, step, weight, shift))
@@ -162,7 +140,7 @@ def _recursion_terms(setup: FlagSetup, total_max: int, elements):
     return per_w
 
 
-def solve_flag_recursion(setup: FlagSetup, total_max: int) -> dict[tuple[int, ...], RatFunc]:
+def solve_flag_recursion(system: RootSystem, total_max: int) -> dict[tuple[int, ...], RatFunc]:
     """Build the identity table {beta: coefficient} from multidegree 0 upward.
 
     A multidegree beta is in coroot coordinates, and the table holds those
@@ -172,15 +150,14 @@ def solve_flag_recursion(setup: FlagSetup, total_max: int) -> dict[tuple[int, ..
     at s_alpha, which is s_alpha applied to this one, as the table of any w
     is w applied to it (see the module docstring).
     """
-    system = setup.system
     if total_max < 0:
         raise ValueError("total-degree bound must be >= 0")
     betas = _beta_range(system.rank, total_max)
-    ((_, terms),) = _recursion_terms(setup, total_max, [system.identity])
-    z_id = {betas[0]: RatFunc.one(setup.registry)}
+    ((_, terms),) = _recursion_terms(system, total_max, [system.identity])
+    z_id = {betas[0]: RatFunc.one(system.registry)}
     lower = projgw.image_reader(z_id, system.act_on_ratfunc)
     for beta in betas[1:]:
-        z_id[beta] = projgw.recursion_sum(setup.registry, terms, beta, lower)
+        z_id[beta] = projgw.recursion_sum(system.registry, terms, beta, lower)
     return z_id
 
 
@@ -188,20 +165,20 @@ def solve_flag_recursion(setup: FlagSetup, total_max: int) -> dict[tuple[int, ..
 
 
 @cache
-def _a1_setup() -> FlagSetup:
-    return FlagSetup(RootSystem(CartanMatrix.type_A(1)))
+def _a1_system() -> RootSystem:
+    return RootSystem(CartanMatrix.type_A(1))
 
 
 @cache
-def _a2_setup() -> FlagSetup:
-    return FlagSetup(RootSystem(CartanMatrix.type_A(2)))
+def _a2_system() -> RootSystem:
+    return RootSystem(CartanMatrix.type_A(2))
 
 
 A2_THETA = Root((1, 1))
 
 
 @cache
-def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
+def a2_closed_coeff(i: int, j: int) -> RatFunc:
     """Closed bidegree-(i,j) coefficient of the rank-two type-A identity table.
 
     With (x)_p = (h + x)(2h + x)...(ph + x) and theta = alpha_1 + alpha_2,
@@ -216,11 +193,9 @@ def a2_closed_coeff(setup: FlagSetup, i: int, j: int) -> RatFunc:
     """
     if i < 0 or j < 0:
         raise ValueError("bidegree must be nonnegative")
-    reg = setup.registry
-    a1 = reg.var("alpha_1")
-    a2 = reg.var("alpha_2")
+    reg = _a2_system().registry
+    a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
     th = a1 + a2
-    h = setup.h
     num = reg.one()
     for m in range(max(i, j) + 1, i + j + 1):
         num = num * (h.scale(m) + th)
@@ -246,14 +221,13 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     """
     report = VerificationReport("a1-cross", {"max_d": d_max})
     with timed(report):
-        setup = _a1_setup()
-        system = setup.system
-        reg = setup.registry
-        alpha = reg.var("alpha_1")
+        system = _a1_system()
+        reg = system.registry
+        alpha, h = map(reg.var, ("alpha_1", "h"))
         s1 = system.simple_reflections[0]
-        z_id = solve_flag_recursion(setup, d_max)
+        z_id = solve_flag_recursion(system, d_max)
         lower = projgw.image_reader(z_id, system.act_on_ratfunc)
-        ((_, s1_terms),) = _recursion_terms(setup, d_max, [s1])
+        ((_, s1_terms),) = _recursion_terms(system, d_max, [s1])
 
         proj = projgw.ProjSetup(1)
         chart = {"alpha_1": proj.lam(0) - proj.lam(1)}
@@ -271,7 +245,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
             )
             # shifted-factorial closed form
             closed = RatFunc.from_factored(
-                reg.one(), [setup.h.scale(m) + alpha for m in range(1, d + 1)],
+                reg.one(), [h.scale(m) + alpha for m in range(1, d + 1)],
                 scale=factorial(d),
             )
             report.check_equal(f"closed d={d}", z_id[(d,)], closed)
@@ -296,13 +270,11 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
     with timed(report):
         if n_max < 0:
             raise ValueError("total-degree bound must be >= 0")
-        setup = _a2_setup()
-        system = setup.system
-        reg = setup.registry
-        ((_, terms),) = _recursion_terms(setup, n_max, [system.identity])
+        system = _a2_system()
+        ((_, terms),) = _recursion_terms(system, n_max, [system.identity])
 
         closed = {
-            (i, j): a2_closed_coeff(setup, i, j)
+            (i, j): a2_closed_coeff(i, j)
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
@@ -314,7 +286,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
                 continue
             report.check_equal(
                 f"i={i} j={j}", closed[(i, j)],
-                projgw.recursion_sum(reg, terms, (i, j), lower),
+                projgw.recursion_sum(system.registry, terms, (i, j), lower),
             )
     return report
 
@@ -331,14 +303,11 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
     with timed(report):
         if not 0 <= i <= j:
             raise ValueError("need 0 <= i <= j")
-        setup = _a2_setup()
-        system = setup.system
-        reg = setup.registry
-        a1 = reg.var("alpha_1")
-        a2 = reg.var("alpha_2")
+        system = _a2_system()
+        reg = system.registry
+        a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
         th = a1 + a2
-        h = setup.h
-        value = a2_closed_coeff(setup, i, j)
+        value = a2_closed_coeff(i, j)
         if i == 0 and j == 0:
             report.note("empty decomposition at bidegree (0,0)")
             report.check_equal("value", value, 1)
@@ -374,12 +343,12 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
         roots_k = (Root((1, 0)), Root((0, 1)), A2_THETA)
         for (r, k), (residue, _factor) in zip(labels, parts):
             da, db = drops[r]
-            lower = a2_closed_coeff(setup, i - k * da, j - k * db)
+            lower = a2_closed_coeff(i - k * da, j - k * db)
             bindings = dict(swaps[r])
             bindings["h"] = alpha_forms[r].scale(Fraction(-1, k))
-            expected = _pole_weight(setup, r, k) * substitute(lower, bindings)
+            expected = _pole_weight(r, k) * substitute(lower, bindings)
             report.check_equal(f"pole r={r} k={k}", residue, expected)
-            via_coeff = coeff_C_id(setup, roots_k[r], k) * substitute(
+            via_coeff = coeff_C_id(system, roots_k[r], k) * substitute(
                 system.act_on_ratfunc(system.reflection(roots_k[r]), lower),
                 {"h": alpha_forms[r].scale(Fraction(-1, k))},
             )
@@ -387,11 +356,10 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
     return report
 
 
-def _pole_weight(setup: FlagSetup, r: int, k: int) -> RatFunc:
+def _pole_weight(r: int, k: int) -> RatFunc:
     """Printed residue prefactors of the rank-two split, one per pole family."""
-    reg = setup.registry
-    a1 = reg.var("alpha_1")
-    a2 = reg.var("alpha_2")
+    reg = _a2_system().registry
+    a1, a2 = map(reg.var, ("alpha_1", "alpha_2"))
     if r in (0, 1):
         base = a1 if r == 0 else a2
         return RatFunc.from_factored(

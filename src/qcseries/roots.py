@@ -21,8 +21,6 @@ group; building a system, reflecting and acting on functions never reach it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
-
 from .exactalg import MultiPoly, RatFunc, VarRegistry
 
 MAX_POSITIVE_ROOTS = 200
@@ -349,10 +347,10 @@ class RootSystem:
             out = out * self.root_form(registry, w.act(g))
         return out
 
-    def alpha_registry(self, extra: Sequence[str] = ("h",)) -> VarRegistry:
-        return VarRegistry(
-            [f"alpha_{i + 1}" for i in range(self.rank)] + list(extra)
-        )
+    @cached_property
+    def registry(self) -> VarRegistry:
+        """alpha_1..alpha_rank, h: the variables of this system's flag series."""
+        return VarRegistry([f"alpha_{i + 1}" for i in range(self.rank)] + ["h"])
 
     # -- type A lambda charts ----------------------------------------------
 

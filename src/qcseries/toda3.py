@@ -37,20 +37,18 @@ from .report import VerificationReport, timed
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
-# the registry of the rank-two flag setup; registries compare by names
-ALPHA_REGISTRY = VarRegistry(["alpha_1", "alpha_2", "h"])
 
 
 @cache
 def _alpha_to_lambda() -> dict[str, MultiPoly]:
     """The weight chart linking the two coefficient registries.
 
-    Built on first use, as `flaggw._a2_setup` is: the plain flavor and
+    Built on first use, as `flaggw._a2_system` is: the plain flavor and
     the parser need no root system.
     """
     from . import flaggw
 
-    return flaggw._a2_setup().system.lambda_chart(LAMBDA_REGISTRY, "part3")
+    return flaggw._a2_system().lambda_chart(LAMBDA_REGISTRY, "part3")
 
 
 # -- the matrix side -------------------------------------------------------------------
@@ -181,15 +179,16 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
 
     The 1/h^(i+j) normalization makes the h=1, zero-weight limit the plain
     coefficient.  An input the checks read, so it is built once per process
-    (the memoization rule of `projgw`).
+    (the memoization rule of `projgw`).  Every value, zero included, is
+    over the rank-two root system's registry.
     """
-    if i < 0 or j < 0:
-        return RatFunc.zero(ALPHA_REGISTRY)
     from . import flaggw
 
-    setup = flaggw._a2_setup()
-    return flaggw.a2_closed_coeff(setup, i, j) * RatFunc.from_factored(
-        setup.registry.one(), [setup.h] * (i + j)
+    reg = flaggw._a2_system().registry
+    if i < 0 or j < 0:
+        return RatFunc.zero(reg)
+    return flaggw.a2_closed_coeff(i, j) * RatFunc.from_factored(
+        reg.one(), [reg.var("h")] * (i + j)
     )
 
 
@@ -283,11 +282,11 @@ def verify_recursions_equivariant(n_max: int) -> VerificationReport:
         weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
         _check_identities(report, n_max, _lambda_coeff, weights, rebuild_max=5)
 
+        from . import flaggw
+
         # symmetry in the weight registry: swap both indices and weights
-        swap = {
-            "alpha_1": ALPHA_REGISTRY.var("alpha_2"),
-            "alpha_2": ALPHA_REGISTRY.var("alpha_1"),
-        }
+        reg = flaggw._a2_system().registry
+        swap = {"alpha_1": reg.var("alpha_2"), "alpha_2": reg.var("alpha_1")}
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):
                 report.check_equal(
@@ -362,9 +361,9 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     with timed(report):
         from . import flaggw
 
-        setup = flaggw._a2_setup()
-        z_id = flaggw.solve_flag_recursion(setup, n_max)
-        h = ALPHA_REGISTRY.var("h")
+        system = flaggw._a2_system()
+        z_id = flaggw.solve_flag_recursion(system, n_max)
+        h = system.registry.var("h")
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):
                 report.check_equal(

@@ -20,7 +20,7 @@ from qcseries.exactalg import (
     recombine,
     substitute,
 )
-from qcseries.flaggw import A2_THETA, FlagSetup, coeff_C_id
+from qcseries.flaggw import A2_THETA, coeff_C_id
 from qcseries.roots import CartanMatrix, RootSystem
 
 
@@ -114,18 +114,18 @@ def test_07_flag_coefficient_closed_forms():
         CartanMatrix.type_B(3),
         CartanMatrix.type_G2(),
     ):
-        setup = FlagSetup(RootSystem(cm))
-        for alpha in setup.system.simple_roots:
+        system = RootSystem(cm)
+        for alpha in system.simple_roots:
             for k in range(1, 5):
-                form = setup.root_form(alpha)
+                form = system.root_form(system.registry, alpha)
                 want = RatFunc.from_factored(
-                    setup.registry.one(),
+                    system.registry.one(),
                     [form] * (k - 1),
                     scale=Fraction(factorial(k) ** 2, k**k),
                 )
-                assert coeff_C_id(setup, alpha, k) == want
+                assert coeff_C_id(system, alpha, k) == want
     # the rank-two long root against the independently assembled table value
-    a2 = FlagSetup(RootSystem(CartanMatrix.type_A(2)))
+    a2 = RootSystem(CartanMatrix.type_A(2))
     reg = a2.registry
     a, b = reg.var("alpha_1"), reg.var("alpha_2")
     for k in range(1, 4):
@@ -265,7 +265,7 @@ def test_14_library_property_battery():
     # reflection involution, composition, and inversion-set length
     for cm in (CartanMatrix.type_A(2), CartanMatrix.type_A(3)):
         system = RootSystem(cm)
-        areg = system.alpha_registry()
+        areg = system.registry
         sample = RatFunc.from_factored(
             areg.var("alpha_1") + areg.var("h"),
             [areg.var(f"alpha_{i + 1}") for i in range(cm.rank)],

@@ -335,6 +335,27 @@ def test_verify_exits_one_on_a_wrong_coefficient(capsys, monkeypatch):
     assert "failure i=1 j=1 | 2 | 3" in lines
 
 
+def test_a_failing_part_fails_the_combined_report(capsys, monkeypatch):
+    # euler-prefactor combines one report per (i, j, k, d); each failure of a
+    # part is kept, its location prefixed with the part's indices
+    identity = projgw.euler_prefactor_identity
+
+    def broken(setup, i, j, k, d):
+        report = identity(setup, i, j, k, d)
+        if (i, j, k) == (0, 1, 1):
+            report.fail("injected", 1, 2)
+        return report
+
+    monkeypatch.setattr(projgw, "euler_prefactor_identity", broken)
+    code, out, _ = run(capsys, "verify", "euler-prefactor", "--n", "1", "--max-d", "2")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "status fail",
+        "failure i=0 j=1 k=1 d=1 injected | 1 | 2",
+        "failure i=0 j=1 k=1 d=2 injected | 1 | 2",
+    ]
+
+
 def test_verify_json_mirror(capsys):
     code, out, _ = run(capsys, "verify", "lemma34", "--max", "2", "--json")
     assert code == 0

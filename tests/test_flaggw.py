@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qcseries import flaggw, projgw
+from qcseries import flaggw, projgw, toda3
 from qcseries.exactalg import (
     MultiPoly,
     RatFunc,
@@ -16,7 +16,6 @@ from qcseries.exactalg import (
 )
 from qcseries.flaggw import (
     A2_THETA,
-    FlagSetup,
     _pole_weight,
     a2_closed_coeff,
     coeff_C_id,
@@ -28,18 +27,18 @@ from qcseries.flaggw import (
 from qcseries.projgw import ProjSetup, euler_e
 from qcseries.roots import CartanMatrix, Root, RootSystem
 
-A1 = FlagSetup(RootSystem(CartanMatrix.type_A(1)))
-A2 = FlagSetup(RootSystem(CartanMatrix.type_A(2)))
-A3 = FlagSetup(RootSystem(CartanMatrix.type_A(3)))
-B2 = FlagSetup(RootSystem(CartanMatrix.type_B(2)))
-B3 = FlagSetup(RootSystem(CartanMatrix.type_B(3)))
-G2 = FlagSetup(RootSystem(CartanMatrix.type_G2()))
+A1 = RootSystem(CartanMatrix.type_A(1))
+A2 = RootSystem(CartanMatrix.type_A(2))
+A3 = RootSystem(CartanMatrix.type_A(3))
+B2 = RootSystem(CartanMatrix.type_B(2))
+B3 = RootSystem(CartanMatrix.type_B(3))
+G2 = RootSystem(CartanMatrix.type_G2())
 
 
-def simple_root_value(setup, alpha, k):
+def simple_root_value(system, alpha, k):
     # k^k / (k!)^2 * alpha^(1-k)
-    reg = setup.registry
-    form = setup.root_form(alpha)
+    reg = system.registry
+    form = system.root_form(reg, alpha)
     return RatFunc.from_factored(
         reg.one(), [form] * (k - 1), scale=Fraction(factorial(k) ** 2, k**k)
     )
@@ -49,11 +48,11 @@ def simple_root_value(setup, alpha, k):
 
 
 def test_simple_root_coefficients_all_types():
-    for setup, kmax in ((A1, 4), (A2, 4), (A3, 4), (B2, 3), (G2, 2)):
-        for alpha in setup.system.simple_roots:
+    for system, kmax in ((A1, 4), (A2, 4), (A3, 4), (B2, 3), (G2, 2)):
+        for alpha in system.simple_roots:
             for k in range(1, kmax + 1):
-                got = coeff_C_id(setup, alpha, k)
-                assert got == simple_root_value(setup, alpha, k)
+                got = coeff_C_id(system, alpha, k)
+                assert got == simple_root_value(system, alpha, k)
 
 
 def test_long_root_coefficient_rank_two():
@@ -62,22 +61,22 @@ def test_long_root_coefficient_rank_two():
     got1 = coeff_C_id(A2, A2_THETA, 1)
     assert got1 == RatFunc.from_factored(-(a1 + a2), [a1, a2])
     for k in range(1, 4):
-        assert coeff_C_id(A2, A2_THETA, k) == _pole_weight(A2, 2, k)
+        assert coeff_C_id(A2, A2_THETA, k) == _pole_weight(2, k)
 
 
 def test_pruning_never_changes_the_value():
-    for setup in (A2, A3, B2):
-        for alpha in setup.system.positive_roots:
+    for system in (A2, A3, B2):
+        for alpha in system.positive_roots:
             for k in range(1, 4):
-                assert coeff_C_id(setup, alpha, k, prune=True) == coeff_C_id(
-                    setup, alpha, k, prune=False
+                assert coeff_C_id(system, alpha, k, prune=True) == coeff_C_id(
+                    system, alpha, k, prune=False
                 )
 
 
 def test_coefficients_are_homogeneous():
-    for setup in (B2, G2):
-        for alpha in setup.system.positive_roots:
-            got = coeff_C_id(setup, alpha, 2 if setup is B2 else 1)
+    for system in (B2, G2):
+        for alpha in system.positive_roots:
+            got = coeff_C_id(system, alpha, 2 if system is B2 else 1)
             assert homogeneous_degree(got) is not None
 
 
@@ -91,7 +90,7 @@ def test_coeff_rejects_bad_input():
 
 
 def test_acted_coefficients():
-    system = A2.system
+    system = A2
     s1 = system.simple_reflections[0]
     al1, al2 = system.simple_roots
     reg = A2.registry
@@ -107,26 +106,26 @@ def test_acted_coefficients():
 
 def test_coeff_entry_type_checks_degree():
     # C(alpha, k) has degree 1 - k<rho, alpha_check>, at every Weyl element
-    for w in A2.system.weyl_elements:
-        value = A2.system.act_on_ratfunc(w, coeff_C_id(A2, A2_THETA, 2))
+    for w in A2.weyl_elements:
+        value = A2.act_on_ratfunc(w, coeff_C_id(A2, A2_THETA, 2))
         assert homogeneous_degree(value) == -3
 
 
 # -- the solver -----------------------------------------------------------------------
 
 
-def full_solve(setup, total_max):
+def full_solve(system, total_max):
     """Reference route: all |W| tables solved side by side, each reading the others."""
-    betas = flaggw._beta_range(setup.rank, total_max)
-    terms = flaggw._recursion_terms(setup, total_max, setup.system.weyl_elements)
-    return projgw.solve_tables(setup.registry, terms, betas)
+    betas = flaggw._beta_range(system.rank, total_max)
+    terms = flaggw._recursion_terms(system, total_max, system.weyl_elements)
+    return projgw.solve_tables(system.registry, terms, betas)
 
 
 def test_solver_rank_one_closed_form():
     reg = A1.registry
     alpha, h = reg.var("alpha_1"), reg.var("h")
     z_id = solve_flag_recursion(A1, 4)
-    z_s1 = full_solve(A1, 4)[A1.system.simple_reflections[0]]
+    z_s1 = full_solve(A1, 4)[A1.simple_reflections[0]]
     for d in range(5):
         dens = [alpha + h.scale(m) for m in range(1, d + 1)]
         assert z_id[(d,)] == RatFunc.from_factored(
@@ -142,14 +141,14 @@ def test_solver_rank_two_matches_closed_form_all_elements():
     # total degree 4 covers the bidegrees (i, j) with i, j <= 2
     z_id = solve_flag_recursion(A2, 4)
     tables = full_solve(A2, 4)
-    system = A2.system
+    system = A2
     for i in range(3):
         for j in range(3):
-            assert z_id[(i, j)] == a2_closed_coeff(A2, i, j), (i, j)
+            assert z_id[(i, j)] == a2_closed_coeff(i, j), (i, j)
     for w, table in tables.items():
         for i in range(3):
             for j in range(3):
-                want = system.act_on_ratfunc(w, a2_closed_coeff(A2, i, j))
+                want = system.act_on_ratfunc(w, a2_closed_coeff(i, j))
                 assert table[(i, j)] == want, (w, i, j)
 
 
@@ -157,10 +156,9 @@ def test_every_weyl_table_is_the_w_image_of_the_identity_table():
     # the solver reads every table but the identity's as a w-image; the
     # reference route solves all |W| tables, each from its own terms
     entries = 0
-    for setup, t in ((A2, 4), (B2, 4), (G2, 4), (A3, 3)):
-        system = setup.system
-        z_id = solve_flag_recursion(setup, t)
-        for w, table in full_solve(setup, t).items():
+    for system, t in ((A2, 4), (B2, 4), (G2, 4), (A3, 3)):
+        z_id = solve_flag_recursion(system, t)
+        for w, table in full_solve(system, t).items():
             for beta, value in table.items():
                 assert value == system.act_on_ratfunc(w, z_id[beta]), (w, beta)
                 entries += 1
@@ -172,15 +170,15 @@ def test_identity_tables_are_homogeneous():
     # built from the height of alpha instead of <rho, alpha_check>, B2 and G2
     # fail first at (1, 1) and B3 at (0, 1, 1); no rank caps the solver, and
     # it never lists the Weyl group (A7 has 40,320 elements, B6 46,080)
-    fresh = [(FlagSetup(RootSystem(cartan)), t) for cartan, t in (
+    fresh = [(RootSystem(cartan), t) for cartan, t in (
         (CartanMatrix.type_A(4), 3), (CartanMatrix.type_B(4), 3),
         (CartanMatrix.type_A(7), 2), (CartanMatrix.type_B(6), 2))]
-    for setup, t in [(A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3)] + fresh:
-        z_id = solve_flag_recursion(setup, t)
+    for system, t in [(A2, 6), (B2, 6), (G2, 6), (A3, 4), (B3, 3)] + fresh:
+        z_id = solve_flag_recursion(system, t)
         wrong = [beta for beta, c in z_id.items() if homogeneous_degree(c) != -sum(beta)]
-        assert wrong == [], setup.system.cartan
-    for setup, _ in fresh:
-        assert "weyl_elements" not in vars(setup.system), setup.system.cartan
+        assert wrong == [], system.cartan
+    for system, _ in fresh:
+        assert "weyl_elements" not in vars(system), system.cartan
 
 
 def test_solver_grading():
@@ -210,15 +208,15 @@ def test_solver_rank_three_smoke():
 def test_a2_closed_low_bidegrees():
     reg = A2.registry
     a1, a2, h = reg.var("alpha_1"), reg.var("alpha_2"), reg.var("h")
-    assert a2_closed_coeff(A2, 0, 0) == RatFunc.one(reg)
-    assert a2_closed_coeff(A2, 1, 0) == RatFunc.from_factored(reg.one(), [h + a1])
-    assert a2_closed_coeff(A2, 0, 1) == RatFunc.from_factored(reg.one(), [h + a2])
+    assert a2_closed_coeff(0, 0) == RatFunc.one(reg)
+    assert a2_closed_coeff(1, 0) == RatFunc.from_factored(reg.one(), [h + a1])
+    assert a2_closed_coeff(0, 1) == RatFunc.from_factored(reg.one(), [h + a2])
     # shared highest-root factors cancel only partially at (1,1)
     want = RatFunc.from_factored(
         (h + a1 + a2) * (h.scale(2) + a1 + a2),
         [h + a1, h + a2, h + a1 + a2, h + a1 + a2],
     )
-    assert a2_closed_coeff(A2, 1, 1) == want
+    assert a2_closed_coeff(1, 1) == want
 
 
 def test_a2_closed_is_built_cancelled():
@@ -234,8 +232,8 @@ def test_a2_closed_is_built_cancelled():
             dens = [h.scale(m) + a for m in range(1, i + 1) for a in (a1, th)]
             dens += [h.scale(m) + a for m in range(1, j + 1) for a in (a2, th)]
             old = RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
-            assert a2_closed_coeff(A2, i, j).text() == old.text(), (i, j)
-    assert a2_closed_coeff(A2, 2, 3) is a2_closed_coeff(A2, 2, 3)
+            assert a2_closed_coeff(i, j).text() == old.text(), (i, j)
+    assert a2_closed_coeff(2, 3) is a2_closed_coeff(2, 3)
 
 
 def test_a2_closed_tries_no_trial_division(monkeypatch):
@@ -245,9 +243,9 @@ def test_a2_closed_tries_no_trial_division(monkeypatch):
     divide = MultiPoly.divide_exact
     monkeypatch.setattr(MultiPoly, "divide_exact",
                         lambda p, g: calls.append(g) or divide(p, g))
-    value = a2_closed_coeff.__wrapped__(A2, 3, 4)
+    value = a2_closed_coeff.__wrapped__(3, 4)
     assert calls == []
-    assert value.text() == a2_closed_coeff(A2, 3, 4).text()
+    assert value.text() == a2_closed_coeff(3, 4).text()
 
 
 def test_solver_builds_no_step_past_the_total_degree(monkeypatch):
@@ -256,7 +254,7 @@ def test_solver_builds_no_step_past_the_total_degree(monkeypatch):
     built = []
     coeff = flaggw.coeff_C_id
     monkeypatch.setattr(flaggw, "coeff_C_id",
-                        lambda setup, alpha, k: built.append((alpha, k)) or coeff(setup, alpha, k))
+                        lambda system, alpha, k: built.append((alpha, k)) or coeff(system, alpha, k))
     flaggw.solve_flag_recursion(A2, 4)
     assert max(k for alpha, k in built if alpha == A2_THETA) == 2
     assert max(k for alpha, k in built if alpha != A2_THETA) == 4
@@ -287,9 +285,21 @@ def test_a2_closed_symmetry():
     for i in range(3):
         for j in range(3):
             swapped = substitute(
-                a2_closed_coeff(A2, j, i), {"alpha_1": a2, "alpha_2": a1}
+                a2_closed_coeff(j, i), {"alpha_1": a2, "alpha_2": a1}
             )
-            assert a2_closed_coeff(A2, i, j) == swapped
+            assert a2_closed_coeff(i, j) == swapped
+
+
+def test_each_root_system_caches_one_registry():
+    # the solver, the closed form and the lattice bridge build every A2
+    # value over the registry the cached rank-two system holds
+    b3 = RootSystem(CartanMatrix.type_B(3))
+    assert b3.registry.names == ("alpha_1", "alpha_2", "alpha_3", "h")
+    assert b3.registry is b3.registry
+    reg = flaggw._a2_system().registry
+    assert a2_closed_coeff(1, 1).registry is reg
+    assert toda3.closed_a_equivariant(2, 1).registry is reg
+    assert solve_flag_recursion(flaggw._a2_system(), 2)[(1, 1)].registry is reg
 
 
 # -- verification reports -------------------------------------------------------------
@@ -307,8 +317,8 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_coupling(monkeypatch):
     # the same doubled coefficient, so the broken tables still satisfy it
     coeff = flaggw.coeff_C_id
 
-    def doubled_at_k_1(setup, alpha, k, prune=True):
-        value = coeff(setup, alpha, k, prune)
+    def doubled_at_k_1(system, alpha, k, prune=True):
+        value = coeff(system, alpha, k, prune)
         return value * 2 if k == 1 else value
 
     monkeypatch.setattr(flaggw, "coeff_C_id", doubled_at_k_1)
@@ -322,13 +332,13 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_s1_recursion(monkeypatch):
     # the solver reads only the identity's terms, so doubling s1's terms
     # breaks s1's own recursion and no other comparison
     terms = flaggw._recursion_terms
-    s1 = flaggw._a1_setup().system.simple_reflections[0]
+    s1 = flaggw._a1_system().simple_reflections[0]
 
-    def doubled(setup, total_max, elements):
+    def doubled(system, total_max, elements):
         return [
             (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
              if w == s1 else ts)
-            for w, ts in terms(setup, total_max, elements)
+            for w, ts in terms(system, total_max, elements)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
@@ -350,8 +360,8 @@ def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
     assert verify_a2_theorem_3_2(2).ok
     closed = flaggw.a2_closed_coeff
 
-    def perturbed_at_1_0(setup, i, j):
-        value = closed(setup, i, j)
+    def perturbed_at_1_0(i, j):
+        value = closed(i, j)
         return value + 1 if (i, j) == (1, 0) else value
 
     monkeypatch.setattr(flaggw, "a2_closed_coeff", perturbed_at_1_0)
@@ -364,8 +374,8 @@ def test_verify_lemma_3_4_fails_on_a_wrong_pole_weight(monkeypatch):
     # prediction through the recursion coefficient must still hold
     weight = flaggw._pole_weight
 
-    def doubled_at_0_1(setup, r, k):
-        value = weight(setup, r, k)
+    def doubled_at_0_1(r, k):
+        value = weight(r, k)
         return value * 2 if (r, k) == (0, 1) else value
 
     monkeypatch.setattr(flaggw, "_pole_weight", doubled_at_0_1)
@@ -386,24 +396,24 @@ def test_verify_pole_cancellation_cases():
 
 def lambda_euler(system, target, w):
     chart = system.lambda_chart(target, "part1")
-    return system.euler_class(system.alpha_registry(()), w).substitute(chart, target).as_poly()
+    return system.euler_class(system.registry, w).substitute(chart, target).as_poly()
 
 
 def test_phi_rank_one_matches_projective_chart():
     # the flag variety of A1 is P^1: its two Euler classes are those of
     # projgw, through the part1 chart with projgw's lambda_0 = 0
-    system = A1.system
+    system = A1
     p1 = ProjSetup(1)
     chart = {"alpha_1": p1.lam(0) - p1.lam(1)}
     for w, i in ((system.identity, 0), (system.simple_reflections[0], 1)):
-        euler = system.euler_class(system.alpha_registry(()), w)
+        euler = system.euler_class(system.registry, w)
         assert euler.substitute(chart, p1.registry).as_poly() == euler_e(p1, i)
 
 
 def test_flag_euler_matches_root_product():
     # in the lambda chart the product of positive roots is the Vandermonde
     # product, and w multiplies it by its sign
-    system = A2.system
+    system = A2
     target = VarRegistry([f"lambda_{i}" for i in range(3)])
     lam = [target.var(f"lambda_{i}") for i in range(3)]
     vandermonde = (lam[0] - lam[1]) * (lam[0] - lam[2]) * (lam[1] - lam[2])

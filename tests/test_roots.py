@@ -133,14 +133,14 @@ def test_group_axioms_a2():
 
 
 def test_euler_class_sign():
-    reg = A2.alpha_registry()
+    reg = A2.registry
     e_id = A2.euler_class(reg, A2.identity)
     for w in A2.weyl_elements:
         assert A2.euler_class(reg, w) == e_id.scale((-1) ** w.length())
 
 
 def test_act_on_ratfunc():
-    reg = A2.alpha_registry()
+    reg = A2.registry
     s1 = A2.simple_reflections[0]
     f = RatFunc.one(reg) / RatFunc.from_poly(reg.var("alpha_1"))
     assert A2.act_on_ratfunc(s1, f) == -f
@@ -178,7 +178,7 @@ def test_weyl_permutation_matches_chart(system):
     n = system.rank + 1
     lam = VarRegistry([f"lambda_{i}" for i in range(n)])
     chart = system.lambda_chart(lam, "part1")
-    reg = system.alpha_registry(extra=[])
+    reg = system.registry
     diffs = {
         lam.var(f"lambda_{a}") - lam.var(f"lambda_{b}"): (a, b)
         for a in range(n) for b in range(n) if a != b

@@ -9,7 +9,6 @@ import pytest
 from qcseries import flaggw, toda3
 from qcseries.exactalg import MultiPoly, RatFunc
 from qcseries.toda3 import (
-    ALPHA_REGISTRY,
     LAMBDA_REGISTRY,
     UV_REGISTRY,
     apply,
@@ -147,7 +146,7 @@ def test_binomial_sum_form_matches_closed():
 
 
 def test_equivariant_coefficients_spot_values():
-    reg = ALPHA_REGISTRY
+    reg = flaggw._a2_system().registry
     a1, a2, h = (reg.var(n) for n in reg.names)
     th = a1 + a2
     assert closed_a_equivariant(0, 0) == RatFunc.one(reg)
@@ -304,15 +303,15 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     # doubling them corrupts every identity entry with i >= 1, each of which
     # takes such a step, and no entry with i = 0
     terms = flaggw._recursion_terms
-    system = flaggw._a2_setup().system
+    system = flaggw._a2_system()
     s1 = system.simple_reflections[0]
 
-    def doubled(setup, total_max, elements):
+    def doubled(root_system, total_max, elements):
         return [
             (w, [(lw, step, 2 * weight if lw == s1 else weight, shift)
                  for lw, step, weight, shift in ts]
              if w == system.identity else ts)
-            for w, ts in terms(setup, total_max, elements)
+            for w, ts in terms(root_system, total_max, elements)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
