@@ -40,7 +40,7 @@ from .exactalg import (
     recombine,
     substitute,
 )
-from .report import VerificationReport, timed
+from .report import VerificationReport
 from .roots import CartanMatrix, Root, RootSystem
 from . import projgw
 
@@ -61,7 +61,7 @@ def coeff_C_id(system: RootSystem, alpha: Root, k: int,
         raise ValueError("cover multiplicity must be >= 1")
     reg = system.registry
     n = sum(system.coroot_coords(alpha))
-    a_form = system.root_form(reg, alpha)
+    a_form = system.root_form(alpha)
 
     if prune:
         gammas = [
@@ -75,7 +75,7 @@ def coeff_C_id(system: RootSystem, alpha: Root, k: int,
     dens: list[MultiPoly] = []
     for gamma in gammas:
         c = system.pairing(gamma, alpha)
-        g_form = system.root_form(reg, gamma)
+        g_form = system.root_form(gamma)
         if c > 0:
             for m in range(1, k * c + 1):
                 dens.append(g_form - a_form.scale(Fraction(m, k)))
@@ -131,7 +131,7 @@ def _recursion_terms(system: RootSystem, total_max: int, elements):
     for w in elements:
         terms = []
         for alpha, k, step, refl, base in steps:
-            image_form = system.root_form(reg, w.act(alpha))
+            image_form = system.root_form(w.act(alpha))
             weight = system.act_on_ratfunc(w, base) / (reg.var("h").scale(k) + image_form)
             shift = {"h": image_form.scale(Fraction(-1, k))}
             # w applied to the identity's term, which reads the table at s_alpha
@@ -219,8 +219,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     s1 table is read as s1 applied to the identity table, and must also
     satisfy s1's own recursion, whose terms read both tables.
     """
-    report = VerificationReport("a1-cross", {"max_d": d_max})
-    with timed(report):
+    with VerificationReport("a1-cross", {"max_d": d_max}) as report:
         system = _a1_system()
         reg = system.registry
         alpha, h = map(reg.var, ("alpha_1", "h"))
@@ -266,8 +265,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
     values are the closed coefficients moved by the reflections they are
     read through.
     """
-    report = VerificationReport("a2-recursion", {"max_total": n_max})
-    with timed(report):
+    with VerificationReport("a2-recursion", {"max_total": n_max}) as report:
         if n_max < 0:
             raise ValueError("total-degree bound must be >= 0")
         system = _a2_system()
@@ -299,8 +297,7 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
     recursion-coefficient machinery; the recombined split must return the
     original value.
     """
-    report = VerificationReport("lemma34", {"i": i, "j": j})
-    with timed(report):
+    with VerificationReport("lemma34", {"i": i, "j": j}) as report:
         if not 0 <= i <= j:
             raise ValueError("need 0 <= i <= j")
         system = _a2_system()

@@ -64,7 +64,7 @@ from .exactalg import (
     recombine,
     substitute,
 )
-from .report import VerificationReport, timed
+from .report import VerificationReport
 
 
 class ProjSetup:
@@ -317,10 +317,9 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
     matches simple-fraction residues in h termwise, which checks the same
     identity pole by pole.
     """
-    report = VerificationReport(
+    with VerificationReport(
         "proj-recursion", {"n": setup.n, "max_d": d_max, "method": method}
-    )
-    with timed(report):
+    ) as report:
         if method not in ("direct", "residue"):
             raise ValueError(f"unknown method {method!r}")
         if setup.n == 0:
@@ -353,8 +352,7 @@ def verify_solver(setup: ProjSetup, d_max: int) -> VerificationReport:
 
     The tables of dimension 0 are in the B normalization, so it needs n >= 1.
     """
-    report = VerificationReport("proj-solver", {"n": setup.n, "max_d": d_max})
-    with timed(report):
+    with VerificationReport("proj-solver", {"n": setup.n, "max_d": d_max}) as report:
         if setup.n == 0:
             raise ValueError("the solver check needs n >= 1")
         for i, table in solve_recursion(setup, d_max).items():
@@ -381,8 +379,7 @@ def verify_first_order_split(setup: ProjSetup) -> VerificationReport:
     1/prod_{j!=i}(lambda_i-lambda_j+h) decomposes with residues
     1/prod_{b!=i,j}(lambda_j-lambda_b), one per pole in h.
     """
-    report = VerificationReport("first-order-split", {"n": setup.n})
-    with timed(report):
+    with VerificationReport("first-order-split", {"n": setup.n}) as report:
         if setup.n == 0:
             report.skip("no poles in dimension 0")
             return report
@@ -413,10 +410,9 @@ def euler_prefactor_identity(setup: ProjSetup, i: int, j: int, k: int,
     it equals recursion_coeff/(kh+lambda_i-lambda_j) times the residual
     weight power, as a rational-function identity.
     """
-    report = VerificationReport(
+    with VerificationReport(
         "euler-prefactor", {"n": setup.n, "i": i, "j": j, "k": k, "d": d}
-    )
-    with timed(report):
+    ) as report:
         if i == j:
             raise ValueError("fixed points must differ")
         if not 1 <= k <= d:

@@ -2,14 +2,15 @@
 
 A report carries a check name, its parameters, a pass/fail/skipped status,
 and the list of exact-equality failures, each failure recording where it
-happened and the canonical text of both sides.  Wall time is kept in a
-separate field, ``wall_ms``, that no rendering prints.
+happened and the canonical text of both sides.  A report is its own timer:
+a check runs inside ``with VerificationReport(check, params) as report:``,
+and that block's wall time is kept in ``wall_ms``, which no rendering
+prints.  A report built without the block keeps ``wall_ms`` None.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 
 def _as_text(value) -> str:
@@ -18,13 +19,21 @@ def _as_text(value) -> str:
 
 
 class VerificationReport:
-    def __init__(self, check: str, params: dict[str, object] | None = None):
+    def __init__(self, check: str, params: dict[str, object]):
         self.check = check
-        self.params = {} if params is None else params
+        self.params = params
         self.status = "pass"
         self.failures: list[tuple[str, str, str]] = []
         self.notes: list[str] = []
         self.wall_ms: float | None = None
+
+    def __enter__(self) -> "VerificationReport":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Set wall_ms; an exception raised in the block propagates."""
+        self.wall_ms = (time.perf_counter() - self._start) * 1000.0
 
     @property
     def ok(self) -> bool:
@@ -73,12 +82,3 @@ class VerificationReport:
             "notes": list(self.notes),
             "failures": [list(f) for f in self.failures],
         }
-
-
-@contextmanager
-def timed(report: VerificationReport):
-    start = time.perf_counter()
-    try:
-        yield report
-    finally:
-        report.wall_ms = (time.perf_counter() - start) * 1000.0

@@ -21,6 +21,7 @@ group; building a system, reflecting and acting on functions never reach it.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 from .exactalg import MultiPoly, RatFunc, VarRegistry
 
 MAX_POSITIVE_ROOTS = 200
@@ -320,11 +321,17 @@ class RootSystem:
 
     # -- symbolic forms ------------------------------------------------------
 
-    def root_form(self, registry: VarRegistry, root: Root) -> MultiPoly:
-        """Linear form of a root over variables alpha_1..alpha_rank."""
-        return registry.linear(
+    def root_form(self, root: Root) -> MultiPoly:
+        """Linear form of a root over this system's alpha_1..alpha_rank."""
+        return self.registry.linear(
             {f"alpha_{i + 1}": c for i, c in enumerate(root.coords) if c}
         )
+
+    def _image_forms(self, w: WeylElement, roots: tuple[Root, ...]) -> list[MultiPoly]:
+        """Root forms of the w-images of roots; w must be an element of this system."""
+        if w.system is not self:
+            raise ValueError("the Weyl element belongs to a different root system")
+        return [self.root_form(w.act(g)) for g in roots]
 
     def act_on_ratfunc(self, w: WeylElement, f: RatFunc) -> RatFunc:
         """Field automorphism induced by w on functions of alpha_1..alpha_rank.
@@ -333,19 +340,12 @@ class RootSystem:
         """
         if w == self.identity:
             return f
-        registry = f.registry
-        bindings = {
-            f"alpha_{i + 1}": self.root_form(registry, w.act(self.simple_roots[i]))
-            for i in range(self.rank)
-        }
-        return f.substitute(bindings)
+        forms = self._image_forms(w, self.simple_roots)
+        return f.substitute({f"alpha_{i + 1}": g for i, g in enumerate(forms)})
 
-    def euler_class(self, registry: VarRegistry, w: WeylElement) -> MultiPoly:
+    def euler_class(self, w: WeylElement) -> MultiPoly:
         """Product of the w-images of all positive roots, as a polynomial."""
-        out = registry.one()
-        for g in self.positive_roots:
-            out = out * self.root_form(registry, w.act(g))
-        return out
+        return prod(self._image_forms(w, self.positive_roots), start=self.registry.one())
 
     @cached_property
     def registry(self) -> VarRegistry:

@@ -33,7 +33,7 @@ from .exactalg import (
     VarRegistry,
     substitute,
 )
-from .report import VerificationReport, timed
+from .report import VerificationReport
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
@@ -262,8 +262,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
 
 def verify_recursions_plain(n_max: int) -> VerificationReport:
     """Hand-derived identities for the plain coefficients, exact over Q."""
-    report = VerificationReport("toda-plain", {"max_total": n_max})
-    with timed(report):
+    with VerificationReport("toda-plain", {"max_total": n_max}) as report:
         flat = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
         _check_identities(report, n_max, closed_a, flat, rebuild_max=8)
         for i in range(n_max + 1):
@@ -277,8 +276,7 @@ def verify_recursions_plain(n_max: int) -> VerificationReport:
 
 def verify_recursions_equivariant(n_max: int) -> VerificationReport:
     """Weighted coefficient identities over the lambda chart, exact."""
-    report = VerificationReport("toda-eq", {"max_total": n_max})
-    with timed(report):
+    with VerificationReport("toda-eq", {"max_total": n_max}) as report:
         weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
         _check_identities(report, n_max, _lambda_coeff, weights, rebuild_max=5)
 
@@ -310,10 +308,9 @@ def verify_operator_annihilation(n_max: int,
                                  equivariant: bool = True) -> VerificationReport:
     """The built operators kill the closed series; a nonzero control is kept."""
     name = "toda-eq-operators" if equivariant else "toda-operators"
-    report = VerificationReport(
+    with VerificationReport(
         name, {"max_total": n_max, "equivariant": equivariant}
-    )
-    with timed(report):
+    ) as report:
         d2, d3 = build_operators(equivariant)
         series = closed_solution(n_max, equivariant)
         for label, op in (("second", d2), ("third", d3)):
@@ -332,8 +329,7 @@ def verify_operator_annihilation(n_max: int,
 
 def verify_batyrev(n_max: int) -> VerificationReport:
     """Binomial-sum coefficients equal the closed ones; the binomial identity too."""
-    report = VerificationReport("batyrev", {"max_index": n_max})
-    with timed(report):
+    with VerificationReport("batyrev", {"max_index": n_max}) as report:
         for i in range(n_max + 1):
             for j in range(n_max + 1):
                 report.check_equal(
@@ -357,8 +353,7 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     the rank-two solver); the right side is certified by operator
     annihilation.  Their equality is the bridge between the two halves.
     """
-    report = VerificationReport("corollary35", {"max_total": n_max})
-    with timed(report):
+    with VerificationReport("corollary35", {"max_total": n_max}) as report:
         from . import flaggw
 
         system = flaggw._a2_system()

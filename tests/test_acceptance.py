@@ -117,7 +117,7 @@ def test_07_flag_coefficient_closed_forms():
         system = RootSystem(cm)
         for alpha in system.simple_roots:
             for k in range(1, 5):
-                form = system.root_form(system.registry, alpha)
+                form = system.root_form(alpha)
                 want = RatFunc.from_factored(
                     system.registry.one(),
                     [form] * (k - 1),

@@ -133,10 +133,9 @@ def test_group_axioms_a2():
 
 
 def test_euler_class_sign():
-    reg = A2.registry
-    e_id = A2.euler_class(reg, A2.identity)
+    e_id = A2.euler_class(A2.identity)
     for w in A2.weyl_elements:
-        assert A2.euler_class(reg, w) == e_id.scale((-1) ** w.length())
+        assert A2.euler_class(w) == e_id.scale((-1) ** w.length())
 
 
 def test_act_on_ratfunc():
@@ -150,6 +149,21 @@ def test_act_on_ratfunc():
     assert A2.act_on_ratfunc(s1, g) == RatFunc.from_poly(
         reg.var("alpha_1") + reg.var("alpha_2")
     )
+
+
+def test_an_element_of_another_system_is_rejected():
+    # B2's s2 sends alpha_1 to alpha_1 + 2*alpha_2; A2's own s2 to alpha_1 + alpha_2
+    reg = A2.registry
+    B2 = RootSystem(CartanMatrix.type_B(2))
+    f = RatFunc.one(reg) / RatFunc.from_poly(reg.var("alpha_1"))
+    assert A2.act_on_ratfunc(A2.simple_reflections[1], f) == RatFunc.one(reg) / (
+        reg.var("alpha_1") + reg.var("alpha_2")
+    )
+    for w in (B2.simple_reflections[1], B2.identity):
+        with pytest.raises(ValueError, match="different root system"):
+            A2.act_on_ratfunc(w, f)
+        with pytest.raises(ValueError, match="different root system"):
+            A2.euler_class(w)
 
 
 def test_lambda_chart_part1():
@@ -178,7 +192,6 @@ def test_weyl_permutation_matches_chart(system):
     n = system.rank + 1
     lam = VarRegistry([f"lambda_{i}" for i in range(n)])
     chart = system.lambda_chart(lam, "part1")
-    reg = system.registry
     diffs = {
         lam.var(f"lambda_{a}") - lam.var(f"lambda_{b}"): (a, b)
         for a in range(n) for b in range(n) if a != b
@@ -186,12 +199,12 @@ def test_weyl_permutation_matches_chart(system):
     for w in system.weyl_elements:
         pi = []
         for alpha in system.simple_roots:
-            image = system.root_form(reg, w.act(alpha)).substitute(chart, target=lam)
+            image = system.root_form(w.act(alpha)).substitute(chart, target=lam)
             a, b = diffs[image.as_poly()]
             assert pi[-1:] in ([], [a])
             pi[-1:] = [a, b]
         assert sorted(pi) == list(range(n))
-        imaged = system.euler_class(reg, w).substitute(chart, target=lam).as_poly()
+        imaged = system.euler_class(w).substitute(chart, target=lam).as_poly()
         expected = lam.one()
         for p in range(n):
             for q in range(p + 1, n):
