@@ -6,7 +6,7 @@ Projective fixed-point series, two ways
 
 # every coefficient below is an exact rational function: no floats anywhere
 from qcseries import projgw
-from qcseries.cli import _proj_chart, q_series_text
+from qcseries.cli import q_series_text
 from qcseries.exactalg import substitute
 
 # the rank-one setup has two fixed points; it computes with lambda_0 = 0, so
@@ -35,7 +35,7 @@ for k in (1, 2, 3):
 
 # rewriting the weights as a single root variable gives the familiar
 # hypergeometric shape of the series
-target, bindings = _proj_chart(1, "part1")
+target, bindings = setup.root_chart("part1")
 texts = [substitute(table0[d], bindings, target).text() for d in range(3)]
 print("series at fixed point 0:", q_series_text(texts))
 

@@ -30,7 +30,6 @@ _EXPORTS = {
     "homogeneous_degree": "exactalg",
     "partial_fractions": "exactalg",
     "recombine": "exactalg",
-    "shifted_factorial": "exactalg",
     "substitute": "exactalg",
     "VerificationReport": "report",
 }
@@ -44,7 +43,6 @@ __all__ = [
     "homogeneous_degree",
     "partial_fractions",
     "recombine",
-    "shifted_factorial",
     "substitute",
     "cli",
     "exactalg",

@@ -81,21 +81,6 @@ def q_series_text(texts: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-def _proj_chart(n: int, part: str):
-    """Bindings from the weights lambda_a - lambda_0 of `ProjSetup` to root variables."""
-    from .exactalg import VarRegistry
-
-    names = ["alpha"] if n == 1 else [f"alpha_{i}" for i in range(1, n + 1)]
-    target = VarRegistry(names + ["h"])
-    alphas = [target.var(nm) for nm in names]
-    bindings = {}
-    acc = target.zero()
-    for i in range(1, n + 1):
-        acc = acc - alphas[i - 1] if part == "part1" else acc + alphas[i - 1]
-        bindings[f"lambda_{i}"] = acc
-    return target, bindings
-
-
 def _proj_cap(n: int) -> int:
     """Largest --max-d for projective space of dimension n."""
     return 3 if n == 3 else 6
@@ -120,7 +105,7 @@ def _series_proj(args):
         setup = projgw.ProjSetup(n)
         tables = projgw.solve_recursion(setup, d_max)
         if args.chart is not None:
-            target, bindings = _proj_chart(n, args.chart)
+            target, bindings = setup.root_chart(args.chart)
         else:
             target, bindings = setup.registry, setup.to_lambda()
         rows, sums = [], []

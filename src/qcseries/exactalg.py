@@ -4,8 +4,9 @@ Everything here is exact: coefficients are arbitrary-precision rationals
 (`int` or `fractions.Fraction`), a polynomial is a sparse map from monomials
 to nonzero coefficients, and a rational function is a quotient kept in a
 lightly normalized form.  No floating point, no external CAS.  Canonical
-text is output only: `text()` prints a value's canonical form, and nothing
-in the package reads text back.
+text is output only: `text()` prints a value's canonical form, rendered
+from its terms and factors, and nothing in the package reads text back,
+`text()` included.
 
 Design notes that the rest of the package relies on:
 
@@ -76,7 +77,9 @@ Design notes that the rest of the package relies on:
   few int dict updates, with no unpacking and no products, and its content
   and sign take one gcd.  `RatFunc.substitute` folds D and every content
   into the scalar in int arithmetic and builds one Fraction.  Other
-  polynomials are mapped through products of powers.
+  polynomials are mapped through products of powers.  A polynomial
+  substitutes as the factor-free `RatFunc` it equals, so both types share
+  one path.
 * `partial_fractions` splits a `RatFunc` whose poles in one variable are
   distinct linear factors into first-order terms, reading the poles from
   the value's own factored denominator; the linear map evaluates each
@@ -85,7 +88,6 @@ Design notes that the rest of the package relies on:
 
 from __future__ import annotations
 
-import re
 import struct
 from fractions import Fraction
 from math import gcd, lcm
@@ -93,8 +95,6 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, ...]
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PoleError(ZeroDivisionError):
@@ -136,7 +136,7 @@ class VarRegistry:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         for nm in names:
-            if not _NAME_RE.fullmatch(nm):
+            if not (nm.isascii() and nm.isidentifier()):
                 raise ValueError(f"invalid variable name {nm!r}")
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
@@ -304,12 +304,6 @@ class MultiPoly:
         for m, c in self.terms.items():
             yield unpack(m), c
 
-    def leading(self) -> tuple[Mono, Coeff]:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms)
-        return self.registry._unpack(m), self.terms[m]
-
     def key(self) -> tuple:
         """Canonical hashable key; also a deterministic sort key.
 
@@ -413,7 +407,7 @@ class MultiPoly:
     def __rtruediv__(self, other) -> "RatFunc":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return RatFunc.from_scalar(self.registry, other) / self
+        return RatFunc.coerce(self.registry, other) / self
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -500,19 +494,6 @@ class MultiPoly:
             return None
         return _divide_linear(self, g, glead)
 
-    def degree_if_homogeneous(self):
-        """Total degree if all terms share one, else None.  Zero -> 0."""
-        if self.is_zero:
-            return 0
-        deg = None
-        for mono, _ in self.monomials():
-            d = sum(mono)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        return deg
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object],
@@ -522,16 +503,11 @@ class MultiPoly:
         Bound variables are replaced simultaneously by their values over
         `target`: a MultiPoly, a rational constant, or a RatFunc without a
         denominator; any other value raises.  Unbound variables must exist
-        in `target` by name.  Default target is this registry.  The image of
-        a polynomial of total degree at most 1 is built by the integer linear
-        map (see the module docstring), any other in MultiPoly arithmetic,
-        and it is normalized once.
+        in `target` by name.  Default target is this registry.  The
+        polynomial is substituted as the factor-free `RatFunc` it equals
+        (see `RatFunc.substitute`).
         """
-        ev = _Evaluation(self.registry, _union(self), bindings, target)
-        up, down, prim = ev.primitive_image(self)
-        if not up:
-            return RatFunc.zero(ev.target)
-        return RatFunc._make(ev.target, Fraction(up, down), prim, ())
+        return RatFunc.from_poly(self).substitute(bindings, target)
 
     # -- text ------------------------------------------------------------
 
@@ -817,7 +793,7 @@ class RatFunc:
     unique and equality compares it (see the module docstring).
     """
 
-    __slots__ = ("registry", "scalar", "num", "factors", "_den")
+    __slots__ = ("registry", "scalar", "num", "factors")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use RatFunc.from_poly / from_factored / coerce")
@@ -830,7 +806,6 @@ class RatFunc:
         f.scalar = scalar
         f.num = num
         f.factors = factors
-        f._den = None
         return f
 
     # -- constructors ----------------------------------------------------
@@ -842,13 +817,6 @@ class RatFunc:
     @staticmethod
     def one(registry: VarRegistry) -> "RatFunc":
         return RatFunc._make(registry, Fraction(1), registry.one(), ())
-
-    @staticmethod
-    def from_scalar(registry: VarRegistry, c: Coeff) -> "RatFunc":
-        c = Fraction(c)
-        if c == 0:
-            return RatFunc.zero(registry)
-        return RatFunc._make(registry, c, registry.one(), ())
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "RatFunc":
@@ -868,7 +836,8 @@ class RatFunc:
                 raise ValueError("registry mismatch between operands")
             return RatFunc.from_poly(x)
         if isinstance(x, (int, Fraction)):
-            return RatFunc.from_scalar(registry, x)
+            # the zero function is this form with scalar 0
+            return RatFunc._make(registry, Fraction(x), registry.one(), ())
         raise TypeError(f"cannot interpret {type(x).__name__} as RatFunc")
 
     @staticmethod
@@ -929,12 +898,10 @@ class RatFunc:
     @property
     def denominator(self) -> MultiPoly:
         """Expanded denominator: primitive, positive leading coefficient."""
-        if self._den is None:
-            den = self.registry.one()
-            for f, m in self.factors:
-                den = den * f ** m
-            self._den = den
-        return self._den
+        den = self.registry.one()
+        for f, m in self.factors:
+            den = den * f ** m
+        return den
 
     def as_poly(self) -> MultiPoly:
         if self.factors:
@@ -1046,15 +1013,12 @@ class RatFunc:
             raise ValueError("exponent must be an int")
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = RatFunc.one(self.registry)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return RatFunc.one(self.registry)
+        # already reduced: no factor divides num, and being prime none divides
+        # num**n, which is primitive with a positive lead (Gauss's lemma)
+        return RatFunc._make(self.registry, self.scalar**n, self.num**n,
+                             tuple((f, m * n) for f, m in self.factors))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly) and other.registry != self.registry:
@@ -1122,7 +1086,9 @@ class RatFunc:
 
         The scalar's denominator is printed as a leading integer inside the
         denominator parentheses, e.g. 1/(2(a + h)(a + 2*h)); a lone factor
-        keeps only the outer parentheses.
+        keeps only the outer parentheses.  A monomial factor is a bare name,
+        with a `*` before it when the factor before is a bare name to the
+        first power, e.g. 1/(x*y) and 1/(x^2y).
         """
         if not self.factors:
             return _poly_text(self.numerator)
@@ -1133,19 +1099,19 @@ class RatFunc:
         pieces: list[str] = []
         if self.scalar.denominator != 1:
             pieces.append(str(self.scalar.denominator))
+        lone = not pieces and len(self.factors) == 1
+        after_name = False
         for f, m in self.factors:
             ft = _poly_text(f)
+            power = "" if m == 1 else f"^{m}"
             # a monomial factor is a single variable (see _factor_parts)
-            bare = re.fullmatch(r"[A-Za-z_]\w*", ft) is not None
-            if bare and pieces and re.search(r"[A-Za-z_]\w*\Z", pieces[-1]):
+            if len(f.terms) == 1:
                 # juxtaposed, two names would read as one
-                ft = f"*{ft}"
-            if bare:
-                pieces.append(ft if m == 1 else f"{ft}^{m}")
+                pieces.append(f"{'*' if after_name else ''}{ft}{power}")
+                after_name = m == 1
             else:
-                pieces.append(f"({ft})" if m == 1 else f"({ft})^{m}")
-        if len(pieces) == 1 and pieces[0].startswith("(") and pieces[0].endswith(")"):
-            pieces[0] = pieces[0][1:-1]
+                pieces.append(ft if lone and m == 1 else f"({ft}){power}")
+                after_name = False
         return f"{num_text}/({''.join(pieces)})"
 
     def __repr__(self) -> str:
@@ -1172,30 +1138,17 @@ def homogeneous_degree(f: RatFunc | MultiPoly):
     zero function reports 0.
     """
     if isinstance(f, MultiPoly):
-        return f.degree_if_homogeneous()
-    dn = f.num.degree_if_homogeneous()
-    if dn is None:
-        return None
-    dd = 0
-    for fac, m in f.factors:
-        d = fac.degree_if_homogeneous()
-        if d is None:
+        sides = [(f, 1)]
+    else:
+        sides = [(f.num, 1)] + [(p, -m) for p, m in f.factors]
+    total = 0
+    for p, sign in sides:
+        # the top field of a packed monomial is its total degree
+        degrees = {mono >> p.registry._deg_shift for mono in p.terms}
+        if len(degrees) > 1:
             return None
-        dd += d * m
-    if f.is_zero:
-        return 0
-    return dn - dd
-
-
-def shifted_factorial(registry: VarRegistry, p: int, alpha: MultiPoly,
-                      h: MultiPoly) -> MultiPoly:
-    """Product (1*h + alpha)(2*h + alpha)...(p*h + alpha); empty product is 1."""
-    if p < 0:
-        raise ValueError("shifted factorial needs p >= 0")
-    out = registry.one()
-    for m in range(1, p + 1):
-        out = out * (h.scale(m) + alpha)
-    return out
+        total += sign * max(degrees, default=0)
+    return total
 
 
 # -- partial fractions ---------------------------------------------------------

@@ -117,6 +117,28 @@ class ProjSetup:
             for a in range(1, self.n + 1)
         }
 
+    def root_chart(self, part: str) -> tuple[VarRegistry, dict[str, MultiPoly]]:
+        """The weights in root variables: the target registry and the bindings.
+
+        The roots are alpha (alpha_1..alpha_n when n > 1); lambda_a, which
+        stands for lambda_a - lambda_0, goes to -(alpha_1 + ... + alpha_a) in
+        part 'part1' and to that sum in 'part3'.  ValueError at n = 0, which
+        has no roots, or for another part.
+        """
+        if self.n == 0:
+            raise ValueError("no root chart in dimension 0")
+        if part not in ("part1", "part3"):
+            raise ValueError("part must be 'part1' or 'part3'")
+        names = ["alpha"] if self.n == 1 else [f"alpha_{i}" for i in range(1, self.n + 1)]
+        target = VarRegistry(names + ["h"])
+        bindings = {}
+        acc = target.zero()
+        for a, name in enumerate(names, start=1):
+            alpha = target.var(name)
+            acc = acc - alpha if part == "part1" else acc + alpha
+            bindings[f"lambda_{a}"] = acc
+        return target, bindings
+
     @property
     def h(self) -> MultiPoly:
         return self.registry.var("h")

@@ -42,8 +42,9 @@ def test_01_projective_recursion_matches_closed_form():
 
 
 def test_02_rank_one_series_renders_exactly():
-    table = projgw.solve_recursion(projgw.ProjSetup(1), 2)[0]
-    target, bindings = cli._proj_chart(1, "part1")
+    setup = projgw.ProjSetup(1)
+    table = projgw.solve_recursion(setup, 2)[0]
+    target, bindings = setup.root_chart("part1")
     texts = [
         substitute(table[d], bindings, target).text()
         for d in range(3)
@@ -61,7 +62,7 @@ def test_03_rank_one_coupling_spot_values():
     alpha = RatFunc.from_poly(setup.lam(0) - setup.lam(1))
     assert projgw.recursion_coeff(setup, 0, 1, 1) == RatFunc.one(reg)
     assert projgw.recursion_coeff(setup, 0, 1, 2) == RatFunc.one(reg) / alpha
-    want3 = RatFunc.from_scalar(reg, Fraction(3, 4)) / alpha / alpha
+    want3 = RatFunc.coerce(reg, Fraction(3, 4)) / alpha / alpha
     assert projgw.recursion_coeff(setup, 0, 1, 3) == want3
     print("PASS 03 coupling coefficients 1, 1/a, 3/(4a^2)")
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcseries import exactalg
@@ -18,7 +18,6 @@ from qcseries.exactalg import (
     homogeneous_degree,
     partial_fractions,
     recombine,
-    shifted_factorial,
     substitute,
 )
 
@@ -247,11 +246,8 @@ def test_homogeneous_degree():
     assert homogeneous_degree(f) == -1
     assert homogeneous_degree(rf(H + ALPHA**2)) is None
     assert homogeneous_degree(RatFunc.zero(REG)) == 0
-
-
-def test_shifted_factorial():
-    assert shifted_factorial(REG, 0, ALPHA, H) == REG.one()
-    assert shifted_factorial(REG, 2, ALPHA, H) == (H + ALPHA) * (2 * H + ALPHA)
+    # a denominator factor with a constant term mixes degrees 1 and 0
+    assert homogeneous_degree(RatFunc.from_factored(2 * H, [H + 1])) is None
 
 
 # -- partial fractions --------------------------------------------------------
@@ -322,6 +318,20 @@ def test_monomial_factor_text_reads_back_byte_identical():
     # numerator cancels against its variables
     q = RatFunc.from_poly(x2) / RatFunc.from_poly(x2**2 * x3)
     assert q.text() == "1/(x3*x2)"
+
+
+def test_juxtaposition_in_denominator_text():
+    # a `*` separates two names only; a power, a scalar or a parenthesis
+    # already ends the piece before, and a lone factor drops its parentheses
+    reg = VarRegistry(["y", "x", "h"])
+    x, y = reg.var("x"), reg.var("y")
+    assert RatFunc.from_factored(reg.one(), [x, y]).text() == "1/(x*y)"
+    assert RatFunc.from_factored(reg.one(), [x, x, y]).text() == "1/(x^2y)"
+    reg = VarRegistry(["x", "y", "h"])
+    x, h = reg.var("x"), reg.var("h")
+    assert RatFunc.from_factored(reg.one(), [x.scale(2)]).text() == "1/(2x)"
+    assert RatFunc.from_factored(reg.one(), [x + h]).text() == "1/(x + h)"
+    assert RatFunc.from_factored(reg.one(), [(x + h).scale(2)]).text() == "1/(2(x + h))"
 
 
 # -- property suites -------------------------------------------------------------
@@ -427,10 +437,25 @@ def test_polynomials_and_rational_functions_mix(p, q, f, n):
             op(f, stranger)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ratfuncs(), invertible_ratfuncs()), st.integers(-3, 4))
+def test_power_is_the_repeated_product(f, n):
+    assume(n >= 0 or invertible(f))
+    factor = f if n >= 0 else f.reciprocal()
+    want = RatFunc.one(PREG)
+    for _ in range(abs(n)):
+        want = want * factor
+    assert f**n == want
+    zero = RatFunc.zero(PREG)
+    assert zero**0 == 1
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+
+
 @settings(max_examples=40, deadline=None)
 @given(ratfuncs(), ratfuncs(), st.integers(-4, 4), st.integers(-4, 4))
 def test_substitution_is_a_homomorphism(a, b, xv, yv):
-    bindings = {"x": RatFunc.from_scalar(PREG, xv), "y": RatFunc.from_scalar(PREG, yv)}
+    bindings = {"x": RatFunc.coerce(PREG, xv), "y": RatFunc.coerce(PREG, yv)}
     try:
         sa = a.substitute(bindings)
         sb = b.substitute(bindings)

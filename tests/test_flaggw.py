@@ -1,7 +1,7 @@
 """Flag-space recursion coefficients, solver tables, and the rank-two closed form."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -11,7 +11,6 @@ from qcseries.exactalg import (
     RatFunc,
     VarRegistry,
     homogeneous_degree,
-    shifted_factorial,
     substitute,
 )
 from qcseries.flaggw import (
@@ -228,7 +227,7 @@ def test_a2_closed_is_built_cancelled():
     for total in range(9):
         for i in range(total + 1):
             j = total - i
-            num = shifted_factorial(reg, i + j, th, h)
+            num = prod((h.scale(m) + th for m in range(1, i + j + 1)), start=reg.one())
             dens = [h.scale(m) + a for m in range(1, i + 1) for a in (a1, th)]
             dens += [h.scale(m) + a for m in range(1, j + 1) for a in (a2, th)]
             old = RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))

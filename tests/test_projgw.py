@@ -226,6 +226,20 @@ def test_swap_images_of_the_weights():
             assert substitute(lam(a), setup.swap(j)) == RatFunc.from_poly(lam(b) - lam(j))
 
 
+def test_root_charts_of_the_weights():
+    # mu_a = lambda_a - lambda_0 is minus (part1) or plus (part3) the sum of
+    # the first a roots; dimension 0 has no roots
+    target, bindings = ProjSetup(2).root_chart("part1")
+    a1, a2 = target.var("alpha_1"), target.var("alpha_2")
+    assert target.names == ("alpha_1", "alpha_2", "h")
+    assert bindings == {"lambda_1": -a1, "lambda_2": -a1 - a2}
+    target, bindings = ProjSetup(1).root_chart("part3")
+    assert bindings == {"lambda_1": target.var("alpha")}
+    for n, part in ((0, "part1"), (1, "part2")):
+        with pytest.raises(ValueError):
+            ProjSetup(n).root_chart(part)
+
+
 def test_solver_sums_one_recursion_per_degree(monkeypatch):
     # only point 0's table is solved: one recursion sum per degree, where
     # solving all n+1 tables takes n+1

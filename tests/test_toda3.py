@@ -54,7 +54,7 @@ def test_plain_operators_match_hand_expansion():
     d2, d3 = build_operators(equivariant=False)
 
     def c(x):
-        return RatFunc.from_scalar(LREG, x)
+        return RatFunc.coerce(LREG, x)
 
     for i, j in GRID:
         assert d2.act_monomial((i, j)) == nonzero(
@@ -189,7 +189,7 @@ def test_apply_certifies_reduced_order():
 def test_apply_detects_wrong_coefficient():
     d2, _ = build_operators(equivariant=False)
     coeffs = closed_solution(3, equivariant=False)
-    coeffs[(1, 1)] = RatFunc.from_scalar(LREG, 3)
+    coeffs[(1, 1)] = RatFunc.coerce(LREG, 3)
     image = apply(d2, coeffs, 3)
     assert image
     assert (1, 1) in image
@@ -198,7 +198,7 @@ def test_apply_detects_wrong_coefficient():
 def test_operator_action_matches_recursion_on_random_series():
     rng = random.Random(7)
     coeffs = {
-        (i, j): RatFunc.from_scalar(LREG, rng.randint(-5, 5))
+        (i, j): RatFunc.coerce(LREG, rng.randint(-5, 5))
         for i in range(4)
         for j in range(4 - i)
     }
