@@ -41,11 +41,11 @@ from .exactalg import (
     substitute,
 )
 from .report import VerificationReport
-from .roots import CartanMatrix, Root, RootSystem
+from .roots import CartanMatrix, RootSystem
 from . import projgw
 
 
-def coeff_C_id(system: RootSystem, alpha: Root, k: int,
+def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
                prune: bool = True) -> RatFunc:
     """Identity-element recursion coefficient for the k-fold alpha-cover.
 
@@ -55,7 +55,7 @@ def coeff_C_id(system: RootSystem, alpha: Root, k: int,
     -k(2n - 2), the pairing of 2 rho - alpha; pruning drops pairs gamma,
     s_alpha(gamma) of opposite pairing, which keeps that sum.
     """
-    if not alpha.is_positive:
+    if system.root_index(alpha) >= system.n_positive:
         raise ValueError("the covered direction must be a positive root")
     if k < 1:
         raise ValueError("cover multiplicity must be >= 1")
@@ -67,7 +67,7 @@ def coeff_C_id(system: RootSystem, alpha: Root, k: int,
         gammas = [
             g for g in system.reflection(alpha).inversion_set() if g != alpha
         ]
-        gammas.sort(key=lambda g: (g.height, g.coords))
+        gammas.sort(key=lambda g: (sum(g), g))
     else:
         gammas = [g for g in system.positive_roots if g != alpha]
 
@@ -174,7 +174,7 @@ def _a2_system() -> RootSystem:
     return RootSystem(CartanMatrix.type_A(2))
 
 
-A2_THETA = Root((1, 1))
+A2_THETA = (1, 1)
 
 
 @cache
@@ -335,11 +335,10 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
             {"alpha_1": th, "alpha_2": -a2},
             {"alpha_1": -a2, "alpha_2": -a1},
         )
-        drops = ((1, 0), (0, 1), (1, 1))
+        roots_k = ((1, 0), (0, 1), A2_THETA)
         alpha_forms = (a1, a2, th)
-        roots_k = (Root((1, 0)), Root((0, 1)), A2_THETA)
         for (r, k), (residue, _factor) in zip(labels, parts):
-            da, db = drops[r]
+            da, db = roots_k[r]
             lower = a2_closed_coeff(i - k * da, j - k * db)
             bindings = dict(swaps[r])
             bindings["h"] = alpha_forms[r].scale(Fraction(-1, k))

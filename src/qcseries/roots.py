@@ -1,8 +1,10 @@
 """Finite root systems from Cartan matrices, with Weyl groups as root permutations.
 
-The generator closes the simple roots under simple reflections, carrying two
-integer coordinate vectors for every root: coordinates in the simple-root
-basis and coordinates of its coroot in the simple-coroot basis.  Carrying
+A root is the tuple of its integer coordinates in the simple-root basis,
+and a ``CartanMatrix`` is the tuple of its rows, checked once when it is
+built; both are equal and hashed as plain tuples.  The generator closes the
+simple roots under simple reflections, carrying for every root the
+coordinates of its coroot in the simple-coroot basis as well.  Carrying
 both makes the pairing <gamma, alpha_check> an exact integer table and keeps
 multidegree bookkeeping correct beyond the simply-laced case.
 
@@ -28,50 +30,23 @@ MAX_POSITIVE_ROOTS = 200
 MAX_WEYL_ELEMENTS = 10000
 
 
-class _Value:
-    """Read-only value object, equal and hashed by its one field.
+class CartanMatrix(tuple):
+    """Integer Cartan matrix, a tuple of rows with cartan[i][j] = <alpha_j, alpha_i_check>.
 
-    The field is set once, in the subclass's __init__, through
-    object.__setattr__; assigning or deleting an attribute afterwards raises
-    AttributeError.
+    Any sequence of integer rows is checked once and stored as a tuple of
+    tuples, so a matrix is equal to, and hashed as, its rows.
     """
 
     __slots__ = ()
 
-    def _key(self):
-        return getattr(self, self.__slots__[0])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._key(),))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.__slots__[0]}={self._key()!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CartanMatrix(_Value):
-    """Integer Cartan matrix, rows indexed so that rows[i][j] = <alpha_j, alpha_i_check>."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
+    def __new__(cls, rows) -> "CartanMatrix":
+        self = super().__new__(cls, (tuple(row) for row in rows))
+        n = len(self)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
+        if any(len(row) != n for row in self):
+            raise ValueError("Cartan matrix must be square")
+        for i, row in enumerate(self):
             for j, a in enumerate(row):
                 if not isinstance(a, int):
                     raise ValueError("Cartan entries must be integers")
@@ -79,57 +54,30 @@ class CartanMatrix(_Value):
                     raise ValueError("Cartan diagonal must be 2")
                 if i != j and a > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if i != j and (a == 0) != (rows[j][i] == 0):
+                if i != j and (a == 0) != (self[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+        return self
 
     @staticmethod
     def type_A(r: int) -> "CartanMatrix":
         if r < 1:
             raise ValueError("rank must be >= 1")
-        rows = tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
+        return CartanMatrix(
+            [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)]
             for i in range(r)
         )
-        return CartanMatrix(rows)
 
     @staticmethod
     def type_B(r: int) -> "CartanMatrix":
         if r < 2:
             raise ValueError("rank must be >= 2")
-        rows = [
-            [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)]
-            for i in range(r)
-        ]
+        rows = [list(row) for row in CartanMatrix.type_A(r)]
         rows[r - 1][r - 2] = -2  # short last simple root
-        return CartanMatrix(tuple(tuple(row) for row in rows))
+        return CartanMatrix(rows)
 
     @staticmethod
     def type_G2() -> "CartanMatrix":
         return CartanMatrix(((2, -1), (-3, 2)))
-
-
-class Root(_Value):
-    """Root written in the simple-root basis; integer coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return any(self.coords) and all(c >= 0 for c in self.coords)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
 
 
 class WeylElement:
@@ -167,13 +115,13 @@ class WeylElement:
     def is_identity(self) -> bool:
         return all(i == p for i, p in enumerate(self.perm))
 
-    def act(self, root: Root) -> Root:
+    def act(self, root: tuple[int, ...]) -> tuple[int, ...]:
         return self.system.roots[self.perm[self.system.root_index(root)]]
 
     def length(self) -> int:
         return len(self.inversion_set())
 
-    def inversion_set(self) -> frozenset[Root]:
+    def inversion_set(self) -> frozenset[tuple[int, ...]]:
         sys = self.system
         out = []
         for i in range(sys.n_positive):
@@ -187,8 +135,8 @@ class WeylElement:
         letters: list[int] = []
         cur = self
         while not cur.is_identity:
-            for i in range(sys.rank):
-                if not cur.act(sys.simple_roots[i]).is_positive:
+            for i, simple in enumerate(sys.simple_roots):
+                if cur.perm[sys.root_index(simple)] >= sys.n_positive:
                     letters.append(i + 1)
                     cur = cur * sys.simple_reflections[i]
                     break
@@ -205,11 +153,18 @@ class WeylElement:
 
 
 class RootSystem:
-    """Finite crystallographic root system; its Weyl group is listed on first read."""
+    """Finite crystallographic root system; its Weyl group is listed on first read.
 
-    def __init__(self, cartan: CartanMatrix):
-        self.cartan = cartan
-        self.rank = cartan.rank
+    Built from a Cartan matrix or its bare rows, which are checked as
+    ``CartanMatrix`` checks them.  Every root it hands out or takes is a
+    coordinate tuple in the simple-root basis: ``positive_roots`` sorted by
+    height, then coordinates, and ``roots`` the positives followed by their
+    negatives.
+    """
+
+    def __init__(self, cartan):
+        self.cartan = CartanMatrix(cartan)
+        self.rank = len(self.cartan)
         self._generate_roots()
         self.identity = WeylElement(self, tuple(range(len(self.roots))))
         self.simple_reflections: tuple[WeylElement, ...] = tuple(
@@ -220,7 +175,7 @@ class RootSystem:
 
     def _simple_reflect(self, coords: tuple[int, ...], cocoords: tuple[int, ...],
                         i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        A = self.cartan.rows
+        A = self.cartan
         pair = sum(A[i][j] * coords[j] for j in range(self.rank))
         new_c = list(coords)
         new_c[i] -= pair
@@ -231,12 +186,12 @@ class RootSystem:
 
     def _generate_roots(self) -> None:
         r = self.rank
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        queue: list[tuple[int, ...]] = []
-        for i in range(r):
-            c = tuple(1 if j == i else 0 for j in range(r))
-            seen[c] = c
-            queue.append(c)
+        self.simple_roots = tuple(
+            tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
+        )
+        # root -> coroot coordinates, negative roots included
+        seen = {c: c for c in self.simple_roots}
+        queue = list(self.simple_roots)
         while queue:
             coords = queue.pop()
             for i in range(r):
@@ -247,25 +202,21 @@ class RootSystem:
                     if len(seen) > 2 * MAX_POSITIVE_ROOTS:
                         raise ValueError("positive root cap exceeded; input not finite type?")
         positives = []
-        for coords in seen:
-            root = Root(coords)
-            if root.is_positive:
-                positives.append(root)
-            elif not (-root).is_positive:
+        for g in seen:
+            if min(g) >= 0:
+                positives.append(g)
+            elif max(g) > 0:
                 raise ValueError("generated a root with mixed signs; invalid Cartan matrix")
         if len(positives) > MAX_POSITIVE_ROOTS:
             raise ValueError("positive root cap exceeded")
-        positives.sort(key=lambda g: (g.height, g.coords))
-        self.positive_roots: tuple[Root, ...] = tuple(positives)
+        positives.sort(key=lambda g: (sum(g), g))
+        self.positive_roots = tuple(positives)
         self.n_positive = len(positives)
-        self.roots: tuple[Root, ...] = tuple(positives) + tuple(-g for g in positives)
-        self._index = {g.coords: i for i, g in enumerate(self.roots)}
-        self._cocoords: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for coords, b in seen.items():
-            self._cocoords[coords] = b
-        self.simple_roots = tuple(
-            Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)
+        self.roots = self.positive_roots + tuple(
+            tuple(-c for c in g) for g in positives
         )
+        self._index = {g: i for i, g in enumerate(self.roots)}
+        self._cocoords = seen
         for g in self.roots:
             if self.pairing(g, g) != 2:
                 raise AssertionError("coroot bookkeeping failed: <g, g_check> != 2")
@@ -288,46 +239,44 @@ class RootSystem:
 
     # -- root-level operations -------------------------------------------
 
-    def root_index(self, root: Root) -> int:
+    def root_index(self, root: tuple[int, ...]) -> int:
         try:
-            return self._index[root.coords]
+            return self._index[root]
         except KeyError:
             raise ValueError(f"{root} is not a root of this system") from None
 
-    def coroot_coords(self, root: Root) -> tuple[int, ...]:
+    def coroot_coords(self, root: tuple[int, ...]) -> tuple[int, ...]:
         self.root_index(root)
-        return self._cocoords[root.coords]
+        return self._cocoords[root]
 
-    def pairing(self, gamma: Root, alpha: Root) -> int:
+    def pairing(self, gamma: tuple[int, ...], alpha: tuple[int, ...]) -> int:
         """Integer pairing <gamma, alpha_check>."""
-        A = self.cartan.rows
+        A = self.cartan
         b = self.coroot_coords(alpha)
-        a = gamma.coords
         return sum(
-            b[i] * A[i][j] * a[j]
+            b[i] * A[i][j] * gamma[j]
             for i in range(self.rank)
             for j in range(self.rank)
-            if b[i] and a[j] and A[i][j]
+            if b[i] and gamma[j] and A[i][j]
         )
 
-    def reflect(self, alpha: Root, gamma: Root) -> Root:
-        """Reflection of gamma in the hyperplane of alpha."""
-        k = self.pairing(gamma, alpha)
-        return Root(tuple(g - k * a for g, a in zip(gamma.coords, alpha.coords)))
-
-    def reflection(self, alpha: Root) -> WeylElement:
-        perm = tuple(self._index[self.reflect(alpha, g).coords] for g in self.roots)
-        return WeylElement(self, perm)
+    def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
+        """s_alpha, which sends gamma to gamma - <gamma, alpha_check> alpha."""
+        perm = []
+        for gamma in self.roots:
+            k = self.pairing(gamma, alpha)
+            perm.append(self._index[tuple(g - k * a for g, a in zip(gamma, alpha))])
+        return WeylElement(self, tuple(perm))
 
     # -- symbolic forms ------------------------------------------------------
 
-    def root_form(self, root: Root) -> MultiPoly:
+    def root_form(self, root: tuple[int, ...]) -> MultiPoly:
         """Linear form of a root over this system's alpha_1..alpha_rank."""
         return self.registry.linear(
-            {f"alpha_{i + 1}": c for i, c in enumerate(root.coords) if c}
+            {f"alpha_{i + 1}": c for i, c in enumerate(root) if c}
         )
 
-    def _image_forms(self, w: WeylElement, roots: tuple[Root, ...]) -> list[MultiPoly]:
+    def _image_forms(self, w: WeylElement, roots) -> list[MultiPoly]:
         """Root forms of the w-images of roots; w must be an element of this system."""
         if w.system is not self:
             raise ValueError("the Weyl element belongs to a different root system")
@@ -354,10 +303,6 @@ class RootSystem:
 
     # -- type A lambda charts ----------------------------------------------
 
-    def _require_type_A(self) -> None:
-        if self.cartan != CartanMatrix.type_A(self.rank):
-            raise ValueError("lambda chart is defined for type A only")
-
     def lambda_chart(self, target: VarRegistry, part: str) -> dict[str, MultiPoly]:
         """Bindings alpha_i -> difference of lambda variables, by explicit flag.
 
@@ -365,7 +310,8 @@ class RootSystem:
         maps alpha_i to lambda_i - lambda_{i-1}.  The target registry must
         contain lambda_0..lambda_rank.
         """
-        self._require_type_A()
+        if self.cartan != CartanMatrix.type_A(self.rank):
+            raise ValueError("lambda chart is defined for type A only")
         if part not in ("part1", "part3"):
             raise ValueError("part must be 'part1' or 'part3'")
         out: dict[str, MultiPoly] = {}

@@ -269,7 +269,7 @@ def test_14_library_property_battery():
         areg = system.registry
         sample = RatFunc.from_factored(
             areg.var("alpha_1") + areg.var("h"),
-            [areg.var(f"alpha_{i + 1}") for i in range(cm.rank)],
+            [areg.var(f"alpha_{i + 1}") for i in range(len(cm))],
         )
         for refl in system.simple_reflections:
             assert (refl * refl).is_identity

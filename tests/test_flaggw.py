@@ -24,7 +24,7 @@ from qcseries.flaggw import (
     verify_lemma_3_4,
 )
 from qcseries.projgw import ProjSetup, euler_e
-from qcseries.roots import CartanMatrix, Root, RootSystem
+from qcseries.roots import CartanMatrix, RootSystem
 
 A1 = RootSystem(CartanMatrix.type_A(1))
 A2 = RootSystem(CartanMatrix.type_A(2))
@@ -81,11 +81,13 @@ def test_coefficients_are_homogeneous():
 
 def test_coeff_rejects_bad_input():
     with pytest.raises(ValueError):
-        coeff_C_id(A2, -A2_THETA, 1)
+        coeff_C_id(A2, (-1, -1), 1)
     with pytest.raises(ValueError):
         coeff_C_id(A2, A2_THETA, 0)
     with pytest.raises(ValueError):
-        coeff_C_id(A2, Root((2, 0)), 1)
+        coeff_C_id(A2, (2, 0), 1)
+    with pytest.raises(ValueError):
+        coeff_C_id(A2, (0, 0), 1)
 
 
 def test_acted_coefficients():

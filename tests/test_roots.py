@@ -3,15 +3,15 @@
 import pytest
 
 from qcseries.exactalg import RatFunc, VarRegistry
-from qcseries.roots import CartanMatrix, Root, RootSystem
+from qcseries.roots import CartanMatrix, RootSystem
 
 
 A2 = RootSystem(CartanMatrix.type_A(2))
 A3 = RootSystem(CartanMatrix.type_A(3))
 
-AL1 = Root((1, 0))
-AL2 = Root((0, 1))
-THETA = Root((1, 1))
+AL1 = (1, 0)
+AL2 = (0, 1)
+THETA = (1, 1)
 
 
 def test_a2_inventory():
@@ -83,22 +83,22 @@ def test_pairing_table_b2():
     a1, a2 = B2.simple_roots
     assert B2.pairing(a1, a2) == -2
     assert B2.pairing(a2, a1) == -1
-    long_root = Root((1, 2))
+    long_root = (1, 2)
     assert long_root in B2.positive_roots
     assert B2.coroot_coords(long_root) == (1, 1)
 
 
 def test_simple_reflection_action():
     s1 = A2.simple_reflections[0]
-    assert s1.act(AL1) == -AL1
+    assert s1.act(AL1) == (-1, 0)
     assert s1.act(AL2) == THETA
     assert s1.act(THETA) == AL2
 
 
 def test_highest_root_reflection():
     s_theta = A2.reflection(THETA)
-    assert s_theta.act(AL1) == -AL2
-    assert s_theta.act(AL2) == -AL1
+    assert s_theta.act(AL1) == (0, -1)
+    assert s_theta.act(AL2) == (-1, 0)
     s1, s2 = A2.simple_reflections
     assert s_theta == s1 * s2 * s1
     assert s_theta == s2 * s1 * s2
@@ -215,22 +215,26 @@ def test_weyl_permutation_matches_chart(system):
 
 
 def test_roots_and_cartan_matrices_are_read_only_values():
-    # equal and hashed by value, as frozen dataclasses are, and read-only:
+    # a root is its coordinate tuple and a Cartan matrix the tuple of its
+    # rows, so both are equal and hashed by value, and neither can change:
     # roots are gathered in sets and compared throughout the package
-    assert Root((1, 0)) == AL1 and Root((1, 0)) is not AL1
-    assert AL1 != AL2 and AL1 != (1, 0)
-    assert len({AL1, Root((1, 0)), AL2, THETA}) == 3
-    assert repr(THETA) == "Root(coords=(1, 1))"
-    assert A2.cartan == CartanMatrix(((2, -1), (-1, 2)))
-    assert hash(A2.cartan) == hash(CartanMatrix(((2, -1), (-1, 2))))
-    assert A2.cartan != CartanMatrix.type_B(2) and A2.cartan != A2.cartan.rows
-    for value, name in ((Root((1, 0)), "coords"), (CartanMatrix.type_A(2), "rows")):
-        with pytest.raises(AttributeError):
-            setattr(value, name, ())
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-        with pytest.raises(AttributeError):
-            value.extra = 1
+    assert all(type(g) is tuple for g in A2.roots)
+    assert A2.positive_roots == ((0, 1), (1, 0), (1, 1)) and A2.roots[-1] == (-1, -1)
+    assert len({*A2.positive_roots, (1, 0), AL2}) == 3
+    rows = ((2, -1), (-1, 2))
+    assert A2.cartan == CartanMatrix(rows) == rows
+    assert hash(A2.cartan) == hash(CartanMatrix(rows)) == hash(rows)
+    assert A2.cartan != CartanMatrix.type_B(2)
+    # rows given as lists are stored as tuples
+    listed = CartanMatrix([[2, -1], [-1, 2]])
+    assert listed == CartanMatrix.type_A(2) and hash(listed) == hash(rows)
+    assert all(type(row) is tuple for row in listed)
+    with pytest.raises(AttributeError):
+        listed.extra = 1
+    with pytest.raises(TypeError):
+        listed[0] = (2, 0)
+    with pytest.raises(TypeError):
+        listed[0][0] = 3
 
 
 def test_cartan_validation():
@@ -242,5 +246,13 @@ def test_cartan_validation():
         CartanMatrix(((2, 1), (1, 2)))
     with pytest.raises(ValueError):
         CartanMatrix(((2, 0), (-1, 2)))
+    with pytest.raises(ValueError, match="square"):
+        CartanMatrix(((2, -1), ()))
+    # bare rows are checked when a system is built from them
     with pytest.raises(ValueError):
-        A2.root_index(Root((5, 5)))
+        RootSystem(((2, 1), (1, 2)))
+    bare = RootSystem(((2, -1), (-1, 2)))
+    assert type(bare.cartan) is CartanMatrix and bare.cartan == A2.cartan
+    assert bare.roots == A2.roots
+    with pytest.raises(ValueError):
+        A2.root_index((5, 5))
