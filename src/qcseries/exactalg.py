@@ -307,17 +307,13 @@ class MultiPoly:
     def key(self) -> tuple:
         """Canonical hashable key; also a deterministic sort key.
 
-        Terms are listed in lex order of their exponent vectors, each under
-        its packed monomial without the degree field, which orders like the
-        vector itself.
+        A key is the sorted (monomial, coefficient) pairs: each monomial is
+        packed without the degree field, which orders like its exponent
+        vector, so the terms run in lex order of their vectors.
         """
         if self._key is None:
             lex = self.registry._lex_mask
-            # an int is its own numerator over denominator 1
-            self._key = tuple(
-                (m, c.numerator, c.denominator)
-                for m, c in sorted((m & lex, c) for m, c in self.terms.items())
-            )
+            self._key = tuple(sorted((m & lex, c) for m, c in self.terms.items()))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -663,16 +659,12 @@ class _Evaluation:
         for nm in bindings:
             if nm not in source:
                 raise KeyError(f"binding for unknown variable {nm!r}")
-        scale = 1
-        for v in values.values():
-            for c in v.terms.values():
-                if type(c) is not int:
-                    scale = lcm(scale, c.denominator)
+        # an int is a rational over 1, and lcm() of nothing is 1
+        scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
         table = {0: ((0, scale),)}
         for i, v in values.items():
             table[source._var_monos[i]] = tuple(
-                (m, c * scale if type(c) is int else c.numerator * (scale // c.denominator))
-                for m, c in v.terms.items())
+                (m, c.numerator * (scale // c.denominator)) for m, c in v.terms.items())
         for i, j in resid.items():
             table[source._var_monos[i]] = ((target._var_monos[j], scale),)
         self.target = target
@@ -926,27 +918,22 @@ class RatFunc:
             return self
         fa = self._factor_dict()
         fb = other._factor_dict()
-        union: dict[tuple, tuple[MultiPoly, int]] = {}
-        for k, (f, m) in fa.items():
-            union[k] = (f, m)
+        union = dict(fa)
         for k, (f, m) in fb.items():
-            if k in union:
-                union[k] = (f, max(union[k][1], m))
-            else:
+            if k not in fa or fa[k][1] < m:
                 union[k] = (f, m)
-        numa = self.num
-        for k, (f, m) in union.items():
-            need = m - (fa[k][1] if k in fa else 0)
-            for _ in range(need):
-                numa = numa * f
-        numb = other.num
-        for k, (f, m) in union.items():
-            need = m - (fb[k][1] if k in fb else 0)
-            for _ in range(need):
-                numb = numb * f
+
+        def lift(num: MultiPoly, own: dict) -> MultiPoly:
+            # times each union factor, up to the multiplicity that own lacks
+            for k, (f, m) in union.items():
+                for _ in range(m - own[k][1] if k in own else m):
+                    num = num * f
+            return num
+
         sa, sb = self.scalar, other.scalar
         q = sa.denominator * sb.denominator
-        num = numa.scale(sa.numerator * sb.denominator) + numb.scale(sb.numerator * sa.denominator)
+        num = (lift(self.num, fa).scale(sa.numerator * sb.denominator)
+               + lift(other.num, fb).scale(sb.numerator * sa.denominator))
         if num.is_zero:
             return RatFunc.zero(self.registry)
         s, prim = num.primitive()

@@ -310,17 +310,15 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
             report.check_equal("value", value, 1)
             return report
 
-        labels: list[tuple[int, int]] = []
-        factors: list[MultiPoly] = []
-        for k in range(1, i + 1):
-            labels.append((0, k))
-            factors.append(h.scale(k) + a1)
-        for k in range(1, j + 1):
-            labels.append((1, k))
-            factors.append(h.scale(k) + a2)
-        for k in range(1, i + 1):
-            labels.append((2, k))
-            factors.append(h.scale(k) + th)
+        # one pole family per positive root: the root, its pole count, and
+        # the printed route's reflection of the arguments
+        families = (
+            ((1, 0), i, {"alpha_1": -a1, "alpha_2": th}),
+            ((0, 1), j, {"alpha_1": th, "alpha_2": -a2}),
+            (A2_THETA, i, {"alpha_1": -a2, "alpha_2": -a1}),
+        )
+        labels = [(r, k) for r, (_, poles, _) in enumerate(families) for k in range(1, poles + 1)]
+        factors = [h.scale(k) + system.root_form(families[r][0]) for r, k in labels]
         num = reg.one()
         for m in range(j + 1, i + j + 1):
             num = num * (h.scale(m) + th)
@@ -329,25 +327,14 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
         parts = partial_fractions(derived, "h", factors)
         report.check_equal("recombined", recombine(parts, reg), value)
 
-        # reflected-argument substitutions per pole family
-        swaps = (
-            {"alpha_1": -a1, "alpha_2": th},
-            {"alpha_1": th, "alpha_2": -a2},
-            {"alpha_1": -a2, "alpha_2": -a1},
-        )
-        roots_k = ((1, 0), (0, 1), A2_THETA)
-        alpha_forms = (a1, a2, th)
         for (r, k), (residue, _factor) in zip(labels, parts):
-            da, db = roots_k[r]
-            lower = a2_closed_coeff(i - k * da, j - k * db)
-            bindings = dict(swaps[r])
-            bindings["h"] = alpha_forms[r].scale(Fraction(-1, k))
-            expected = _pole_weight(r, k) * substitute(lower, bindings)
+            root, _, reflected = families[r]
+            lower = a2_closed_coeff(i - k * root[0], j - k * root[1])
+            shift = {"h": system.root_form(root).scale(Fraction(-1, k))}
+            expected = _pole_weight(r, k) * substitute(lower, {**reflected, **shift})
             report.check_equal(f"pole r={r} k={k}", residue, expected)
-            via_coeff = coeff_C_id(system, roots_k[r], k) * substitute(
-                system.act_on_ratfunc(system.reflection(roots_k[r]), lower),
-                {"h": alpha_forms[r].scale(Fraction(-1, k))},
-            )
+            via_coeff = coeff_C_id(system, root, k) * substitute(
+                system.act_on_ratfunc(system.reflection(root), lower), shift)
             report.check_equal(f"pole r={r} k={k} via coeff", residue, via_coeff)
     return report
 

@@ -350,6 +350,8 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
             for d in range(d_max + 1):
                 report.check_equal(f"d={d}", table[d], closed_B(setup, 0, d))
             return report
+        if d_max < 1:
+            raise ValueError("degree bound must be >= 1 when n >= 1")
         if method == "direct":
             terms = dict(_recursion_terms(setup, d_max, setup.points()))
         for i in setup.points():

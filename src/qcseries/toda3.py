@@ -217,6 +217,8 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     a(i, j) is the coefficient lookup, zero outside the quadrant; the values
     are Fractions with Fraction weights, or RatFuncs with polynomial weights.
     """
+    if n_max < 0:
+        raise ValueError("total-degree bound must be >= 0")
     l0, l1, l2, h = weights
     al1, al2 = l1 - l0, l2 - l1
     theta = al1 + al2
@@ -330,6 +332,8 @@ def verify_operator_annihilation(n_max: int,
 def verify_batyrev(n_max: int) -> VerificationReport:
     """Binomial-sum coefficients equal the closed ones; the binomial identity too."""
     with VerificationReport("batyrev", {"max_index": n_max}) as report:
+        if n_max < 0:
+            raise ValueError("index bound must be >= 0")
         for i in range(n_max + 1):
             for j in range(n_max + 1):
                 report.check_equal(

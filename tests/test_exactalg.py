@@ -1055,6 +1055,27 @@ def test_linear_map_folds_every_kind_of_factor_image():
         assert g.substitute(bindings).text() == divide_per_factor(g, bindings).text()
 
 
+def test_fractions_over_one_act_like_their_ints():
+    # public operations can leave a Fraction with denominator 1 as a
+    # coefficient; it equals, hashes, keys and substitutes like its int
+    x, y, z = (PREG.var(nm) for nm in PREG.names)
+    twin = 3 * x - 2 * y + 5
+    p = twin.scale(Fraction(1, 2)).scale(2)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert (p == twin, hash(p), p.key()) == (True, hash(twin), twin.key())
+    assert x.scale(Fraction(3, 2)).scale(2).key() == (3 * x).key()
+    # as a binding value it adds nothing to the scale, and maps as the int
+    evaluation = exactalg._Evaluation(PREG, exactalg._union(x + y + z), {"x": p}, None)
+    assert evaluation.scale == 1
+    assert all(type(c) is int for row in evaluation.table.values() for _, c in row)
+    f = RatFunc.from_factored(x + 2 * y, [x + z, y + z, x - y], 3)
+    nonlinear = RatFunc.from_factored(x * y + z, [x + 2 * y + z])
+    for g in (f, nonlinear, x + z):
+        assert canonical(g.substitute({"x": p})) == canonical(g.substitute({"x": twin}))
+        both = substitute(g, {"x": p, "z": p}), substitute(g, {"x": twin, "z": twin})
+        assert both[0].text() == both[1].text()
+
+
 TREG = VarRegistry(["u", "y", "x", "v"])
 
 

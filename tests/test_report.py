@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qcseries import projgw, toda3
 from qcseries.report import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +48,23 @@ def test_every_report_is_built_as_the_context_of_a_with(module):
     assert calls
     untimed = [call.lineno for call in calls if not any(call is c for c in contexts)]
     assert not untimed, f"{module}: VerificationReport built outside a with at {untimed}"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: projgw.verify_theorem_3_3(projgw.ProjSetup(2), 0, "direct"),
+        lambda: projgw.verify_theorem_3_3(projgw.ProjSetup(2), 0, "residue"),
+        lambda: projgw.verify_theorem_3_3(projgw.ProjSetup(2), -1, "direct"),
+        lambda: toda3.verify_recursions_plain(-1),
+        lambda: toda3.verify_recursions_equivariant(-1),
+        lambda: toda3.verify_batyrev(-1),
+    ],
+    ids=["proj-direct-0", "proj-residue-0", "proj-direct-neg", "toda-plain", "toda-eq",
+         "batyrev"],
+)
+def test_a_bound_that_leaves_nothing_to_compare_raises(check):
+    # a pass must mean at least one exact comparison, so a check raises for a
+    # bound below its first comparison instead of passing over nothing
+    with pytest.raises(ValueError, match="bound"):
+        check()
