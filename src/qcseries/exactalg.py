@@ -197,17 +197,14 @@ class VarRegistry:
     def var(self, name: str) -> "MultiPoly":
         return MultiPoly._raw(self, {self._var_monos[self.index(name)]: 1})
 
-    def linear(self, coeffs: Mapping[str, Coeff], const: Coeff = 0) -> "MultiPoly":
-        """Linear form sum(coeffs[name] * name) + const."""
+    def linear(self, coeffs: Mapping[str, Coeff]) -> "MultiPoly":
+        """Linear form sum(coeffs[name] * name)."""
         terms: dict[int, Coeff] = {}
         for nm, c in coeffs.items():
             c = _as_coeff(c)
             if c == 0:
                 continue
             terms[self._var_monos[self.index(nm)]] = c
-        const = _as_coeff(const)
-        if const != 0:
-            terms[0] = const
         return MultiPoly._raw(self, terms)
 
 

@@ -1,23 +1,26 @@
 """Flag-space hypergeometric series over a finite root system.
 
-The recursion data is one coefficient per (Weyl element, positive root,
-cover multiplicity).  The identity-element coefficient is assembled from a
-finite product extracted from a telescoping cancellation: for each positive
-root gamma != alpha with c = <gamma, alpha_check>, the ratio of the shifted
-infinite products collapses to 1/prod_{m=1}^{kc}(gamma - (m/k)alpha) when
-c > 0, to prod_{m=0}^{-kc-1}(gamma + (m/k)alpha) when c < 0, and to 1 when
-c = 0.  Pairs gamma <-> reflected gamma cancel outright unless the
-reflection makes gamma negative, so the product may be pruned to the
-reflection's inversion set without changing the value; both routes are kept
-and compared in tests.
+A space G/P is a root system plus the 0-based simple-root indices of a
+Levi, () for G/B; P^n is A_n with the Levi on nodes 2..n (see
+`projgw.solve_recursion`).  The tangent roots at the base point are the
+positive roots with a nonzero coordinate off the Levi, one T-curve per
+tangent root alpha, of degree alpha_check's coordinates off the Levi
+(Goresky-Kottwitz-MacPherson).  The recursion data is one coefficient per
+(Weyl element, tangent root, cover multiplicity).  The base-point
+coefficient is assembled from a finite product extracted from a telescoping
+cancellation: for each tangent root gamma != alpha with c = <gamma,
+alpha_check>, the ratio of the shifted infinite products collapses to
+1/prod_{m=1}^{kc}(gamma - (m/k)alpha) when c > 0, to
+prod_{m=0}^{-kc-1}(gamma + (m/k)alpha) when c < 0, and to 1 when c = 0.
 
-Only the identity table is solved.  The (w, alpha, k) term of the recursion
-is w applied to the identity's (alpha, k) term, weight and shift
+Only the base point's table is solved.  The (w, alpha, k) term of the
+recursion is w applied to the identity's (alpha, k) term, weight and shift
 h -> -alpha/k alike, and it reads the table at w s_alpha where that term
 reads the one at s_alpha.  So the field automorphism w takes the identity's
 recursion to w's, and Z_w(beta) = w.Z_id(beta) by induction on the degree
 from Z_w(0) = 1; a test compares these w-images with a solve of all |W|
-tables.
+tables.  The base table is fixed by the Levi's Weyl group, so its image
+depends only on the coset of w.
 
 Rank-one tables reduce to the projective-line series under the lambda
 chart, and the rank-two type-A tables have an independent closed form;
@@ -35,6 +38,7 @@ from math import factorial
 from .exactalg import (
     MultiPoly,
     RatFunc,
+    VarRegistry,
     homogeneous_degree,
     partial_fractions,
     recombine,
@@ -42,39 +46,43 @@ from .exactalg import (
 )
 from .report import VerificationReport
 from .roots import CartanMatrix, RootSystem
-from . import projgw
+
+
+def _curves(system: RootSystem, levi: tuple[int, ...]) -> dict:
+    """{tangent root: degree of its T-curve, alpha_check's coordinates off the Levi}."""
+    if len(set(levi)) != len(levi) or not set(levi) < set(range(system.rank)):
+        raise ValueError(f"a Levi is distinct nodes of 0..{system.rank - 1}, not all of them")
+    off = [node for node in range(system.rank) if node not in levi]
+    return {g: tuple(system.coroot_coords(g)[node] for node in off)
+            for g in system.positive_roots if any(g[node] for node in off)}
 
 
 def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
-               prune: bool = True) -> RatFunc:
-    """Identity-element recursion coefficient for the k-fold alpha-cover.
+               levi: tuple[int, ...] = ()) -> RatFunc:
+    """Base-point coefficient of the k-fold cover of the alpha-curve of G/P, levi () for G/B.
 
-    With n = <rho, alpha_check>, the sum of alpha_check's simple-coroot
-    coordinates, the value has degree 1 - k*n: the power of alpha has degree
-    k*n - 2k + 1 and the gamma factors -k sum <gamma, alpha_check> =
-    -k(2n - 2), the pairing of 2 rho - alpha; pruning drops pairs gamma,
-    s_alpha(gamma) of opposite pairing, which keeps that sum.
+    With n the degree of the curve, the sum of alpha_check's coordinates off
+    the Levi, and c1 = sum <gamma, alpha_check> over the tangent roots, the
+    value has degree 1 - k*(c1 - n): the power of alpha has degree
+    k*n - 2k + 1 and the gamma != alpha factors -k(c1 - 2).  On G/B, c1 = 2n.
     """
-    if system.root_index(alpha) >= system.n_positive:
-        raise ValueError("the covered direction must be a positive root")
+    curves = _curves(system, levi)
+    if alpha not in curves:
+        raise ValueError("the covered direction must be a positive root off the Levi")
     if k < 1:
         raise ValueError("cover multiplicity must be >= 1")
     reg = system.registry
-    n = sum(system.coroot_coords(alpha))
+    n = sum(curves[alpha])
     a_form = system.root_form(alpha)
-
-    if prune:
-        gammas = [
-            g for g in system.reflection(alpha).inversion_set() if g != alpha
-        ]
-        gammas.sort(key=lambda g: (sum(g), g))
-    else:
-        gammas = [g for g in system.positive_roots if g != alpha]
 
     num = reg.one()
     dens: list[MultiPoly] = []
-    for gamma in gammas:
+    c1 = 0
+    for gamma in curves:
         c = system.pairing(gamma, alpha)
+        c1 += c
+        if gamma == alpha:
+            continue
         g_form = system.root_form(gamma)
         if c > 0:
             for m in range(1, k * c + 1):
@@ -91,7 +99,7 @@ def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
     sign = -1 if (k * (n + 1)) % 2 else 1
     scalar = Fraction(sign) * Fraction(k) ** (k * (2 - n)) / factorial(k) ** 2
     value = RatFunc.from_factored(num, dens, scale=1 / scalar)
-    if homogeneous_degree(value) != 1 - k * n:
+    if homogeneous_degree(value) != 1 - k * (c1 - n):
         raise AssertionError(
             "degree bookkeeping failed assembling the recursion coefficient"
         )
@@ -101,31 +109,91 @@ def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
 # -- the solver ----------------------------------------------------------------------
 
 
+def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
+                  lower) -> RatFunc:
+    """Right side of a fixed-point recursion at a (multi)degree.
+
+    Each term (target, step, weight, shift) adds weight times the
+    coefficient lower(target, degree - step), substituted by shift; a term
+    whose lower degree would be negative adds nothing.  Each target's terms
+    are summed first, with incremental cancellation, and the partial sums
+    are then added in order of the targets' first appearance.  That keeps
+    the sums' numerators smaller than adding in term order does.
+    """
+    partial: dict = {}
+    for target, step, weight, shift in terms:
+        prev = tuple(d - s for d, s in zip(degree, step))
+        if min(prev) < 0:
+            continue
+        term = weight * substitute(lower(target, prev), shift)
+        partial[target] = partial[target] + term if target in partial else term
+    acc = RatFunc.zero(registry)
+    for part in partial.values():
+        acc = acc + part
+    return acc
+
+
+def image_reader(table, act):
+    """lower(g, degree) = act(g, table[degree]), acted on once per (g, degree) and reader.
+
+    The solver solves one table and reads every other as its image under a
+    symmetry g of the recursion.  A reader keeps its images for the one
+    solve or check that made it, and nothing across them.
+    """
+    images = {}
+
+    def lower(g, degree):
+        if (g, degree) not in images:
+            images[(g, degree)] = act(g, table[degree])
+        return images[(g, degree)]
+    return lower
+
+
+def solve_tables(registry: VarRegistry, per_target, degrees):
+    """Tables target -> degree -> coefficient, filled by `recursion_sum`.
+
+    per_target lists (target, terms) pairs; each term reads the table of a
+    listed target at a strictly lower degree.  degrees[0] is the zero degree,
+    whose coefficient is 1, and each later degree comes after every degree
+    its terms read; the loop runs degree by degree, then target by target.
+    This is the reference route that solves every table from its own terms;
+    the solver solves one table and reads the others as its images, and only
+    the tests that compare the two call it, no check.
+    """
+    one = RatFunc.one(registry)
+    tables = {target: {degrees[0]: one} for target, _ in per_target}
+    for degree in degrees[1:]:
+        for target, terms in per_target:
+            tables[target][degree] = recursion_sum(
+                registry, terms, degree, lambda t, e: tables[t][e])
+    return tables
+
+
 def _beta_range(rank: int, total_max: int):
     """Multidegrees of coordinate sum at most total_max, by sum, then lexicographically."""
     betas = itertools.product(range(total_max + 1), repeat=rank)
     return sorted((b for b in betas if sum(b) <= total_max), key=lambda b: (sum(b), b))
 
 
-def _recursion_terms(system: RootSystem, total_max: int, elements):
-    """The (w, alpha, k) terms of the reflection recursion, per Weyl element.
+def _recursion_terms(system: RootSystem, total_max: int, elements,
+                     levi: tuple[int, ...] = ()):
+    """The (w, alpha, k) terms of the reflection recursion of G/P, per Weyl element.
 
     Returns (w, terms) per element of `elements`, each term in the form
-    `projgw.recursion_sum` reads: (lower_w, k*cocoords, weight, shift), so it
-    adds weight times the table at lower_w, read at the multidegree
-    k*cocoords lower and then substituted by shift.  Covers run over every
-    positive root alpha and every k whose step has coordinate sum at most
-    total_max: a longer step reads below multidegree 0 from every
-    multidegree of the triangle.
+    `recursion_sum` reads: (lower_w, step, weight, shift), so it adds weight
+    times the table at lower_w, read at the multidegree step lower and then
+    substituted by shift.  Covers run over every tangent root alpha and
+    every k whose step, k times alpha_check's coordinates off the Levi, has
+    coordinate sum at most total_max: a longer step reads below multidegree
+    0 from every multidegree of the triangle.
     """
     reg = system.registry
     steps = []
-    for alpha in system.positive_roots:
-        cocoords = system.coroot_coords(alpha)
+    for alpha, degree in _curves(system, levi).items():
         refl = system.reflection(alpha)
-        for k in range(1, total_max // sum(cocoords) + 1):
-            base = coeff_C_id(system, alpha, k)
-            steps.append((alpha, k, tuple(k * c for c in cocoords), refl, base))
+        for k in range(1, total_max // sum(degree) + 1):
+            base = coeff_C_id(system, alpha, k, levi)
+            steps.append((alpha, k, tuple(k * c for c in degree), refl, base))
 
     per_w = []
     for w in elements:
@@ -140,24 +208,26 @@ def _recursion_terms(system: RootSystem, total_max: int, elements):
     return per_w
 
 
-def solve_flag_recursion(system: RootSystem, total_max: int) -> dict[tuple[int, ...], RatFunc]:
-    """Build the identity table {beta: coefficient} from multidegree 0 upward.
+def solve_flag_recursion(system: RootSystem, total_max: int,
+                         levi: tuple[int, ...] = ()) -> dict[tuple[int, ...], RatFunc]:
+    """Build the base point's table {beta: coefficient} of G/P from multidegree 0 upward.
 
-    A multidegree beta is in coroot coordinates, and the table holds those
-    of coordinate sum at most total_max; the recursion only ever reads
-    strictly smaller sums, so the triangle is self-contained.  The pole
-    attached to an (alpha, k) term is k*h + alpha.  The term reads the table
-    at s_alpha, which is s_alpha applied to this one, as the table of any w
-    is w applied to it (see the module docstring).
+    levi lists the Levi's simple-root indices, () for G/B.  A multidegree
+    beta has one coroot coordinate per node off the Levi, and the table
+    holds those of coordinate sum at most total_max; the recursion only ever
+    reads strictly smaller sums, so the triangle is self-contained.  The
+    pole attached to an (alpha, k) term is k*h + alpha.  The term reads the
+    table at s_alpha, which is s_alpha applied to this one, as the table of
+    any w is w applied to it (see the module docstring).
     """
     if total_max < 0:
         raise ValueError("total-degree bound must be >= 0")
-    betas = _beta_range(system.rank, total_max)
-    ((_, terms),) = _recursion_terms(system, total_max, [system.identity])
+    ((_, terms),) = _recursion_terms(system, total_max, [system.identity], levi)
+    betas = _beta_range(system.rank - len(levi), total_max)
     z_id = {betas[0]: RatFunc.one(system.registry)}
-    lower = projgw.image_reader(z_id, system.act_on_ratfunc)
+    lower = image_reader(z_id, system.act_on_ratfunc)
     for beta in betas[1:]:
-        z_id[beta] = projgw.recursion_sum(system.registry, terms, beta, lower)
+        z_id[beta] = recursion_sum(system.registry, terms, beta, lower)
     return z_id
 
 
@@ -219,17 +289,18 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     s1 table is read as s1 applied to the identity table, and must also
     satisfy s1's own recursion, whose terms read both tables.
     """
+    from . import projgw
     with VerificationReport("a1-cross", {"max_d": d_max}) as report:
         system = _a1_system()
         reg = system.registry
         alpha, h = map(reg.var, ("alpha_1", "h"))
         s1 = system.simple_reflections[0]
         z_id = solve_flag_recursion(system, d_max)
-        lower = projgw.image_reader(z_id, system.act_on_ratfunc)
+        lower = image_reader(z_id, system.act_on_ratfunc)
         ((_, s1_terms),) = _recursion_terms(system, d_max, [s1])
 
         proj = projgw.ProjSetup(1)
-        chart = {"alpha_1": proj.lam(0) - proj.lam(1)}
+        chart = proj.alpha_chart()
         for d in range(d_max + 1):
             z_s1 = lower(s1, (d,))
             report.check_equal(
@@ -250,7 +321,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
             report.check_equal(f"closed d={d}", z_id[(d,)], closed)
             report.check_equal(
                 f"s1 recursion d={d}", z_s1,
-                projgw.recursion_sum(reg, s1_terms, (d,), lower) if d else 1,
+                recursion_sum(reg, s1_terms, (d,), lower) if d else 1,
             )
     return report
 
@@ -276,7 +347,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
-        lower = projgw.image_reader(closed, system.act_on_ratfunc)
+        lower = image_reader(closed, system.act_on_ratfunc)
 
         for i, j in closed:
             if i == 0 and j == 0:
@@ -284,7 +355,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
                 continue
             report.check_equal(
                 f"i={i} j={j}", closed[(i, j)],
-                projgw.recursion_sum(system.registry, terms, (i, j), lower),
+                recursion_sum(system.registry, terms, (i, j), lower),
             )
     return report
 

@@ -26,19 +26,12 @@ and comparing with lambda_0 = 0 drops no check while every polynomial
 carries one variable fewer.  `series proj` prints its tables in lambda by
 applying phi.
 
-Only the table of fixed point 0 is solved.  The swap tau = (0 j) of two
-fixed points permutes the weights, lambda_a -> lambda_tau(a), and fixes h;
-in difference coordinates it is the field automorphism
-mu_a -> mu_tau(a) - mu_tau(0) of Q(mu_1..mu_n, h) (`ProjSetup.swap`).  The
-coupling, the pole lambda_i - lambda_j + k*h and the shift
-h -> (lambda_j - lambda_i)/k of the (i, j, k) recursion term are built from
-the weights of i and j and, symmetrically, those of the other points, so
-their tau-images are the coupling, pole and shift at (tau i, tau j, k).
-Since tau fixes h it commutes with the h-substitution, and it carries the
-recursion of point i to that of point tau(i).  Every table is 1 at degree 0
-and the recursion fixes each later degree from lower ones, so induction on d
-gives Z_tau(i) = tau.Z_i, and Z_j = tau_j.Z_0; a test compares these images
-with a solve of all n+1 tables.
+Only the table of fixed point 0 is solved, as the base table of A_n/P_1
+(`flaggw.solve_flag_recursion` with the Levi on nodes 2..n) read in the
+weights by the chart alpha_a -> lambda_(a-1) - lambda_a
+(`ProjSetup.alpha_chart`).  The table of point i is the base table under
+the chart after w_i, the reflection in alpha_1 + ... + alpha_i, which swaps
+points 0 and i.
 
 Memoization rule: only the inputs a route reads are memoized, once per
 process.  These are the closed forms (`closed_b`) and the couplings
@@ -104,18 +97,9 @@ class ProjSetup:
         lam0 = self.registry.var("lambda_0")
         return {f"lambda_{a}": self.lam(a) - lam0 for a in range(1, self.n + 1)}
 
-    def swap(self, j: int) -> dict[str, MultiPoly]:
-        """Bindings of the swap tau = (0 j) of fixed points, which fixes h.
-
-        tau sends lambda_a to lambda_tau(a), so the variable lambda_a, which
-        stands for lambda_a - lambda_0, goes to lambda_tau(a) - lambda_j:
-        lambda_j to -lambda_j and lambda_a to lambda_a - lambda_j otherwise.
-        """
-        shift = self.lam(j)
-        return {
-            f"lambda_{a}": self.lam(0 if a == j else a) - shift
-            for a in range(1, self.n + 1)
-        }
+    def alpha_chart(self) -> dict[str, MultiPoly]:
+        """alpha_a -> lambda_(a-1) - lambda_a, a = 1..n: A_n's flag series read in the weights."""
+        return {f"alpha_{a}": self.lam(a - 1) - self.lam(a) for a in range(1, self.n + 1)}
 
     def root_chart(self, part: str) -> tuple[VarRegistry, dict[str, MultiPoly]]:
         """The weights in root variables: the target registry and the bindings.
@@ -217,66 +201,6 @@ def _cover_form(setup: ProjSetup, i: int, j: int, k: int, b: int,
 # -- series tables -------------------------------------------------------------------
 
 
-def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
-                  lower) -> RatFunc:
-    """Right side of a fixed-point recursion at a (multi)degree.
-
-    Each term (target, step, weight, shift) adds weight times the
-    coefficient lower(target, degree - step), substituted by shift; a term
-    whose lower degree would be negative adds nothing.  Each target's terms
-    are summed first, with incremental cancellation, and the partial sums
-    are then added in order of the targets' first appearance.  That keeps
-    the sums' numerators smaller than adding in term order does.
-    """
-    partial: dict = {}
-    for target, step, weight, shift in terms:
-        prev = tuple(d - s for d, s in zip(degree, step))
-        if min(prev) < 0:
-            continue
-        term = weight * substitute(lower(target, prev), shift)
-        partial[target] = partial[target] + term if target in partial else term
-    acc = RatFunc.zero(registry)
-    for part in partial.values():
-        acc = acc + part
-    return acc
-
-
-def image_reader(table, act):
-    """lower(g, degree) = act(g, table[degree]), acted on once per (g, degree) and reader.
-
-    The solvers solve one table and read every other as its image under a
-    symmetry g of the recursion.  A reader keeps its images for the one
-    solve or check that made it, and nothing across them.
-    """
-    images = {}
-
-    def lower(g, degree):
-        if (g, degree) not in images:
-            images[(g, degree)] = act(g, table[degree])
-        return images[(g, degree)]
-    return lower
-
-
-def solve_tables(registry: VarRegistry, per_target, degrees):
-    """Tables target -> degree -> coefficient, filled by `recursion_sum`.
-
-    per_target lists (target, terms) pairs; each term reads the table of a
-    listed target at a strictly lower degree.  degrees[0] is the zero degree,
-    whose coefficient is 1, and each later degree comes after every degree
-    its terms read; the loop runs degree by degree, then target by target.
-    This is the reference route that solves every table from its own terms;
-    the solvers here and in flaggw solve one table and read the others as its
-    images, and only the tests that compare the two call it, no check.
-    """
-    one = RatFunc.one(registry)
-    tables = {target: {degrees[0]: one} for target, _ in per_target}
-    for degree in degrees[1:]:
-        for target, terms in per_target:
-            tables[target][degree] = recursion_sum(
-                registry, terms, degree, lambda t, e: tables[t][e])
-    return tables
-
-
 def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, list]]:
     """Per fixed point i of `points`, the (j, k) terms of its recursion, for k <= k_max.
 
@@ -309,9 +233,8 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
     are normalized to lambda_0 = 0; substituting `setup.to_lambda()` gives
     them in lambda_0..lambda_n.
 
-    Only the table of point 0 is solved; a term that reads point j != 0
-    reads tau_j applied to it, and the table of point i is tau_i applied to
-    it (see the module docstring).
+    Point i's table is the base table of A_n/P_1 under the chart after w_i
+    (see the module docstring).
     """
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
@@ -319,13 +242,18 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
         # no lines between distinct fixed points, hence no recursion terms;
         # the exponential closed form is exact here
         return {0: {d: 1 / (setup.h**d * factorial(d)) for d in range(d_max + 1)}}
-    ((_, terms),) = _recursion_terms(setup, d_max, [0])
-    swaps = {j: setup.swap(j) for j in setup.points() if j != 0}
-    z0 = {(0,): RatFunc.one(setup.registry)}
-    lower = image_reader(z0, lambda j, value: substitute(value, swaps[j]) if j else value)
-    for d in range(1, d_max + 1):
-        z0[(d,)] = recursion_sum(setup.registry, terms, (d,), lower)
-    return {i: {d: lower(i, (d,)) for d in range(d_max + 1)} for i in setup.points()}
+    from . import flaggw
+    from .roots import CartanMatrix, RootSystem
+    system = RootSystem(CartanMatrix.type_A(setup.n))
+    base = flaggw.solve_flag_recursion(system, d_max, tuple(range(1, setup.n)))
+    chart = setup.alpha_chart()
+    tables = {}
+    for i in setup.points():
+        w = system.reflection((1,) * i + (0,) * (setup.n - i)) if i else system.identity
+        bindings = {name: substitute(system.root_form(w.act(root)), chart, setup.registry)
+                    for name, root in zip(chart, system.simple_roots)}
+        tables[i] = {d: substitute(base[(d,)], bindings, setup.registry) for d in range(d_max + 1)}
+    return tables
 
 
 # -- verification --------------------------------------------------------------------
@@ -353,6 +281,7 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
         if d_max < 1:
             raise ValueError("degree bound must be >= 1 when n >= 1")
         if method == "direct":
+            from .flaggw import recursion_sum
             terms = dict(_recursion_terms(setup, d_max, setup.points()))
         for i in setup.points():
             for d in range(1, d_max + 1):

@@ -201,8 +201,7 @@ def test_14_library_property_battery():
     def linear():
         # every denominator factor is linear
         while True:
-            p = reg.linear({nm: rng.randint(-3, 3) for nm in ("x", "y", "h")},
-                           rng.randint(-3, 3))
+            p = reg.linear({nm: rng.randint(-3, 3) for nm in ("x", "y", "h")}) + rng.randint(-3, 3)
             if not p.is_zero:
                 return p
 

@@ -155,7 +155,7 @@ def test_series_flag_at_its_cap_holds_its_bytes(capsys, argv, digest):
 ], ids=["proj-n-3-max-d-3", "proj-n-2-max-d-6"])
 def test_series_proj_at_its_cap_holds_its_bytes(capsys, argv, digest):
     # the goldens stop at d = 3 for n = 1; these digests pin every fixed
-    # point's rows at the caps, read as swap images of point 0's table
+    # point's rows at the caps, read as Weyl images of point 0's table
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

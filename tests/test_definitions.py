@@ -6,7 +6,11 @@ package, the tests, the demos or the benchmark harness.  A reference is a
 `Name` that is read, an `Attribute` or a string constant (the harness
 patches functions by their string names).  A definition's own name, and an
 assignment's target, is not a reference to it.  Dunder names are used by
-the language and are exempt."""
+the language and are exempt.
+
+A second scan fails on a knob that only tests set: a defaulted parameter of
+a package function that no call in the package, the demos or the benchmark
+harness passes, by keyword or by position."""
 
 import ast
 from pathlib import Path
@@ -14,6 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/qcseries"
 SCANNED = (PACKAGE, "tests", "demos", "perfbench")
+CALLERS = (PACKAGE, "demos", "perfbench")
+# the entry point that tests drive; the console script passes no argv
+KNOBS_KEPT = {"cli.py: main(argv)"}
 
 
 def definitions(source: str) -> dict[str, int]:
@@ -88,4 +95,76 @@ def test_scan_finds_a_definition_nothing_names():
     ]
     assert [name for name in sorted(defined) if name not in references(source)] == [
         "Table", "UNREAD", "leftover",
+    ]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, positional index) of each defaulted parameter.
+
+    The index is None for a keyword-only parameter, and counts from the
+    first argument a call passes, so a method's `self` or `cls` is skipped.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            pos = args.posonlyargs + args.args
+            bound = 1 if pos and pos[0].arg in ("self", "cls") else 0
+            for index in range(len(pos) - len(args.defaults), len(pos)):
+                found.append((node.name, pos[index].arg, index - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((node.name, arg.arg, None))
+    return found
+
+
+def passed_arguments(source: str, calls: dict) -> None:
+    """Fold into calls, per callee name, the most positionals and the keywords its calls pass.
+
+    A starred argument passes every parameter.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        count, keywords = calls.get(name, (0, set()))
+        count = max(count, len(node.args))
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            count = float("inf")
+        calls[name] = (count, keywords | {k.arg for k in node.keywords})
+
+
+def knobs(package_sources, caller_sources) -> list[str]:
+    calls: dict = {}
+    for source in caller_sources:
+        passed_arguments(source, calls)
+    found = []
+    for label, source in package_sources:
+        for function, parameter, index in defaulted_parameters(source):
+            count, keywords = calls.get(function, (0, set()))
+            if parameter not in keywords and (index is None or count <= index):
+                found.append(f"{label}: {function}({parameter})")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    package = [(path.name, source) for path, source in sources(PACKAGE)]
+    callers = [source for top in CALLERS for _, source in sources(top)]
+    assert [k for k in knobs(package, callers) if k not in KNOBS_KEPT] == []
+
+
+def test_knob_scan_finds_a_default_nothing_passes():
+    source = (
+        "def solve(table, bound=3, *, fast=False, strict=True): pass\n"
+        "class Setup:\n"
+        "    def chart(self, part='one', shift=0): pass\n"
+        "def run(n, levels=(), extra=None): pass\n"
+        "solve(1, 2, fast=True)\n"
+        "Setup().chart('two')\n"
+        "run(*[1, 2])\n"
+    )
+    assert knobs([("m.py", source)], [source]) == [
+        "m.py: solve(strict)", "m.py: chart(shift)",
     ]

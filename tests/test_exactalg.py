@@ -364,7 +364,7 @@ def nonzero_polys():
 def linear_forms():
     return st.tuples(
         st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-6, 6)
-    ).map(lambda t: PREG.linear({"x": t[0], "y": t[1], "z": t[2]}, t[3])).filter(
+    ).map(lambda t: PREG.linear({"x": t[0], "y": t[1], "z": t[2]}) + t[3]).filter(
         lambda f: not f.is_const
     )
 
@@ -753,7 +753,7 @@ def linear_divisors(draw, reg):
     form = {reg.names[first]: draw(coeffs().filter(bool))}
     for nm in reg.names[first + 1:]:
         form[nm] = draw(st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(1, 2)]))
-    return reg.linear(form, draw(st.sampled_from([0, 0, 1, -2, 5, Fraction(3, 2)])))
+    return reg.linear(form) + draw(st.sampled_from([0, 0, 1, -2, 5, Fraction(3, 2)]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1081,7 +1081,7 @@ TREG = VarRegistry(["u", "y", "x", "v"])
 
 def target_linear_forms():
     return st.tuples(*[st.integers(-3, 3)] * 5).map(
-        lambda t: TREG.linear(dict(zip(TREG.names, t[:4])), t[4]))
+        lambda t: TREG.linear(dict(zip(TREG.names, t[:4]))) + t[4])
 
 
 @settings(max_examples=40, deadline=None)

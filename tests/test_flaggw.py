@@ -63,15 +63,6 @@ def test_long_root_coefficient_rank_two():
         assert coeff_C_id(A2, A2_THETA, k) == _pole_weight(2, k)
 
 
-def test_pruning_never_changes_the_value():
-    for system in (A2, A3, B2):
-        for alpha in system.positive_roots:
-            for k in range(1, 4):
-                assert coeff_C_id(system, alpha, k, prune=True) == coeff_C_id(
-                    system, alpha, k, prune=False
-                )
-
-
 def test_coefficients_are_homogeneous():
     for system in (B2, G2):
         for alpha in system.positive_roots:
@@ -119,7 +110,7 @@ def full_solve(system, total_max):
     """Reference route: all |W| tables solved side by side, each reading the others."""
     betas = flaggw._beta_range(system.rank, total_max)
     terms = flaggw._recursion_terms(system, total_max, system.weyl_elements)
-    return projgw.solve_tables(system.registry, terms, betas)
+    return flaggw.solve_tables(system.registry, terms, betas)
 
 
 def test_solver_rank_one_closed_form():
@@ -203,6 +194,80 @@ def test_solver_rank_three_smoke():
         assert homogeneous_degree(c) == -sum(beta)
 
 
+# -- G/P: the solver with a Levi -----------------------------------------------------
+
+
+def test_levi_is_validated():
+    # Levi nodes are distinct 0-based simple-root indices; a Levi must leave
+    # a node out, and a cover must leave the Levi
+    for levi in ((3,), (-1,), (0, 1, 2), (1, 1)):
+        with pytest.raises(ValueError):
+            solve_flag_recursion(A3, 2, levi)
+        with pytest.raises(ValueError):
+            coeff_C_id(A3, (1, 0, 0), 1, levi)
+    with pytest.raises(ValueError, match="off the Levi"):
+        coeff_C_id(A3, (0, 1, 1), 1, (1, 2))
+
+
+def test_charted_coefficient_is_the_projective_coupling():
+    # on A_n with the Levi on nodes 2..n, the k-fold cover of the curve
+    # alpha_1 + ... + alpha_j, read in the weights, is Part I's coupling of
+    # fixed points 0 and j
+    for n in range(1, 5):
+        system, setup = RootSystem(CartanMatrix.type_A(n)), ProjSetup(n)
+        for j in range(1, n + 1):
+            alpha = (1,) * j + (0,) * (n - j)
+            for k in range(1, 4):
+                value = coeff_C_id(system, alpha, k, tuple(range(1, n)))
+                charted = substitute(value, setup.alpha_chart(), setup.registry)
+                assert charted == projgw.recursion_coeff(setup, 0, j, k), (n, j, k)
+
+
+def quadric_q3(d):
+    # Q^3 = B2/P_1 by quantum Lefschetz: with p = eps_1 and the weights mu
+    # = +-eps_1, +-eps_2, 0 of C^5, where eps_1 = alpha_1 + alpha_2 and
+    # eps_2 = alpha_2, b(d) = h^d prod_{m<=2d} (2p + mh) / prod_mu prod_{m<=d} (p - mu + mh)
+    reg = B2.registry
+    a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
+    p, eps2 = a1 + a2, a2
+    num = h**d * prod((p.scale(2) + h.scale(m) for m in range(1, 2 * d + 1)), start=reg.one())
+    dens = [p - mu + h.scale(m) for mu in (p, -p, eps2, -eps2, reg.zero())
+            for m in range(1, d + 1)]
+    return RatFunc.from_factored(num, dens)
+
+
+def test_quadric_q3_table_is_its_closed_form():
+    z = solve_flag_recursion(B2, 3, (1,))
+    assert list(z) == [(d,) for d in range(4)]
+    assert [d for d in range(4) if z[(d,)] != quadric_q3(d)] == []
+
+
+def test_quadric_q3_needs_the_curve_degree_power(monkeypatch):
+    # the curve of alpha_1 + 2 alpha_2 has degree 2 off the Levi; without
+    # the power (-alpha/k)^(k(n-1)) its terms, first read at d = 2, are wrong
+    coeff = flaggw.coeff_C_id
+
+    def without_power(system, alpha, k, levi=()):
+        n = sum(c for node, c in enumerate(system.coroot_coords(alpha)) if node not in levi)
+        power = RatFunc.from_poly(system.root_form(alpha).scale(Fraction(-1, k)))
+        return coeff(system, alpha, k, levi) / power ** (k * (n - 1))
+
+    monkeypatch.setattr(flaggw, "coeff_C_id", without_power)
+    z = solve_flag_recursion(B2, 3, (1,))
+    assert [d for d in range(4) if z[(d,)] != quadric_q3(d)] == [2, 3]
+
+
+def test_base_table_is_fixed_by_the_levi():
+    # P^3 = A3/P_1: s_2 and s_3 fix the base table, so its image under w
+    # depends only on w's coset, and reading it at s_alpha.P is well defined
+    z = solve_flag_recursion(A3, 3, (1, 2))
+    for s in A3.simple_reflections[1:]:
+        for beta, value in z.items():
+            assert A3.act_on_ratfunc(s, value) == value, (s, beta)
+    s1 = A3.simple_reflections[0]
+    assert A3.act_on_ratfunc(s1, z[(1,)]) != z[(1,)]
+
+
 # -- rank-two closed form -------------------------------------------------------------
 
 
@@ -254,8 +319,8 @@ def test_solver_builds_no_step_past_the_total_degree(monkeypatch):
     # simple-root steps for k <= 4
     built = []
     coeff = flaggw.coeff_C_id
-    monkeypatch.setattr(flaggw, "coeff_C_id",
-                        lambda system, alpha, k: built.append((alpha, k)) or coeff(system, alpha, k))
+    monkeypatch.setattr(flaggw, "coeff_C_id", lambda system, alpha, k, levi:
+                        built.append((alpha, k)) or coeff(system, alpha, k, levi))
     flaggw.solve_flag_recursion(A2, 4)
     assert max(k for alpha, k in built if alpha == A2_THETA) == 2
     assert max(k for alpha, k in built if alpha != A2_THETA) == 4
@@ -265,8 +330,8 @@ def test_solver_sums_once_per_multidegree_and_acts_once_per_image(monkeypatch):
     # one recursion sum per multidegree of the triangle past 0, and each
     # w-image of a table entry is acted on once however many terms read it
     sums = []
-    summed = projgw.recursion_sum
-    monkeypatch.setattr(projgw, "recursion_sum",
+    summed = flaggw.recursion_sum
+    monkeypatch.setattr(flaggw, "recursion_sum",
                         lambda *args: sums.append(args[2]) or summed(*args))
     acted = []
     act = RootSystem.act_on_ratfunc
@@ -318,8 +383,8 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_coupling(monkeypatch):
     # the same doubled coefficient, so the broken tables still satisfy it
     coeff = flaggw.coeff_C_id
 
-    def doubled_at_k_1(system, alpha, k, prune=True):
-        value = coeff(system, alpha, k, prune)
+    def doubled_at_k_1(system, alpha, k, levi=()):
+        value = coeff(system, alpha, k, levi)
         return value * 2 if k == 1 else value
 
     monkeypatch.setattr(flaggw, "coeff_C_id", doubled_at_k_1)
@@ -335,11 +400,11 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_s1_recursion(monkeypatch):
     terms = flaggw._recursion_terms
     s1 = flaggw._a1_system().simple_reflections[0]
 
-    def doubled(system, total_max, elements):
+    def doubled(system, total_max, elements, levi=()):
         return [
             (w, [(lw, step, 2 * weight, shift) for lw, step, weight, shift in ts]
              if w == s1 else ts)
-            for w, ts in terms(system, total_max, elements)
+            for w, ts in terms(system, total_max, elements, levi)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)

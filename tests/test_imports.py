@@ -108,6 +108,7 @@ def test_parser_loads_no_arithmetic():
 @pytest.mark.parametrize("argv, left_out", [
     (("verify", "proj-recursion", "--n", "0", "--max-d", "1"), {"flaggw", "roots", "toda3"}),
     (("verify", "batyrev", "--max", "1"), {"flaggw", "roots", "projgw"}),
+    (("verify", "lemma34", "--max", "1"), {"projgw", "toda3"}),
     (("series", "toda", "--max", "1"), {"flaggw", "roots", "projgw"}),
 ])
 def test_a_run_loads_only_the_modules_it_reads(argv, left_out):

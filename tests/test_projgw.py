@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcseries import projgw
+from qcseries import flaggw, projgw
 from qcseries.exactalg import RatFunc, homogeneous_degree, substitute
 from qcseries.projgw import (
     ProjSetup,
@@ -18,6 +18,7 @@ from qcseries.projgw import (
     verify_solver,
     verify_theorem_3_3,
 )
+from qcseries.roots import RootSystem
 
 P1 = ProjSetup(1)
 P2 = ProjSetup(2)
@@ -199,12 +200,13 @@ def test_solver_matches_closed_forms():
 
 
 def test_every_table_is_the_swap_image_of_table_0():
-    # the solver reads every table but point 0's as a tau_j-image; the
-    # reference route solves all n+1 tables, each from its own terms
+    # the solver reads point i's table as the image of point 0's under the
+    # swap w_i = (0 i); the reference route solves all n+1 tables, each
+    # from Part I's own terms
     for setup, dmax in ((P1, 6), (P2, 5), (ProjSetup(3), 4), (ProjSetup(4), 2)):
         got = solve_recursion(setup, dmax)
         terms = projgw._recursion_terms(setup, dmax, setup.points())
-        want = projgw.solve_tables(setup.registry, terms, [(d,) for d in range(dmax + 1)])
+        want = flaggw.solve_tables(setup.registry, terms, [(d,) for d in range(dmax + 1)])
         assert list(got) == list(want)
         for i in setup.points():
             assert list(got[i]) == list(range(dmax + 1))
@@ -213,17 +215,25 @@ def test_every_table_is_the_swap_image_of_table_0():
                 assert got[i][d].text() == want[i][(d,)].text(), (setup.n, i, d)
 
 
-def test_swap_images_of_the_weights():
-    # tau_j sends mu_j to -mu_j and mu_a to mu_a - mu_j, and fixes h
-    setup = ProjSetup(3)
-    lam = setup.lam
-    assert setup.swap(2) == {
-        "lambda_1": lam(1) - lam(2), "lambda_2": -lam(2), "lambda_3": lam(3) - lam(2),
-    }
-    for j in setup.points():
-        for a in setup.points():
-            b = {0: j, j: 0}.get(a, a)
-            assert substitute(lam(a), setup.swap(j)) == RatFunc.from_poly(lam(b) - lam(j))
+def theta_reflection_times(monkeypatch, simple):
+    # on A2, the reflection in theta = alpha_1 + alpha_2 (P^2's w_2, and the
+    # s_theta its theta terms read) becomes s_theta times a simple reflection
+    reflect = RootSystem.reflection
+
+    def patched(system, alpha):
+        w = reflect(system, alpha)
+        return w * reflect(system, simple) if system.rank == 2 and alpha == (1, 1) else w
+
+    monkeypatch.setattr(RootSystem, "reflection", patched)
+
+
+def test_any_weyl_representative_of_a_point_reads_its_table(monkeypatch):
+    # s_2 lies in P^2's Levi and fixes the base table, so s_theta and
+    # s_theta s_2, which both carry point 0 to point 2, read the same tables
+    want = solve_recursion(P2, 3)
+    theta_reflection_times(monkeypatch, (0, 1))
+    assert solve_recursion(P2, 3) == want
+    assert verify_solver(P2, 3).ok
 
 
 def test_root_charts_of_the_weights():
@@ -244,13 +254,13 @@ def test_solver_sums_one_recursion_per_degree(monkeypatch):
     # only point 0's table is solved: one recursion sum per degree, where
     # solving all n+1 tables takes n+1
     calls = []
-    summed = projgw.recursion_sum
+    summed = flaggw.recursion_sum
 
     def counted(*args):
         calls.append(args[2])
         return summed(*args)
 
-    monkeypatch.setattr(projgw, "recursion_sum", counted)
+    monkeypatch.setattr(flaggw, "recursion_sum", counted)
     solve_recursion(ProjSetup(3), 3)
     assert calls == [(1,), (2,), (3,)]
 
@@ -344,10 +354,18 @@ def test_verify_solver_rejects_dimension_zero():
         verify_solver(ProjSetup(0), 2)
 
 def test_verify_solver_fails_on_a_wrong_coupling(monkeypatch):
-    # the wrong coupling enters table 0 at every degree from d = 1; table 1
-    # is the swap image of table 0, so it fails at the same degrees
+    # the solver's coupling between points 0 and 1 is the root coefficient
+    # at alpha_1; doubled at k = 1, it enters table 0 at every degree from
+    # d = 1, and table 1 is the image of table 0, so it fails at the same
+    # degrees
     assert verify_solver(P1, 2).ok
-    doubled_coupling_at_0_1_1(monkeypatch)
+    coeff = flaggw.coeff_C_id
+
+    def doubled_at_alpha_1_k_1(system, alpha, k, levi=()):
+        value = coeff(system, alpha, k, levi)
+        return value * 2 if (alpha, k) == ((1,), 1) else value
+
+    monkeypatch.setattr(flaggw, "coeff_C_id", doubled_at_alpha_1_k_1)
     rep = verify_solver(P1, 2)
     assert [loc for loc, _, _ in rep.failures] == [
         "i=0 d=1", "i=0 d=2", "i=1 d=1", "i=1 d=2",
@@ -355,8 +373,8 @@ def test_verify_solver_fails_on_a_wrong_coupling(monkeypatch):
 
 
 def test_a_wrong_coupling_at_point_1_reaches_the_routes_that_read_it(monkeypatch):
-    # the solver builds point 0's terms only, so the (1, 0, 1) coupling no
-    # longer reaches it; the direct and residue routes read every point's
+    # the solver reads no recursion_coeff, so the (1, 0, 1) coupling does
+    # not reach it; the direct and residue routes read every point's
     # couplings and still catch it
     warm_both_routes(P1, 2)
     coupling = projgw.recursion_coeff
@@ -375,22 +393,37 @@ def test_a_wrong_coupling_at_point_1_reaches_the_routes_that_read_it(monkeypatch
     ]
 
 
-def test_verify_solver_fails_on_a_wrong_swap(monkeypatch):
-    # mu_a -> mu_a for a not in {0, j}, with the -mu_j dropped: on P^1 there
-    # is no such a and the map is right; on P^2 table 0 first reads a wrong
-    # image at d = 2, and the other tables are wrong images from d = 1
-    def without_shift(setup, j):
-        return {
-            f"lambda_{a}": -setup.lam(a) if a == j else setup.lam(a)
-            for a in range(1, setup.n + 1)
-        }
-
-    monkeypatch.setattr(ProjSetup, "swap", without_shift)
+def test_verify_solver_fails_on_a_wrong_weyl_representative(monkeypatch):
+    # s_theta s_1 carries point 0 to point 1, not 2: P^1 has no theta and
+    # is right; on P^2 table 2 is read as a wrong image from d = 1, and the
+    # theta terms of table 0 read a wrong table from d = 2
+    theta_reflection_times(monkeypatch, (1, 0))
     assert verify_solver(P1, 2).ok
     rep = verify_solver(P2, 2)
     assert [loc for loc, _, _ in rep.failures] == [
-        "i=0 d=2", "i=1 d=1", "i=1 d=2", "i=2 d=1", "i=2 d=2",
+        "i=0 d=2", "i=1 d=2", "i=2 d=1", "i=2 d=2",
     ]
+
+
+def unread(*args):
+    raise AssertionError("a route read the other route's coupling")
+
+
+def test_the_solver_reads_no_projective_coupling(monkeypatch):
+    monkeypatch.setattr(projgw, "recursion_coeff", unread)
+    with pytest.raises(AssertionError):
+        verify_theorem_3_3(P1, 1, "residue")
+    for n in (1, 2, 3):
+        assert verify_solver(ProjSetup(n), 3).ok
+
+
+def test_the_recursion_routes_read_no_root_coupling(monkeypatch):
+    monkeypatch.setattr(flaggw, "coeff_C_id", unread)
+    with pytest.raises(AssertionError):
+        solve_recursion(P1, 1)
+    for n in range(4):
+        for method in ("direct", "residue"):
+            assert verify_theorem_3_3(ProjSetup(n), 2, method).ok, (n, method)
 
 
 def test_euler_prefactor_fails_on_a_wrong_coupling(monkeypatch):

@@ -306,12 +306,12 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     system = flaggw._a2_system()
     s1 = system.simple_reflections[0]
 
-    def doubled(root_system, total_max, elements):
+    def doubled(root_system, total_max, elements, levi=()):
         return [
             (w, [(lw, step, 2 * weight if lw == s1 else weight, shift)
                  for lw, step, weight, shift in ts]
              if w == system.identity else ts)
-            for w, ts in terms(root_system, total_max, elements)
+            for w, ts in terms(root_system, total_max, elements, levi)
         ]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
