@@ -36,8 +36,8 @@ for k in (1, 2, 3):
 # rewriting the weights as a single root variable gives the familiar
 # hypergeometric shape of the series
 target, bindings = setup.root_chart("part1")
-texts = [substitute(table0[d], bindings, target).text() for d in range(3)]
-print("series at fixed point 0:", q_series_text(texts))
+coeffs = [substitute(table0[d], bindings, target) for d in range(3)]
+print("series at fixed point 0:", q_series_text(coeffs))
 
 # the independent verifier replays the recursion by direct substitution
 report = projgw.verify_theorem_3_3(setup, 3, "direct")

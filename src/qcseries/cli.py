@@ -60,24 +60,15 @@ def _bound(value: int | None, preset: int, cap: int, what: str, low: int = 0) ->
 # -- series formatting -----------------------------------------------------------------
 
 
-def q_series_text(texts: Sequence[str]) -> str:
-    """Render per-degree coefficient texts as a single truncated q-series."""
-    parts = [texts[0]]
-    for d, t in enumerate(texts[1:], start=1):
-        sign = "+"
-        if t.startswith("-"):
-            sign, t = "-", t[1:]
-        qp = "q" if d == 1 else f"q^{d}"
-        if t == "1":
-            body = qp
-        elif t.startswith("1/"):
-            body = qp + t[1:]
-        elif "/" in t:
-            num, den = t.split("/", 1)
-            body = f"{num}*{qp}/{den}"
-        else:
-            body = f"{t}*{qp}"
-        parts.append(f"{sign} {body}")
+def q_series_text(coeffs: Sequence) -> str:
+    """Render the RatFunc coefficients of q^0, q^1, ... as one truncated q-series.
+
+    A negative coefficient is negated and printed after `-`.
+    """
+    parts = [coeffs[0].text()]
+    for d, c in enumerate(coeffs[1:], start=1):
+        sign, c = ("-", -c) if c.scalar < 0 else ("+", c)
+        parts.append(f"{sign} {c.text('q' if d == 1 else f'q^{d}')}")
     return " ".join(parts)
 
 
@@ -110,11 +101,9 @@ def _series_proj(args):
             target, bindings = setup.registry, setup.to_lambda()
         rows, sums = [], []
         for i, table in tables.items():
-            texts = []
-            for d in range(d_max + 1):
-                texts.append(substitute(table[d], bindings, target).text())
-                rows.append(f"row i={i} d={d} {texts[-1]}")
-            sums.append(f"series i={i} {q_series_text(texts)}")
+            coeffs = [substitute(table[d], bindings, target) for d in range(d_max + 1)]
+            rows += [f"row i={i} d={d} {c.text()}" for d, c in enumerate(coeffs)]
+            sums.append(f"series i={i} {q_series_text(coeffs)}")
         return lines + rows + sums
     return run
 

@@ -1065,21 +1065,25 @@ class RatFunc:
 
     # -- text -------------------------------------------------------------------
 
-    def text(self) -> str:
+    def text(self, times: str | None = None) -> str:
         """Canonical display: integer numerator over the factored denominator.
 
         The scalar's denominator is printed as a leading integer inside the
         denominator parentheses, e.g. 1/(2(a + h)(a + 2*h)); a lone factor
         keeps only the outer parentheses.  A monomial factor is a bare name,
         with a `*` before it when the factor before is a bare name to the
-        first power, e.g. 1/(x*y) and 1/(x^2y).
+        first power, e.g. 1/(x*y) and 1/(x^2y).  `times` is printed as one
+        more numerator factor, in place of a numerator of 1: q/(a + h),
+        (a + b)*q/(a + h), and (a + b)*q for a polynomial.
         """
-        if not self.factors:
-            return _poly_text(self.numerator)
-        num_disp = self.num.scale(self.scalar.numerator)
-        num_text = _poly_text(num_disp)
-        if len(num_disp.terms) > 1:
+        num = self.num.scale(self.scalar.numerator) if self.factors else self.numerator
+        num_text = _poly_text(num)
+        if len(num.terms) > 1 and (self.factors or times):
             num_text = f"({num_text})"
+        if times:
+            num_text = times if num == 1 else f"{num_text}*{times}"
+        if not self.factors:
+            return num_text
         pieces: list[str] = []
         if self.scalar.denominator != 1:
             pieces.append(str(self.scalar.denominator))

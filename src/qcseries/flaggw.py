@@ -175,37 +175,30 @@ def _beta_range(rank: int, total_max: int):
     return sorted((b for b in betas if sum(b) <= total_max), key=lambda b: (sum(b), b))
 
 
-def _recursion_terms(system: RootSystem, total_max: int, elements,
-                     levi: tuple[int, ...] = ()):
-    """The (w, alpha, k) terms of the reflection recursion of G/P, per Weyl element.
+def _recursion_terms(system: RootSystem, total_max: int, w,
+                     levi: tuple[int, ...] = ()) -> list:
+    """The (w, alpha, k) terms of the reflection recursion of G/P at the Weyl element w.
 
-    Returns (w, terms) per element of `elements`, each term in the form
-    `recursion_sum` reads: (lower_w, step, weight, shift), so it adds weight
-    times the table at lower_w, read at the multidegree step lower and then
-    substituted by shift.  Covers run over every tangent root alpha and
-    every k whose step, k times alpha_check's coordinates off the Levi, has
-    coordinate sum at most total_max: a longer step reads below multidegree
-    0 from every multidegree of the triangle.
+    Each term is in the form `recursion_sum` reads: (lower_w, step, weight,
+    shift), so it adds weight times the table at lower_w, read at the
+    multidegree step lower and then substituted by shift.  Covers run over
+    every tangent root alpha and every k whose step, k times alpha_check's
+    coordinates off the Levi, has coordinate sum at most total_max: a longer
+    step reads below multidegree 0 from every multidegree of the triangle.
+    Tangent roots run outer, k inner.
     """
-    reg = system.registry
-    steps = []
+    h = system.registry.var("h")
+    terms = []
     for alpha, degree in _curves(system, levi).items():
         refl = system.reflection(alpha)
+        image_form = system.root_form(w.act(alpha))
         for k in range(1, total_max // sum(degree) + 1):
             base = coeff_C_id(system, alpha, k, levi)
-            steps.append((alpha, k, tuple(k * c for c in degree), refl, base))
-
-    per_w = []
-    for w in elements:
-        terms = []
-        for alpha, k, step, refl, base in steps:
-            image_form = system.root_form(w.act(alpha))
-            weight = system.act_on_ratfunc(w, base) / (reg.var("h").scale(k) + image_form)
+            weight = system.act_on_ratfunc(w, base) / (h.scale(k) + image_form)
             shift = {"h": image_form.scale(Fraction(-1, k))}
             # w applied to the identity's term, which reads the table at s_alpha
-            terms.append((w * refl, step, weight, shift))
-        per_w.append((w, terms))
-    return per_w
+            terms.append((w * refl, tuple(k * c for c in degree), weight, shift))
+    return terms
 
 
 def solve_flag_recursion(system: RootSystem, total_max: int,
@@ -222,7 +215,7 @@ def solve_flag_recursion(system: RootSystem, total_max: int,
     """
     if total_max < 0:
         raise ValueError("total-degree bound must be >= 0")
-    ((_, terms),) = _recursion_terms(system, total_max, [system.identity], levi)
+    terms = _recursion_terms(system, total_max, system.identity, levi)
     betas = _beta_range(system.rank - len(levi), total_max)
     z_id = {betas[0]: RatFunc.one(system.registry)}
     lower = image_reader(z_id, system.act_on_ratfunc)
@@ -258,8 +251,8 @@ def a2_closed_coeff(i: int, j: int) -> RatFunc:
     cancelled: the mh + theta with max(i, j) < m <= i + j over i! j!
     (alpha_1)_i (alpha_2)_j (theta)_min(i,j).  The linear forms mh + alpha_1,
     mh + alpha_2 and mh + theta are distinct primes, so no two are
-    associates and nothing else cancels: this is the canonical form of the
-    uncancelled quotient.
+    associates and nothing else cancels: `from_factored`'s trial divisions
+    all fail, and its value is the canonical form of the uncancelled quotient.
     """
     if i < 0 or j < 0:
         raise ValueError("bidegree must be nonnegative")
@@ -272,11 +265,7 @@ def a2_closed_coeff(i: int, j: int) -> RatFunc:
     dens = [h.scale(m) + a1 for m in range(1, i + 1)]
     dens += [h.scale(m) + a2 for m in range(1, j + 1)]
     dens += [h.scale(m) + th for m in range(1, min(i, j) + 1)]
-    # every factor is primitive with a positive lead and occurs once, and
-    # none divides num, so no trial division is tried
-    s, prim = num.primitive()
-    return RatFunc._reduced(reg, s / (factorial(i) * factorial(j)), prim,
-                            {f.key(): (f, 1) for f in dens}, trial=())
+    return RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
 
 
 # -- verification: rank one against the projective line -------------------------------
@@ -285,7 +274,8 @@ def a2_closed_coeff(i: int, j: int) -> RatFunc:
 def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     """Rank-one tables against the n=1 projective series under the lambda chart.
 
-    The chart is part1 with lambda_0 = 0, the normalization of projgw.  The
+    The chart is `RootSystem.lambda_chart` of P^1's weights lam(0) = 0 and
+    lam(1), alpha_1 -> -lambda_1 in projgw's normalization lambda_0 = 0.  The
     s1 table is read as s1 applied to the identity table, and must also
     satisfy s1's own recursion, whose terms read both tables.
     """
@@ -297,10 +287,10 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         s1 = system.simple_reflections[0]
         z_id = solve_flag_recursion(system, d_max)
         lower = image_reader(z_id, system.act_on_ratfunc)
-        ((_, s1_terms),) = _recursion_terms(system, d_max, [s1])
+        s1_terms = _recursion_terms(system, d_max, s1)
 
         proj = projgw.ProjSetup(1)
-        chart = proj.alpha_chart()
+        chart = system.lambda_chart([proj.lam(0), proj.lam(1)])
         for d in range(d_max + 1):
             z_s1 = lower(s1, (d,))
             report.check_equal(
@@ -340,7 +330,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
         if n_max < 0:
             raise ValueError("total-degree bound must be >= 0")
         system = _a2_system()
-        ((_, terms),) = _recursion_terms(system, n_max, [system.identity])
+        terms = _recursion_terms(system, n_max, system.identity)
 
         closed = {
             (i, j): a2_closed_coeff(i, j)

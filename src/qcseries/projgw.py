@@ -29,9 +29,9 @@ applying phi.
 Only the table of fixed point 0 is solved, as the base table of A_n/P_1
 (`flaggw.solve_flag_recursion` with the Levi on nodes 2..n) read in the
 weights by the chart alpha_a -> lambda_(a-1) - lambda_a
-(`ProjSetup.alpha_chart`).  The table of point i is the base table under
-the chart after w_i, the reflection in alpha_1 + ... + alpha_i, which swaps
-points 0 and i.
+(`RootSystem.lambda_chart` of the weights `lam(0)`, ..., `lam(n)`).  The
+table of point i is the base table under the chart after w_i, the
+reflection in alpha_1 + ... + alpha_i, which swaps points 0 and i.
 
 Memoization rule: only the inputs a route reads are memoized, once per
 process.  These are the closed forms (`closed_b`) and the couplings
@@ -67,8 +67,7 @@ class ProjSetup:
     fixed point a >= 1 is the variable lambda_a, which stands for the
     difference lambda_a - lambda_0 (see the module docstring).  No quantity
     built here contains the variable lambda_0; it stays in the registry as
-    the target of the map phi back to lambda, and so that a chart binding
-    it by name still applies.
+    the target of the map phi back to lambda (`to_lambda`).
     """
 
     __slots__ = ("n", "registry")
@@ -97,16 +96,13 @@ class ProjSetup:
         lam0 = self.registry.var("lambda_0")
         return {f"lambda_{a}": self.lam(a) - lam0 for a in range(1, self.n + 1)}
 
-    def alpha_chart(self) -> dict[str, MultiPoly]:
-        """alpha_a -> lambda_(a-1) - lambda_a, a = 1..n: A_n's flag series read in the weights."""
-        return {f"alpha_{a}": self.lam(a - 1) - self.lam(a) for a in range(1, self.n + 1)}
-
     def root_chart(self, part: str) -> tuple[VarRegistry, dict[str, MultiPoly]]:
         """The weights in root variables: the target registry and the bindings.
 
         The roots are alpha (alpha_1..alpha_n when n > 1); lambda_a, which
         stands for lambda_a - lambda_0, goes to -(alpha_1 + ... + alpha_a) in
-        part 'part1' and to that sum in 'part3'.  ValueError at n = 0, which
+        part 'part1' and to that sum in 'part3', inverting the lambda chart
+        of the weights or of the negated weights.  ValueError at n = 0, which
         has no roots, or for another part.
         """
         if self.n == 0:
@@ -246,7 +242,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
     from .roots import CartanMatrix, RootSystem
     system = RootSystem(CartanMatrix.type_A(setup.n))
     base = flaggw.solve_flag_recursion(system, d_max, tuple(range(1, setup.n)))
-    chart = setup.alpha_chart()
+    chart = system.lambda_chart([setup.lam(a) for a in setup.points()])
     tables = {}
     for i in setup.points():
         w = system.reflection((1,) * i + (0,) * (setup.n - i)) if i else system.identity

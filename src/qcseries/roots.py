@@ -301,22 +301,17 @@ class RootSystem:
         """alpha_1..alpha_rank, h: the variables of this system's flag series."""
         return VarRegistry([f"alpha_{i + 1}" for i in range(self.rank)] + ["h"])
 
-    # -- type A lambda charts ----------------------------------------------
+    # -- the type A weight chart --------------------------------------------
 
-    def lambda_chart(self, target: VarRegistry, part: str) -> dict[str, MultiPoly]:
-        """Bindings alpha_i -> difference of lambda variables, by explicit flag.
+    def lambda_chart(self, weights) -> dict:
+        """Bindings alpha_a -> weights[a-1] - weights[a], a = 1..rank: Part I's chart.
 
-        part='part1' maps alpha_i to lambda_{i-1} - lambda_i; part='part3'
-        maps alpha_i to lambda_i - lambda_{i-1}.  The target registry must
-        contain lambda_0..lambda_rank.
+        weights are lambda_0..lambda_rank, polynomials over the target registry
+        or numbers; Part III's chart is that of the negated weights.
+        ValueError outside type A and for any other number of weights.
         """
         if self.cartan != CartanMatrix.type_A(self.rank):
             raise ValueError("lambda chart is defined for type A only")
-        if part not in ("part1", "part3"):
-            raise ValueError("part must be 'part1' or 'part3'")
-        out: dict[str, MultiPoly] = {}
-        for i in range(1, self.rank + 1):
-            prev = target.var(f"lambda_{i - 1}")
-            cur = target.var(f"lambda_{i}")
-            out[f"alpha_{i}"] = prev - cur if part == "part1" else cur - prev
-        return out
+        if len(weights) != self.rank + 1:
+            raise ValueError(f"type A_{self.rank} has {self.rank + 1} weights, not {len(weights)}")
+        return {f"alpha_{a}": weights[a - 1] - weights[a] for a in range(1, self.rank + 1)}

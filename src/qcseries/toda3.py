@@ -39,18 +39,6 @@ UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
 
 
-@cache
-def _alpha_to_lambda() -> dict[str, MultiPoly]:
-    """The weight chart linking the two coefficient registries.
-
-    Built on first use, as `flaggw._a2_system` is: the plain flavor and
-    the parser need no root system.
-    """
-    from . import flaggw
-
-    return flaggw._a2_system().lambda_chart(LAMBDA_REGISTRY, "part3")
-
-
 # -- the matrix side -------------------------------------------------------------------
 
 
@@ -192,9 +180,17 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
     )
 
 
+def _part3_chart(weights) -> dict:
+    """alpha_a -> lambda_a - lambda_(a-1): Part III's chart, the lambda chart of -weights."""
+    from . import flaggw  # on first use: the parser needs no root system
+
+    return flaggw._a2_system().lambda_chart([-w for w in weights])
+
+
 @cache
 def _lambda_coeff(i: int, j: int) -> RatFunc:
-    return substitute(closed_a_equivariant(i, j), _alpha_to_lambda(), LAMBDA_REGISTRY)
+    weights = [LAMBDA_REGISTRY.var(f"lambda_{a}") for a in range(3)]
+    return substitute(closed_a_equivariant(i, j), _part3_chart(weights), LAMBDA_REGISTRY)
 
 
 def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int], object]:
@@ -220,7 +216,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     if n_max < 0:
         raise ValueError("total-degree bound must be >= 0")
     l0, l1, l2, h = weights
-    al1, al2 = l1 - l0, l2 - l1
+    al1, al2 = _part3_chart((l0, l1, l2)).values()
     theta = al1 + al2
     l012 = l0 * l1 * l2
     rebuilt = {(0, 0): 1}

@@ -291,12 +291,26 @@ def test_a_run_that_ends_early_leaves_an_existing_out_file(tmp_path, capsys, mon
 
 
 def test_q_series_text_shapes():
-    assert cli.q_series_text(["1"]) == "1"
-    assert cli.q_series_text(["1", "1/(h)"]) == "1 + q/(h)"
-    assert cli.q_series_text(["1", "-1/(h)", "1"]) == "1 - q/(h) + q^2"
+    reg = VarRegistry(["a", "b", "h"])
+    a, b, h = map(reg.var, reg.names)
+
+    def rf(num, *dens):
+        return RatFunc.from_factored(reg.one() * num, list(dens))
+
+    assert cli.q_series_text([rf(1)]) == "1"
+    assert cli.q_series_text([rf(1), rf(1, h)]) == "1 + q/(h)"
+    assert cli.q_series_text([rf(1), rf(-1, h + a), rf(1)]) == "1 - q/(a + h) + q^2"
     assert (
-        cli.q_series_text(["0", "2", "-3/(h + 1)"])
+        cli.q_series_text([rf(0), rf(2), rf(-3, h + 1)])
         == "0 + 2*q - 3*q^2/(h + 1)"
+    )
+    # a multi-term numerator is one factor, with a denominator or without,
+    # and a negative one prints negated after the sign
+    assert cli.q_series_text([rf(1), rf(a + h)]) == "1 + (a + h)*q"
+    assert cli.q_series_text([rf(1), rf(a + b, a + h)]) == "1 + (a + b)*q/(a + h)"
+    assert (
+        cli.q_series_text([rf(a + h), rf(-a - b, a + h), rf(h - a)])
+        == "a + h - (a + b)*q/(a + h) - (a - h)*q^2"
     )
 
 

@@ -10,7 +10,11 @@ the language and are exempt.
 
 A second scan fails on a knob that only tests set: a defaulted parameter of
 a package function that no call in the package, the demos or the benchmark
-harness passes, by keyword or by position."""
+harness passes, by keyword or by position.
+
+A third keeps `exactalg`'s representation inside it: no other package
+module reads a private name that `exactalg` defines, by import or as an
+attribute of anything but `self`."""
 
 import ast
 from pathlib import Path
@@ -167,4 +171,59 @@ def test_knob_scan_finds_a_default_nothing_passes():
     )
     assert knobs([("m.py", source)], [source]) == [
         "m.py: solve(strict)", "m.py: chart(shift)",
+    ]
+
+
+def private_names(source: str) -> set[str]:
+    """The _names a module defines: functions, classes, methods and attributes, dunders left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return {name for name in found if name.startswith("_") and not name.endswith("__")}
+
+
+def private_reads(source: str, module: str, private: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each read of a name in private, imported from module or not on self."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in private]
+        elif isinstance(node, ast.Attribute) and node.attr in private and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_a_private_name_of_exactalg():
+    package = {path.name: source for path, source in sources(PACKAGE)}
+    private = private_names(package.pop("exactalg.py"))
+    assert [
+        f"{name}:{line} {read}"
+        for name, source in package.items()
+        for line, read in private_reads(source, "exactalg", private)
+    ] == []
+
+
+def test_private_scan_finds_a_read_past_the_module():
+    core = (
+        "class Value:\n"
+        "    def __init__(self): self._terms = {}\n"
+        "    def _make(cls): pass\n"
+        "    def total(self): return len(self._terms)\n"
+        "def _helper(): pass\n"
+        "PUBLIC = 1\n"
+    )
+    private = private_names(core)
+    assert private == {"_terms", "_make", "_helper"}
+    reader = (
+        "from .core import Value, _helper\n"
+        "class Other:\n"
+        "    def __init__(self): self._terms = []\n"
+        "    def read(self, v): return self._terms, v._terms, Value._make\n"
+    )
+    assert private_reads(reader, "core", private) == [
+        (1, "_helper"), (4, "_make"), (4, "_terms"),
     ]

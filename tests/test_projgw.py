@@ -18,7 +18,7 @@ from qcseries.projgw import (
     verify_solver,
     verify_theorem_3_3,
 )
-from qcseries.roots import RootSystem
+from qcseries.roots import CartanMatrix, RootSystem
 
 P1 = ProjSetup(1)
 P2 = ProjSetup(2)
@@ -248,6 +248,33 @@ def test_root_charts_of_the_weights():
     for n, part in ((0, "part1"), (1, "part2")):
         with pytest.raises(ValueError):
             ProjSetup(n).root_chart(part)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_root_chart_inverts_the_lambda_chart(n):
+    # the weights' lambda chart followed by the root chart sends each root to
+    # itself in part1 and to its negative in part3, in the printed names
+    setup = ProjSetup(n)
+    chart = RootSystem(CartanMatrix.type_A(n)).lambda_chart([setup.lam(a) for a in setup.points()])
+    for part, sign in (("part1", 1), ("part3", -1)):
+        target, bindings = setup.root_chart(part)
+        names = target.names[:-1]
+        assert [substitute(chart[f"alpha_{a}"], bindings, target) for a in range(1, n + 1)] == [
+            target.var(name).scale(sign) for name in names
+        ]
+
+
+@pytest.mark.parametrize("n, d_max", [(2, 3), (3, 2)])
+def test_part3_tables_are_the_part1_tables_at_negated_roots(n, d_max):
+    # no golden pins a chart at n >= 2, nor part3 at any n
+    setup = ProjSetup(n)
+    target, part1 = setup.root_chart("part1")
+    _, part3 = setup.root_chart("part3")
+    negate = {name: -target.var(name) for name in target.names[:-1]}
+    for i, table in solve_recursion(setup, d_max).items():
+        for d, value in table.items():
+            assert substitute(value, part3, target) == substitute(
+                substitute(value, part1, target), negate), (i, d)
 
 
 def test_solver_sums_one_recursion_per_degree(monkeypatch):

@@ -168,20 +168,30 @@ def test_an_element_of_another_system_is_rejected():
 
 def test_lambda_chart_part1():
     lam = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
-    chart = A2.lambda_chart(lam, "part1")
-    assert chart["alpha_1"] == lam.var("lambda_0") - lam.var("lambda_1")
-    assert chart["alpha_2"] == lam.var("lambda_1") - lam.var("lambda_2")
-    chart3 = A2.lambda_chart(lam, "part3")
+    weights = [lam.var(f"lambda_{a}") for a in range(3)]
+    chart = A2.lambda_chart(weights)
+    assert chart == {
+        "alpha_1": lam.var("lambda_0") - lam.var("lambda_1"),
+        "alpha_2": lam.var("lambda_1") - lam.var("lambda_2"),
+    }
+    # Part III's chart is the chart of the negated weights
+    chart3 = A2.lambda_chart([-w for w in weights])
     assert chart3["alpha_1"] == lam.var("lambda_1") - lam.var("lambda_0")
 
 
 def test_lambda_chart_rejects_non_type_a():
     B2 = RootSystem(CartanMatrix.type_B(2))
     lam = VarRegistry(["lambda_0", "lambda_1", "lambda_2"])
-    with pytest.raises(ValueError):
-        B2.lambda_chart(lam, "part1")
-    with pytest.raises(ValueError):
-        A2.lambda_chart(lam, "sideways")
+    with pytest.raises(ValueError, match="type A only"):
+        B2.lambda_chart([lam.var(name) for name in lam.names])
+
+
+def test_lambda_chart_takes_rank_plus_one_weights():
+    lam = VarRegistry(["lambda_0", "lambda_1", "lambda_2"])
+    weights = [lam.var(name) for name in lam.names]
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="weights"):
+            A2.lambda_chart((weights * 2)[:count])
 
 
 @pytest.mark.parametrize("system", [A2, A3], ids=["A2", "A3"])
@@ -191,7 +201,7 @@ def test_weyl_permutation_matches_chart(system):
     # Euler class must become the product over the permuted pairs
     n = system.rank + 1
     lam = VarRegistry([f"lambda_{i}" for i in range(n)])
-    chart = system.lambda_chart(lam, "part1")
+    chart = system.lambda_chart([lam.var(name) for name in lam.names])
     diffs = {
         lam.var(f"lambda_{a}") - lam.var(f"lambda_{b}"): (a, b)
         for a in range(n) for b in range(n) if a != b

@@ -306,13 +306,12 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     system = flaggw._a2_system()
     s1 = system.simple_reflections[0]
 
-    def doubled(root_system, total_max, elements, levi=()):
-        return [
-            (w, [(lw, step, 2 * weight if lw == s1 else weight, shift)
-                 for lw, step, weight, shift in ts]
-             if w == system.identity else ts)
-            for w, ts in terms(root_system, total_max, elements, levi)
-        ]
+    def doubled(root_system, total_max, w, levi=()):
+        ts = terms(root_system, total_max, w, levi)
+        if w != system.identity:
+            return ts
+        return [(lw, step, 2 * weight if lw == s1 else weight, shift)
+                for lw, step, weight, shift in ts]
 
     monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
     report = verify_corollary_3_5(3)
