@@ -27,7 +27,7 @@ import sys
 from importlib import import_module
 from typing import Sequence
 
-from .report import VerificationReport, _as_text
+from .report import VerificationReport, value_text
 
 # the presets of `verify`: quick keeps CI latency low; full is the
 # documented deep matrix
@@ -110,18 +110,18 @@ def _series_proj(args):
 
 def _series_flag(args, rank: int):
     from . import flaggw
+    from .roots import RootSystem
 
     # the golden format names the pole convention, of which one is left
     if rank == 1:
         bound = _bound(args.max_d, 3, 8, "--max-d")
-        system = flaggw._a1_system()
         lines = ["target flag-a1", "param convention=lemma37",
                  f"param max_d={bound}"]
     else:
         bound = _bound(args.max, 3, 5, "--max")
-        system = flaggw._a2_system()
         lines = ["target flag-a2", "param convention=lemma37",
                  f"param max={bound}"]
+    system = RootSystem.type_A(rank)
 
     def run() -> list[str]:
         z_id = flaggw.solve_flag_recursion(system, bound)
@@ -144,8 +144,8 @@ def _series_toda(args, equivariant: bool):
     target = "toda-eq" if equivariant else "toda"
     lines = [f"target {target}"]
     if args.chart is not None:
-        if not equivariant or args.chart != "part3":
-            raise UsageError("only the equivariant table admits the part3 chart")
+        if args.chart != "part3":
+            raise UsageError("series toda-eq takes only --chart part3")
         lines.append(f"param chart={args.chart}")
     lines.append(f"param max={n_max}")
 
@@ -162,7 +162,7 @@ def _series_toda(args, equivariant: bool):
             # the solution series is written over the part3 chart already
             table = toda3.closed_solution(n_max, equivariant)
         for (i, j), c in table.items():
-            lines.append(f"row i={i} j={j} {_as_text(c)}")
+            lines.append(f"row i={i} j={j} {value_text(c)}")
         return lines
     return run
 
@@ -172,7 +172,7 @@ SERIES = {
     "proj": (("n", "max_d", "chart"), _series_proj),
     "flag-a1": (("max_d",), lambda args: _series_flag(args, rank=1)),
     "flag-a2": (("max",), lambda args: _series_flag(args, rank=2)),
-    "toda": (("max", "chart"), lambda args: _series_toda(args, equivariant=False)),
+    "toda": (("max",), lambda args: _series_toda(args, equivariant=False)),
     "toda-eq": (("max", "chart"), lambda args: _series_toda(args, equivariant=True)),
 }
 
@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("target", choices=tuple(SERIES))
     common(p_series)
     p_series.add_argument("--chart", choices=("part1", "part3"), default=None,
-                          help="rewrite weights in root variables")
+                          help="proj: print the weights in root variables; "
+                          "toda-eq (part3 only): print the roots in the weights")
 
     p_verify = sub.add_parser("verify", help="run exact-equality checks")
     p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))

@@ -314,7 +314,7 @@ class MultiPoly:
         return self._key
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = self.registry.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -351,7 +351,8 @@ class MultiPoly:
         return MultiPoly._raw(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-other)
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
@@ -825,8 +826,8 @@ class RatFunc:
                 raise ValueError("registry mismatch between operands")
             return RatFunc.from_poly(x)
         if isinstance(x, (int, Fraction)):
-            # the zero function is this form with scalar 0
-            return RatFunc._make(registry, Fraction(x), registry.one(), ())
+            # the zero function is this form with scalar 0; a bool raises
+            return RatFunc._make(registry, Fraction(_as_coeff(x)), registry.one(), ())
         raise TypeError(f"cannot interpret {type(x).__name__} as RatFunc")
 
     @staticmethod
@@ -1008,7 +1009,7 @@ class RatFunc:
         if isinstance(other, MultiPoly) and other.registry != self.registry:
             # unequal, as between two RatFuncs; only arithmetic raises
             return False
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if isinstance(other, (int, Fraction, MultiPoly)) and not isinstance(other, bool):
             other = RatFunc.coerce(self.registry, other)
         if not isinstance(other, RatFunc):
             return NotImplemented

@@ -45,7 +45,7 @@ from .exactalg import (
     substitute,
 )
 from .report import VerificationReport
-from .roots import CartanMatrix, RootSystem
+from .roots import RootSystem
 
 
 def _curves(system: RootSystem, levi: tuple[int, ...]) -> dict:
@@ -227,16 +227,6 @@ def solve_flag_recursion(system: RootSystem, total_max: int,
 # -- rank-two type-A closed form -----------------------------------------------------
 
 
-@cache
-def _a1_system() -> RootSystem:
-    return RootSystem(CartanMatrix.type_A(1))
-
-
-@cache
-def _a2_system() -> RootSystem:
-    return RootSystem(CartanMatrix.type_A(2))
-
-
 A2_THETA = (1, 1)
 
 
@@ -256,7 +246,7 @@ def a2_closed_coeff(i: int, j: int) -> RatFunc:
     """
     if i < 0 or j < 0:
         raise ValueError("bidegree must be nonnegative")
-    reg = _a2_system().registry
+    reg = RootSystem.type_A(2).registry
     a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
     th = a1 + a2
     num = reg.one()
@@ -281,7 +271,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
     """
     from . import projgw
     with VerificationReport("a1-cross", {"max_d": d_max}) as report:
-        system = _a1_system()
+        system = RootSystem.type_A(1)
         reg = system.registry
         alpha, h = map(reg.var, ("alpha_1", "h"))
         s1 = system.simple_reflections[0]
@@ -329,7 +319,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
     with VerificationReport("a2-recursion", {"max_total": n_max}) as report:
         if n_max < 0:
             raise ValueError("total-degree bound must be >= 0")
-        system = _a2_system()
+        system = RootSystem.type_A(2)
         terms = _recursion_terms(system, n_max, system.identity)
 
         closed = {
@@ -361,7 +351,7 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
     with VerificationReport("lemma34", {"i": i, "j": j}) as report:
         if not 0 <= i <= j:
             raise ValueError("need 0 <= i <= j")
-        system = _a2_system()
+        system = RootSystem.type_A(2)
         reg = system.registry
         a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
         th = a1 + a2
@@ -402,7 +392,7 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
 
 def _pole_weight(r: int, k: int) -> RatFunc:
     """Printed residue prefactors of the rank-two split, one per pole family."""
-    reg = _a2_system().registry
+    reg = RootSystem.type_A(2).registry
     a1, a2 = map(reg.var, ("alpha_1", "alpha_2"))
     if r in (0, 1):
         base = a1 if r == 0 else a2

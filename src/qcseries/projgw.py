@@ -197,16 +197,15 @@ def _cover_form(setup: ProjSetup, i: int, j: int, k: int, b: int,
 # -- series tables -------------------------------------------------------------------
 
 
-def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, list]]:
-    """Per fixed point i of `points`, the (j, k) terms of its recursion, for k <= k_max.
+def _recursion_terms(setup: ProjSetup, k_max: int) -> dict[int, list]:
+    """{i: the (j, k) terms of fixed point i's recursion, for k <= k_max}.
 
     A term reads fixed point j at k degrees lower; its weight is
     recursion_coeff(i, j, k) over the pole lambda_i - lambda_j + k*h, and
     its shift is h -> (lambda_j - lambda_i)/k.  j runs outer, k inner.
     """
-    per_i = []
-    for i in points:
-        terms = []
+    per_i = {i: [] for i in setup.points()}
+    for i, terms in per_i.items():
         for j in setup.points():
             if j == i:
                 continue
@@ -215,7 +214,6 @@ def _recursion_terms(setup: ProjSetup, k_max: int, points) -> list[tuple[int, li
                 pole = setup.lam(i) - setup.lam(j) + setup.h.scale(k)
                 shift = {"h": shift_base.scale(Fraction(1, k))}
                 terms.append((j, (k,), recursion_coeff(setup, i, j, k) / pole, shift))
-        per_i.append((i, terms))
     return per_i
 
 
@@ -239,8 +237,8 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
         # the exponential closed form is exact here
         return {0: {d: 1 / (setup.h**d * factorial(d)) for d in range(d_max + 1)}}
     from . import flaggw
-    from .roots import CartanMatrix, RootSystem
-    system = RootSystem(CartanMatrix.type_A(setup.n))
+    from .roots import RootSystem
+    system = RootSystem.type_A(setup.n)
     base = flaggw.solve_flag_recursion(system, d_max, tuple(range(1, setup.n)))
     chart = system.lambda_chart([setup.lam(a) for a in setup.points()])
     tables = {}
@@ -278,7 +276,7 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
             raise ValueError("degree bound must be >= 1 when n >= 1")
         if method == "direct":
             from .flaggw import recursion_sum
-            terms = dict(_recursion_terms(setup, d_max, setup.points()))
+            terms = _recursion_terms(setup, d_max)
         for i in setup.points():
             for d in range(1, d_max + 1):
                 if method == "direct":

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 
 
-def _as_text(value) -> str:
+def value_text(value) -> str:
+    """A value as reports and tables print it: its canonical text(), else str()."""
     text = getattr(value, "text", None)
     return text() if callable(text) else str(value)
 
@@ -41,7 +42,7 @@ class VerificationReport:
 
     def fail(self, location: str, left, right) -> None:
         """Record a failure at location, with the canonical text of both sides."""
-        self.failures.append((location, _as_text(left), _as_text(right)))
+        self.failures.append((location, value_text(left), value_text(right)))
         self.status = "fail"
 
     def check_equal(self, location: str, left, right) -> None:

@@ -22,7 +22,7 @@ group; building a system, reflecting and acting on functions never reach it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from .exactalg import MultiPoly, RatFunc, VarRegistry
 
@@ -170,6 +170,12 @@ class RootSystem:
         self.simple_reflections: tuple[WeylElement, ...] = tuple(
             self.reflection(alpha) for alpha in self.simple_roots
         )
+
+    @staticmethod
+    @cache
+    def type_A(rank: int) -> "RootSystem":
+        """The one A_rank the package builds type-A values over; the constructor builds anew."""
+        return RootSystem(CartanMatrix.type_A(rank))
 
     # -- generation -----------------------------------------------------
 

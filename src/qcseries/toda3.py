@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .exactalg import (
     MultiPoly,
@@ -73,18 +73,21 @@ class TodaOperator:
     On v^beta, padded with a zero at each end, u_a multiplies by the
     eigenvalue lambda_a + h (beta_a - beta_(a+1)) and v^e shifts beta by e.
     In each monomial of p_k the shift acts first, so the eigenvalues are read
-    at the shifted index; sigma_k is a constant.  The weights, and so the
-    image's coefficients, are rationals in the plain flavor and lambda, h
-    polynomials in the equivariant one.
+    at the shifted index; sigma_k = p_k(lambda, 0), from p_k's v-free
+    monomials, is a constant.  The weights, and so the image's coefficients,
+    are rationals in the plain flavor and lambda, h polynomials in the
+    equivariant one.
     """
 
     __slots__ = ("poly", "sigma", "weights", "max_shift")
 
-    def __init__(self, poly: MultiPoly, sigma, weights: tuple):
+    def __init__(self, poly: MultiPoly, weights: tuple):
         self.poly = poly
-        self.sigma = sigma
         self.weights = weights
-        self.max_shift = max(sum(m[len(weights) - 1:]) for m, _ in poly.monomials())
+        lam = weights[:-1]
+        self.max_shift = max(sum(m[len(lam):]) for m, _ in poly.monomials())
+        self.sigma = sum(c * prod(x**p for x, p in zip(lam, m))
+                         for m, c in poly.monomials() if not any(m[len(lam):]))
 
     def act_monomial(self, beta: tuple[int, ...]) -> dict:
         """Image of v^beta as a map (index tuple) -> nonzero coefficient."""
@@ -133,9 +136,7 @@ def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperato
         weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
     else:
         weights = (0, 0, 0, 1)
-    l0, l1, l2, _ = weights
-    sigma = (l0 + l1 + l2, l0 * l1 + l0 * l2 + l1 * l2, l0 * l1 * l2)
-    d1, d2, d3 = (TodaOperator(p, s, weights) for p, s in zip(char_poly(), sigma))
+    d1, d2, d3 = (TodaOperator(p, weights) for p in char_poly())
     # p_1 is linear in u, so each d_1 weight is affine in (i, j): zero at
     # three non-collinear points means zero everywhere
     if any(d1.act_monomial(beta) for beta in ((0, 0), (1, 0), (0, 1))):
@@ -171,8 +172,9 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
     over the rank-two root system's registry.
     """
     from . import flaggw
+    from .roots import RootSystem
 
-    reg = flaggw._a2_system().registry
+    reg = RootSystem.type_A(2).registry
     if i < 0 or j < 0:
         return RatFunc.zero(reg)
     return flaggw.a2_closed_coeff(i, j) * RatFunc.from_factored(
@@ -182,9 +184,9 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
 
 def _part3_chart(weights) -> dict:
     """alpha_a -> lambda_a - lambda_(a-1): Part III's chart, the lambda chart of -weights."""
-    from . import flaggw  # on first use: the parser needs no root system
+    from .roots import RootSystem  # on first use: the parser needs no root system
 
-    return flaggw._a2_system().lambda_chart([-w for w in weights])
+    return RootSystem.type_A(2).lambda_chart([-w for w in weights])
 
 
 @cache
@@ -278,10 +280,10 @@ def verify_recursions_equivariant(n_max: int) -> VerificationReport:
         weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
         _check_identities(report, n_max, _lambda_coeff, weights, rebuild_max=5)
 
-        from . import flaggw
+        from .roots import RootSystem
 
         # symmetry in the weight registry: swap both indices and weights
-        reg = flaggw._a2_system().registry
+        reg = RootSystem.type_A(2).registry
         swap = {"alpha_1": reg.var("alpha_2"), "alpha_2": reg.var("alpha_1")}
         for i in range(n_max + 1):
             for j in range(n_max + 1 - i):
@@ -355,8 +357,9 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     """
     with VerificationReport("corollary35", {"max_total": n_max}) as report:
         from . import flaggw
+        from .roots import RootSystem
 
-        system = flaggw._a2_system()
+        system = RootSystem.type_A(2)
         z_id = flaggw.solve_flag_recursion(system, n_max)
         h = system.registry.var("h")
         for i in range(n_max + 1):

@@ -18,6 +18,7 @@ import pytest
 from qcseries import cli, exactalg, flaggw, projgw, toda3
 from qcseries.exactalg import PoleError, RatFunc, VarRegistry
 from qcseries.report import VerificationReport
+from qcseries.roots import RootSystem
 
 
 def run(capsys, *argv):
@@ -430,11 +431,32 @@ def test_toda_operators_reruns_every_full_level_order_by_name(capsys):
     assert err == "error: --max exceeds the cap 12\n"
 
 def test_chart_rejected_off_target(capsys):
-    code, _, err = run(capsys, "series", "toda", "--max", "2", "--chart", "part3")
-    assert code == 2
-    assert "equivariant" in err
+    # the error names the target: toda takes no chart, toda-eq only part3
+    for target, chart, message in (
+        ("toda", "part1", "series toda does not take --chart"),
+        ("toda", "part3", "series toda does not take --chart"),
+        ("toda-eq", "part1", "series toda-eq takes only --chart part3"),
+    ):
+        code, out, err = run(capsys, "series", target, "--max", "2", "--chart", chart)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
     code, _, err = run(capsys, "series", "proj", "--n", "0", "--chart", "part1")
     assert code == 2
+
+
+def test_runs_build_no_root_system_past_the_one_per_rank(capsys, monkeypatch):
+    # every type-A value is over RootSystem.type_A(rank), so once ranks 1..3
+    # are built no run constructs a root system of its own
+    for rank in (1, 2, 3):
+        RootSystem.type_A(rank)
+
+    def refuse(self, cartan):
+        raise AssertionError("a run built a root system of its own")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    for argv in (("verify", "all"), ("series", "flag-a1"), ("series", "flag-a2"),
+                 ("series", "toda-eq"), ("series", "proj", "--n", "3", "--max-d", "1")):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,10 @@ A second scan fails on a knob that only tests set: a defaulted parameter of
 a package function that no call in the package, the demos or the benchmark
 harness passes, by keyword or by position.
 
-A third keeps `exactalg`'s representation inside it: no other package
-module reads a private name that `exactalg` defines, by import or as an
-attribute of anything but `self`."""
+A third keeps each module's private names inside it: no package module
+reads a private name that another one defines, by import or as an
+attribute of anything but `self`, so every read across modules goes
+through a public name."""
 
 import ast
 from pathlib import Path
@@ -197,13 +198,13 @@ def private_reads(source: str, module: str, private: set[str]) -> list[tuple[int
     return sorted(found)
 
 
-def test_no_module_reads_a_private_name_of_exactalg():
+def test_no_module_reads_a_private_name_of_another():
     package = {path.name: source for path, source in sources(PACKAGE)}
-    private = private_names(package.pop("exactalg.py"))
     assert [
         f"{name}:{line} {read}"
-        for name, source in package.items()
-        for line, read in private_reads(source, "exactalg", private)
+        for owner, defined in package.items()
+        for name, source in package.items() if name != owner
+        for line, read in private_reads(source, owner[:-3], private_names(defined))
     ] == []
 
 

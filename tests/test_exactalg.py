@@ -76,6 +76,19 @@ def test_values_over_different_registries_compare_unequal():
         x * f
 
 
+def test_bool_is_not_a_coefficient():
+    # a bool is an int to Python but no coefficient of either type: arithmetic
+    # with it raises, in either order, and == says False without raising
+    for value in (ALPHA, REG.one(), rf(ALPHA) / rf(H), RatFunc.one(REG)):
+        for flag in (True, False):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(value, flag)
+                with pytest.raises(TypeError):
+                    op(flag, value)
+            assert (value == flag, flag == value, value != flag) == (False, False, True)
+
+
 def test_divide_exact_roundtrip_and_failure():
     p = (H + ALPHA) ** 3 * (2 * H + ALPHA)
     q = p.divide_exact(H + ALPHA)

@@ -350,10 +350,10 @@ def test_each_root_system_caches_one_registry():
     b3 = RootSystem(CartanMatrix.type_B(3))
     assert b3.registry.names == ("alpha_1", "alpha_2", "alpha_3", "h")
     assert b3.registry is b3.registry
-    reg = flaggw._a2_system().registry
+    reg = RootSystem.type_A(2).registry
     assert a2_closed_coeff(1, 1).registry is reg
     assert toda3.closed_a_equivariant(2, 1).registry is reg
-    assert solve_flag_recursion(flaggw._a2_system(), 2)[(1, 1)].registry is reg
+    assert solve_flag_recursion(RootSystem.type_A(2), 2)[(1, 1)].registry is reg
 
 
 # -- verification reports -------------------------------------------------------------
@@ -386,7 +386,7 @@ def test_verify_a1_crosscheck_fails_on_a_wrong_s1_recursion(monkeypatch):
     # the solver reads only the identity's terms, so doubling s1's terms
     # breaks s1's own recursion and no other comparison
     terms = flaggw._recursion_terms
-    s1 = flaggw._a1_system().simple_reflections[0]
+    s1 = RootSystem.type_A(1).simple_reflections[0]
 
     def doubled(system, total_max, w, levi=()):
         ts = terms(system, total_max, w, levi)

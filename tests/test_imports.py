@@ -110,6 +110,7 @@ def test_parser_loads_no_arithmetic():
     (("verify", "batyrev", "--max", "1"), {"flaggw", "roots", "projgw"}),
     (("verify", "lemma34", "--max", "1"), {"projgw", "toda3"}),
     (("series", "toda", "--max", "1"), {"flaggw", "roots", "projgw"}),
+    (("verify", "toda-plain", "--max", "1"), {"flaggw", "projgw"}),
 ])
 def test_a_run_loads_only_the_modules_it_reads(argv, left_out):
     assert loaded_by_cli(*argv) & {f"qcseries.{m}" for m in left_out} == set()

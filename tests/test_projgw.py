@@ -205,7 +205,7 @@ def test_every_table_is_the_swap_image_of_table_0():
     # from Part I's own terms
     for setup, dmax in ((P1, 6), (P2, 5), (ProjSetup(3), 4), (ProjSetup(4), 2)):
         got = solve_recursion(setup, dmax)
-        terms = projgw._recursion_terms(setup, dmax, setup.points())
+        terms = projgw._recursion_terms(setup, dmax).items()
         want = flaggw.solve_tables(setup.registry, terms, [(d,) for d in range(dmax + 1)])
         assert list(got) == list(want)
         for i in setup.points():

@@ -70,6 +70,16 @@ def test_root_and_weyl_caps():
         RootSystem(CartanMatrix(((2, -2), (-2, 2))))
 
 
+def test_type_A_is_built_once_per_rank():
+    # the package builds every type-A value over RootSystem.type_A(rank); the
+    # constructor still builds a fresh system, with a registry of its own
+    a2 = RootSystem.type_A(2)
+    assert a2 is RootSystem.type_A(2) and a2.cartan == CartanMatrix.type_A(2)
+    fresh = RootSystem(CartanMatrix.type_A(2))
+    assert fresh is not a2 and fresh.registry is not a2.registry
+    assert RootSystem.type_A(3) is not a2 and RootSystem.type_A(3).rank == 3
+
+
 def test_pairing_table_a2():
     assert A2.pairing(AL1, AL1) == 2
     assert A2.pairing(AL2, AL1) == -1

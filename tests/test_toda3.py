@@ -8,8 +8,10 @@ import pytest
 
 from qcseries import flaggw, toda3
 from qcseries.exactalg import MultiPoly, RatFunc
+from qcseries.roots import RootSystem
 from qcseries.toda3 import (
     LAMBDA_REGISTRY,
+    TodaOperator,
     UV_REGISTRY,
     apply,
     batyrev_b,
@@ -73,6 +75,18 @@ def test_trace_operator_check_is_exact(monkeypatch):
         for equivariant in (True, False):
             with pytest.raises(AssertionError, match="trace operator"):
                 build_operators(equivariant)
+
+
+def test_sigma_is_read_off_the_continuant():
+    # sigma_k is p_k at u = lambda, v = 0: e_k of the weights, for numbers
+    # (the plain flavor's and others) and for lambda, h polynomials alike
+    lam = tuple(LREG.var(f"lambda_{a}") for a in range(3))
+    for weights in ((0, 0, 0, 1), (Fraction(1, 2), 3, -5, 7), lam + (LREG.var("h"),)):
+        x0, x1, x2, _ = weights
+        e = [x0 + x1 + x2, x0 * x1 + x0 * x2 + x1 * x2, x0 * x1 * x2]
+        assert [TodaOperator(p, weights).sigma for p in char_poly()] == e
+    d2, d3 = build_operators(equivariant=True)
+    assert (d2.sigma, d3.sigma) == (e[1], e[2])
 
 
 def test_equivariant_second_operator_monomial_action():
@@ -146,7 +160,7 @@ def test_binomial_sum_form_matches_closed():
 
 
 def test_equivariant_coefficients_spot_values():
-    reg = flaggw._a2_system().registry
+    reg = RootSystem.type_A(2).registry
     a1, a2, h = (reg.var(n) for n in reg.names)
     th = a1 + a2
     assert closed_a_equivariant(0, 0) == RatFunc.one(reg)
@@ -303,7 +317,7 @@ def test_flag_bridge_fails_on_a_wrong_solver_table(monkeypatch):
     # doubling them corrupts every identity entry with i >= 1, each of which
     # takes such a step, and no entry with i = 0
     terms = flaggw._recursion_terms
-    system = flaggw._a2_system()
+    system = RootSystem.type_A(2)
     s1 = system.simple_reflections[0]
 
     def doubled(root_system, total_max, w, levi=()):
