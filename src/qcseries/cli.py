@@ -21,7 +21,9 @@ its module is the one that runs).
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import os
 import sys
 from importlib import import_module
@@ -429,6 +431,21 @@ def _write_stdout(text: str) -> bool:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one `qcseries` command line; return its exit code.
+
+    Each call registers `gc.freeze` with `atexit` in place of any earlier
+    registration, so a process holds one however often `main` runs.  The
+    interpreter then exits without its final cyclic collection: every
+    object alive at exit moves to the permanent generation, which shutdown
+    neither traverses nor frees, and the OS reclaims the memory.  Nothing
+    is frozen while the process lives.  The contract this keeps: no
+    finalizer of an object in a reference cycle runs at exit (Python does
+    not promise one, and qcseries defines no `__del__`); `--out` is closed
+    before `main` returns; and the interpreter flushes stdout and stderr
+    after the `atexit` callbacks, so every byte written still lands.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

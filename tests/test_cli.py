@@ -4,10 +4,13 @@ Everything goes through cli.main(argv) so exit codes, stdout bytes, and
 stderr diagnostics are exercised exactly as a shell user would see them.
 """
 
+import atexit
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import factorial
@@ -20,11 +23,21 @@ from qcseries.exactalg import PoleError, RatFunc, VarRegistry
 from qcseries.report import VerificationReport
 from qcseries.roots import RootSystem
 
+ROOT = Path(__file__).resolve().parent.parent
+TODA_GOLDEN = ROOT / "perfbench" / "goldens" / "series_toda.out"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args):
+    """Run a fresh interpreter over src/ in the repository root; bytes out."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
 
 
 # -- series golden output ----------------------------------------------------------
@@ -214,12 +227,11 @@ def test_stdout_write_that_fails_is_usage_error():
     # a fresh interpreter, so that its final flush of stdout is exercised
     # too: it must neither report the failure a second time nor change the
     # exit code
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with open("/dev/full", "w", encoding="utf-8") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "qcseries", "verify", "batyrev", "--max", "2"],
-            cwd=root, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            cwd=ROOT, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
             timeout=120,
         )
     assert proc.returncode == 2
@@ -558,17 +570,79 @@ def test_verify_all_names_the_check_that_rejects_n(capsys, n):
     assert err == "error: --n must be in 1..2 for euler-prefactor\n"
 
 
+# -- exit ----------------------------------------------------------------------------
+
+# registered before main runs, so atexit, last in first out, calls it after any
+# hook main registers; it reports how many objects the exit left frozen
+EXIT_OBSERVER = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+)
+
+
+def frozen_at_exit(stderr: bytes) -> int:
+    """The observer's count; it must be the only thing on stderr."""
+    match = re.fullmatch(rb"frozen (\d+)\n", stderr)
+    assert match, stderr
+    return int(match.group(1))
+
+
+def test_a_process_exits_with_every_object_frozen():
+    # main registers gc.freeze with atexit, so the interpreter's final cyclic
+    # collection traverses nothing; the output is unchanged
+    proc = python("-c", EXIT_OBSERVER + "import qcseries.cli\n"
+                  "sys.exit(qcseries.cli.main(['series', 'toda']))")
+    assert proc.returncode == 0
+    assert proc.stdout == TODA_GOLDEN.read_bytes()
+    assert frozen_at_exit(proc.stderr) > 0
+
+
+def test_main_registers_one_freeze_at_exit_and_freezes_nothing(capsys, monkeypatch):
+    # however often main runs, and before it parses its arguments, it leaves
+    # one registration of gc.freeze; nothing is frozen while the process lives
+    registered = []
+
+    def register(func, *args, **kwargs):
+        registered.append(func)
+        return func
+
+    def unregister(func):
+        registered[:] = [f for f in registered if f != func]
+
+    monkeypatch.setattr(atexit, "register", register)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "series", "toda", "--max", "1")[0] == 0
+    assert registered == [gc.freeze]
+    assert run(capsys, "verify", "no-such-check")[0] == 2
+    assert registered == [gc.freeze]
+    assert gc.get_freeze_count() == frozen
+
+
 @pytest.mark.parametrize("module", ["qcseries", "qcseries.cli"])
 def test_module_entry_points_run_cleanly(module):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify", "batyrev"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = python("-m", module, "verify", "batyrev")
     assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert "status pass" in proc.stdout
+    assert proc.stderr == b""
+    assert b"status pass" in proc.stdout
+    # run as -m runs it, under the exit observer: the hook is registered and
+    # nothing else reaches stderr
+    observed = python("-c", EXIT_OBSERVER + "import runpy\n"
+                      f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)",
+                      "verify", "batyrev")
+    assert observed.returncode == 0
+    assert observed.stdout == proc.stdout
+    assert frozen_at_exit(observed.stderr) > 0
+
+
+def test_out_file_is_whole_when_a_fresh_interpreter_exits(tmp_path):
+    # the exit skips the final collection, so a handle left to the collector
+    # would never be flushed; main closes --out before it returns
+    path = tmp_path / "toda.out"
+    proc = python("-m", "qcseries", "series", "toda", "--out", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout == b"" and proc.stderr == b""
+    assert path.read_bytes() == TODA_GOLDEN.read_bytes()
 
 
 # -- what the checks compare ---------------------------------------------------------
@@ -663,13 +737,7 @@ def test_unexpected_runner_error_becomes_fail_report(capsys, monkeypatch):
 def test_benchmark_trace_mode_finds_every_traced_function():
     # perfbench/child.py wraps qcseries functions by name, so a rename or a
     # deletion among them breaks the traced benchmark run
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "perfbench/child.py", "trace",
-         "verify", "a2-recursion", "--max", "1"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = python("perfbench/child.py", "trace", "verify", "a2-recursion", "--max", "1")
     assert proc.returncode == 0, proc.stderr
-    stats = [ln for ln in proc.stderr.splitlines() if ln.startswith("PERFBENCH ")]
+    stats = [ln for ln in proc.stderr.decode().splitlines() if ln.startswith("PERFBENCH ")]
     assert len(stats) == 1
