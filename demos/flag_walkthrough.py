@@ -21,8 +21,8 @@ print("long root,      k=2:", coeff_C_id(system, A2_THETA, 2).text())
 # solve the recursion for the identity series, up to total degree 2; the
 # other five series are its images under the Weyl action
 z_id = flaggw.solve_flag_recursion(system, 2)
-for beta in sorted(z_id, key=lambda b: (sum(b), b)):
-    print(f"identity series, beta={beta}: {z_id[beta].text()}")
+for beta, z in z_id.items():
+    print(f"identity series, beta={beta}: {z.text()}")
 s1 = system.simple_reflections[0]
 print(f"s1 series, beta=(1, 1): {system.act_on_ratfunc(s1, z_id[(1, 1)]).text()}")
 

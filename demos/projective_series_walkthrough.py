@@ -24,8 +24,8 @@ for d in range(4):
 table0 = projgw.solve_recursion(setup, 3)[0]
 
 # both routes must agree exactly, degree by degree
-for d in range(4):
-    assert table0[d] == projgw.closed_b(setup, 0, d)
+for d, z in table0.items():
+    assert z == projgw.closed_b(setup, 0, d)
 print("solver output equals the closed form through degree 3")
 
 # the coupling coefficients that drive the recursion are tiny and exact

@@ -103,39 +103,36 @@ def _series_proj(args):
             target, bindings = setup.registry, setup.to_lambda()
         rows, sums = [], []
         for i, table in tables.items():
-            coeffs = [substitute(table[d], bindings, target) for d in range(d_max + 1)]
+            coeffs = [substitute(c, bindings, target) for c in table.values()]
             rows += [f"row i={i} d={d} {c.text()}" for d, c in enumerate(coeffs)]
             sums.append(f"series i={i} {q_series_text(coeffs)}")
         return lines + rows + sums
     return run
 
 
-def _series_flag(args, rank: int):
-    from . import flaggw
-    from .roots import RootSystem
+def _series_flag(rank: int, option: str, cap: int):
+    """The table entry of `series flag-a{rank}`: `option` bounds the total degree, up to `cap`."""
+    def build(args):
+        from . import flaggw
+        from .roots import RootSystem
 
-    # the golden format names the pole convention, of which one is left
-    if rank == 1:
-        bound = _bound(args.max_d, 3, 8, "--max-d")
-        lines = ["target flag-a1", "param convention=lemma37",
-                 f"param max_d={bound}"]
-    else:
-        bound = _bound(args.max, 3, 5, "--max")
-        lines = ["target flag-a2", "param convention=lemma37",
-                 f"param max={bound}"]
-    system = RootSystem.type_A(rank)
+        bound = _bound(getattr(args, option), 3, cap, _flag(option))
+        # the golden format names the pole convention, of which one is left
+        lines = [f"target flag-a{rank}", "param convention=lemma37", f"param {option}={bound}"]
+        system = RootSystem.type_A(rank)
 
-    def run() -> list[str]:
-        z_id = flaggw.solve_flag_recursion(system, bound)
-        # the table of w is w applied to the identity table
-        for w in system.weyl_elements:
-            word = w.word_text()
-            for beta in sorted(z_id, key=lambda b: (sum(b), b)):
-                coord = ",".join(str(b) for b in beta)
-                value = system.act_on_ratfunc(w, z_id[beta])
-                lines.append(f"row w={word} beta={coord} {value.text()}")
-        return lines
-    return run
+        def run() -> list[str]:
+            z_id = flaggw.solve_flag_recursion(system, bound)
+            # the table of w is w applied to the identity table
+            for w in system.weyl_elements:
+                word = w.word_text()
+                for beta, z in z_id.items():
+                    coord = ",".join(str(b) for b in beta)
+                    value = system.act_on_ratfunc(w, z)
+                    lines.append(f"row w={word} beta={coord} {value.text()}")
+            return lines
+        return run
+    return (option,), build
 
 
 def _series_toda(args, equivariant: bool):
@@ -172,8 +169,8 @@ def _series_toda(args, equivariant: bool):
 # target -> (the options it reads, builder(args) -> work giving the lines)
 SERIES = {
     "proj": (("n", "max_d", "chart"), _series_proj),
-    "flag-a1": (("max_d",), lambda args: _series_flag(args, rank=1)),
-    "flag-a2": (("max",), lambda args: _series_flag(args, rank=2)),
+    "flag-a1": _series_flag(1, "max_d", 8),
+    "flag-a2": _series_flag(2, "max", 5),
     "toda": (("max",), lambda args: _series_toda(args, equivariant=False)),
     "toda-eq": (("max", "chart"), lambda args: _series_toda(args, equivariant=True)),
 }

@@ -583,13 +583,6 @@ def _minus_product(n: Mapping[int, Coeff], r: list[tuple[int, Coeff]],
     return out
 
 
-def _coeff_text(c: Coeff) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _poly_text(p: MultiPoly) -> str:
     if p.is_zero:
         return "0"
@@ -605,7 +598,7 @@ def _poly_text(p: MultiPoly) -> str:
                 parts.append(f"{nm}^{e}")
         mag = abs(c)
         if not parts or mag != 1:
-            parts.insert(0, _coeff_text(mag))
+            parts.insert(0, str(mag))
         body = "*".join(parts)
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")

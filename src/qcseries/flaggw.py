@@ -133,19 +133,19 @@ def recursion_sum(registry: VarRegistry, terms, degree: tuple[int, ...],
     return acc
 
 
-def image_reader(table, act):
-    """lower(g, degree) = act(g, table[degree]), acted on once per (g, degree) and reader.
+def image_reader(table, system: RootSystem):
+    """lower(w, beta) = w applied to table[beta], acted on once per (w, beta) and reader.
 
     The solver solves one table and reads every other as its image under a
-    symmetry g of the recursion.  A reader keeps its images for the one
-    solve or check that made it, and nothing across them.
+    Weyl element w.  A reader keeps its images for the one solve or check
+    that made it, and nothing across them.
     """
     images = {}
 
-    def lower(g, degree):
-        if (g, degree) not in images:
-            images[(g, degree)] = act(g, table[degree])
-        return images[(g, degree)]
+    def lower(w, beta):
+        if (w, beta) not in images:
+            images[(w, beta)] = system.act_on_ratfunc(w, table[beta])
+        return images[(w, beta)]
     return lower
 
 
@@ -207,8 +207,9 @@ def solve_flag_recursion(system: RootSystem, total_max: int,
 
     levi lists the Levi's simple-root indices, () for G/B.  A multidegree
     beta has one coroot coordinate per node off the Levi, and the table
-    holds those of coordinate sum at most total_max; the recursion only ever
-    reads strictly smaller sums, so the triangle is self-contained.  The
+    holds those of coordinate sum at most total_max, keyed in ascending
+    coordinate sum, then lexicographically; the recursion only ever reads
+    strictly smaller sums, so the triangle is self-contained.  The
     pole attached to an (alpha, k) term is k*h + alpha.  The term reads the
     table at s_alpha, which is s_alpha applied to this one, as the table of
     any w is w applied to it (see the module docstring).
@@ -218,7 +219,7 @@ def solve_flag_recursion(system: RootSystem, total_max: int,
     terms = _recursion_terms(system, total_max, system.identity, levi)
     betas = _beta_range(system.rank - len(levi), total_max)
     z_id = {betas[0]: RatFunc.one(system.registry)}
-    lower = image_reader(z_id, system.act_on_ratfunc)
+    lower = image_reader(z_id, system)
     for beta in betas[1:]:
         z_id[beta] = recursion_sum(system.registry, terms, beta, lower)
     return z_id
@@ -276,16 +277,16 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
         alpha, h = map(reg.var, ("alpha_1", "h"))
         s1 = system.simple_reflections[0]
         z_id = solve_flag_recursion(system, d_max)
-        lower = image_reader(z_id, system.act_on_ratfunc)
+        lower = image_reader(z_id, system)
         s1_terms = _recursion_terms(system, d_max, s1)
 
         proj = projgw.ProjSetup(1)
         chart = system.lambda_chart([proj.lam(0), proj.lam(1)])
-        for d in range(d_max + 1):
+        for (d,), z in z_id.items():
             z_s1 = lower(s1, (d,))
             report.check_equal(
                 f"chart id d={d}",
-                substitute(z_id[(d,)], chart, proj.registry),
+                substitute(z, chart, proj.registry),
                 projgw.closed_b(proj, 0, d),
             )
             report.check_equal(
@@ -298,7 +299,7 @@ def verify_a1_crosscheck(d_max: int) -> VerificationReport:
                 reg.one(), [h.scale(m) + alpha for m in range(1, d + 1)],
                 scale=factorial(d),
             )
-            report.check_equal(f"closed d={d}", z_id[(d,)], closed)
+            report.check_equal(f"closed d={d}", z, closed)
             report.check_equal(
                 f"s1 recursion d={d}", z_s1,
                 recursion_sum(reg, s1_terms, (d,), lower) if d else 1,
@@ -327,7 +328,7 @@ def verify_a2_theorem_3_2(n_max: int) -> VerificationReport:
             for i in range(n_max + 1)
             for j in range(n_max + 1 - i)
         }
-        lower = image_reader(closed, system.act_on_ratfunc)
+        lower = image_reader(closed, system)
 
         for i, j in closed:
             if i == 0 and j == 0:

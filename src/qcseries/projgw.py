@@ -246,7 +246,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
         w = system.reflection((1,) * i + (0,) * (setup.n - i)) if i else system.identity
         bindings = {name: substitute(system.root_form(w.act(root)), chart, setup.registry)
                     for name, root in zip(chart, system.simple_roots)}
-        tables[i] = {d: substitute(base[(d,)], bindings, setup.registry) for d in range(d_max + 1)}
+        tables[i] = {d: substitute(z, bindings, setup.registry) for (d,), z in base.items()}
     return tables
 
 
@@ -268,9 +268,8 @@ def verify_theorem_3_3(setup: ProjSetup, d_max: int,
             raise ValueError(f"unknown method {method!r}")
         if setup.n == 0:
             report.note("no recursion terms in dimension 0; exponential form checked")
-            table = solve_recursion(setup, d_max)[0]
-            for d in range(d_max + 1):
-                report.check_equal(f"d={d}", table[d], closed_B(setup, 0, d))
+            for d, z in solve_recursion(setup, d_max)[0].items():
+                report.check_equal(f"d={d}", z, closed_B(setup, 0, d))
             return report
         if d_max < 1:
             raise ValueError("degree bound must be >= 1 when n >= 1")
@@ -303,8 +302,8 @@ def verify_solver(setup: ProjSetup, d_max: int) -> VerificationReport:
         if setup.n == 0:
             raise ValueError("the solver check needs n >= 1")
         for i, table in solve_recursion(setup, d_max).items():
-            for d in range(d_max + 1):
-                report.check_equal(f"i={i} d={d}", table[d], closed_b(setup, i, d))
+            for d, z in table.items():
+                report.check_equal(f"i={i} d={d}", z, closed_b(setup, i, d))
     return report
 
 

@@ -37,6 +37,8 @@ from .report import VerificationReport
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
+# the equivariant weights (lambda_0, lambda_1, lambda_2, h)
+LAMBDA_WEIGHTS = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
 
 
 # -- the matrix side -------------------------------------------------------------------
@@ -132,10 +134,7 @@ def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperato
     and so acts over the rationals.  The trace operator vanishes identically
     in ratio coordinates, which is asserted.
     """
-    if equivariant:
-        weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
-    else:
-        weights = (0, 0, 0, 1)
+    weights = LAMBDA_WEIGHTS if equivariant else (0, 0, 0, 1)
     d1, d2, d3 = (TodaOperator(p, weights) for p in char_poly())
     # p_1 is linear in u, so each d_1 weight is affine in (i, j): zero at
     # three non-collinear points means zero everywhere
@@ -184,15 +183,17 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
 
 def _part3_chart(weights) -> dict:
     """alpha_a -> lambda_a - lambda_(a-1): Part III's chart, the lambda chart of -weights."""
-    from .roots import RootSystem  # on first use: the parser needs no root system
+    # on first use, so that the runs that read no root system (verify
+    # batyrev, series toda) do not load roots
+    from .roots import RootSystem
 
     return RootSystem.type_A(2).lambda_chart([-w for w in weights])
 
 
 @cache
 def _lambda_coeff(i: int, j: int) -> RatFunc:
-    weights = [LAMBDA_REGISTRY.var(f"lambda_{a}") for a in range(3)]
-    return substitute(closed_a_equivariant(i, j), _part3_chart(weights), LAMBDA_REGISTRY)
+    return substitute(closed_a_equivariant(i, j), _part3_chart(LAMBDA_WEIGHTS[:3]),
+                      LAMBDA_REGISTRY)
 
 
 def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int], object]:
@@ -277,8 +278,7 @@ def verify_recursions_plain(n_max: int) -> VerificationReport:
 def verify_recursions_equivariant(n_max: int) -> VerificationReport:
     """Weighted coefficient identities over the lambda chart, exact."""
     with VerificationReport("toda-eq", {"max_total": n_max}) as report:
-        weights = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
-        _check_identities(report, n_max, _lambda_coeff, weights, rebuild_max=5)
+        _check_identities(report, n_max, _lambda_coeff, LAMBDA_WEIGHTS, rebuild_max=5)
 
         from .roots import RootSystem
 

@@ -333,6 +333,15 @@ def test_solver_sums_once_per_multidegree_and_acts_once_per_image(monkeypatch):
     assert images and len(images) == len(set(images))
 
 
+def test_solver_keys_its_table_by_coordinate_sum_then_lexicographically():
+    # the table's readers iterate it as returned, so this order is the
+    # solver's contract: series flag prints its rows in it
+    assert flaggw._beta_range(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for system, t, levi in ((A2, 4, ()), (B2, 3, ()), (A3, 3, (1,))):
+        z = solve_flag_recursion(system, t, levi)
+        assert list(z) == flaggw._beta_range(system.rank - len(levi), t)
+
+
 def test_a2_closed_symmetry():
     reg = A2.registry
     a1, a2 = reg.var("alpha_1"), reg.var("alpha_2")

@@ -292,6 +292,13 @@ def test_solver_sums_one_recursion_per_degree(monkeypatch):
     assert calls == [(1,), (2,), (3,)]
 
 
+def test_solver_tables_ascend_in_degree():
+    # the tables' readers iterate them as returned
+    for n in range(4):
+        for table in solve_recursion(ProjSetup(n), 3).values():
+            assert list(table) == list(range(4))
+
+
 def test_solver_dimension_zero_is_exponential():
     p0 = ProjSetup(0)
     tables = solve_recursion(p0, 3)
