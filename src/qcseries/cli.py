@@ -9,10 +9,15 @@ enter the payload.  Exit codes: 0 all checks passed, 1 at least one failed
 Each subcommand has one table, `SERIES` and `CHECKS`, that maps a name to
 the options it reads and to a builder.  The builder checks those options,
 raising `UsageError`, and returns the work as a function, so every usage
-error comes before any work runs.  The parser's choices, the order of
-`verify all` and the options each name accepts all come from the tables.
+error comes before any work runs.  The parser's names, the options each
+name accepts, the usage text and the order of `verify all` all come from
+the tables.
 
-Building the parser loads no arithmetic: each builder and runner imports
+The parser is `Parser`, read off the tables, not argparse: a command line
+is `qcseries series TARGET [OPTION...]` or `qcseries verify CHECK
+[OPTION...]`, each option spelled in full, as `--opt VALUE` or
+`--opt=VALUE`.  So a cold start loads no argparse, gettext or locale, and
+building the parser loads no arithmetic: each builder and runner imports
 the modules it reads, and a check looks its verify function up when it
 runs, so a run pays only for what it computes (and a function patched on
 its module is the one that runs).
@@ -20,13 +25,13 @@ its module is the one that runs).
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import gc
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import Sequence
 
 from .report import VerificationReport, value_text
@@ -176,20 +181,8 @@ SERIES = {
 }
 
 
-def _reject_unread_options(args, table: dict, name: str) -> None:
-    """An option that `name` does not read is a usage error; `all` reads the union."""
-    if name == "all":
-        reads = set().union(*(options for options, _ in table.values()))
-    else:
-        reads = table[name][0]
-    for dest in ("n", "max_d", "max", "chart"):
-        if getattr(args, dest, None) is not None and dest not in reads:
-            raise UsageError(f"{args.command} {name} does not take {_flag(dest)}")
-
-
 def cmd_series(args):
     """Check the options, then return the work: lines and exit code, once called."""
-    _reject_unread_options(args, SERIES, args.target)
     table = SERIES[args.target][1](args)
     return lambda: (["qcseries series v1"] + table(), 0)
 
@@ -330,7 +323,6 @@ VERIFY_CHECKS = tuple(CHECKS)
 
 def cmd_verify(args):
     """Resolve every check's bounds, then return the work that runs them."""
-    _reject_unread_options(args, CHECKS, args.check)
     quick = args.level == "quick"
     names = VERIFY_CHECKS if args.check == "all" else (args.check,)
     work = [(name, CHECKS[name][1](args, quick)) for name in names]
@@ -377,37 +369,134 @@ def _run_checks(args, work) -> tuple[list[str], int]:
 # -- entry point -----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcseries",
-        description="Exact hypergeometric series tables and verification suites.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> (its value: int, a tuple of choices, str, or None for a flag that
+# takes none; its default; its help); the options a name reads are in its table
+OPTIONS = {
+    "n": (int, None, "dimension / rank selector"),
+    "max_d": (int, None, "degree bound in q"),
+    "max": (int, None, "total-degree or order bound"),
+    "chart": (("part1", "part3"), None, "proj: print the weights in root variables; "
+              "toda-eq (part3 only): print the roots in the weights"),
+    "level": (LEVELS, "quick", "preset bounds when flags are omitted"),
+    "json": (None, False, "emit the JSON mirror instead of text"),
+    "out": (str, None, "write the report to a file"),
+}
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None,
-                       help="dimension / rank selector")
-        p.add_argument("--max-d", dest="max_d", type=int, default=None,
-                       help="degree bound in q")
-        p.add_argument("--max", type=int, default=None,
-                       help="total-degree or order bound")
-        p.add_argument("--out", default=None, help="write the report to a file")
+# command -> (its table, its names, what a name stands for, what the command
+# does, the options it takes besides those its names read)
+COMMANDS = {
+    "series": (SERIES, tuple(SERIES), "target", "print a coefficient table", ("out",)),
+    "verify": (CHECKS, VERIFY_CHECKS + ("all",), "check", "run exact-equality checks",
+               ("level", "json", "out")),
+}
 
-    p_series = sub.add_parser("series", help="print a coefficient table")
-    p_series.add_argument("target", choices=tuple(SERIES))
-    common(p_series)
-    p_series.add_argument("--chart", choices=("part1", "part3"), default=None,
-                          help="proj: print the weights in root variables; "
-                          "toda-eq (part3 only): print the roots in the weights")
 
-    p_verify = sub.add_parser("verify", help="run exact-equality checks")
-    p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))
-    common(p_verify)
-    p_verify.add_argument("--level", choices=LEVELS, default="quick",
-                          help="preset bounds when flags are omitted")
-    p_verify.add_argument("--json", action="store_true",
-                          help="emit the JSON mirror instead of text")
-    return parser
+class Parser:
+    """`qcseries COMMAND NAME [OPTION...]`, its names and options read from the tables.
+
+    An option comes before or after the name, as `--opt VALUE` or
+    `--opt=VALUE`, spelled in full; the last occurrence wins, and an int
+    value may be negative.  `-h` or `--help` anywhere asks for the usage
+    text.  Every other departure is a `UsageError`, raised before any work.
+    """
+
+    __slots__ = ("reads", "flags")
+
+    def __init__(self):
+        # command -> the options that some name of it reads, in OPTIONS order
+        self.reads = {}
+        for command, (table, *_) in COMMANDS.items():
+            read = set().union(*(options for options, _ in table.values()))
+            self.reads[command] = tuple(dest for dest in OPTIONS if dest in read)
+        self.flags = {_flag(dest): dest for dest in OPTIONS}
+
+    def usage(self) -> str:
+        forms = [f"qcseries {command} {what.upper()} [OPTION...]"
+                 for command, (_, _, what, _, _) in COMMANDS.items()]
+        lines = ["usage: " + forms[0]] + ["       " + form for form in forms[1:]]
+        lines += ["", "Exact hypergeometric series tables and verification suites."]
+        for command, (table, names, what, does, extra) in COMMANDS.items():
+            lines += ["", f"{command} {what.upper()}: {does}"]
+            lines += [f"  {name:<17}{' '.join(map(_flag, table[name][0]))}"
+                      for name in table]
+            if "all" in names:
+                lines.append(f"  {'all':<17}every {what} above, in this order")
+            lines.append(f"  {'any ' + what:<17}{' '.join(map(_flag, extra))}")
+        lines += ["", "options, as --opt VALUE or --opt=VALUE; the last one given wins:"]
+        for dest, (kind, default, text) in OPTIONS.items():
+            value = (" " + "|".join(kind) if isinstance(kind, tuple)
+                     else {int: " N", str: " FILE", None: ""}[kind])
+            if isinstance(default, str):
+                text += f" (default {default})"
+            lines.append(f"  {_flag(dest) + value:<21}{text}")
+        lines.append(f"  {'-h, --help':<21}print this text and exit")
+        return "\n".join(lines) + "\n"
+
+    def parse_args(self, argv: Sequence[str]) -> SimpleNamespace | None:
+        """The parsed arguments, or None if they ask for help."""
+        if "-h" in argv or "--help" in argv:
+            return None
+        if not argv or argv[0] not in COMMANDS:
+            given = f"unknown command {argv[0]!r}" if argv else "missing command"
+            raise UsageError(f"{given}: choose from {', '.join(COMMANDS)}")
+        command, *rest = argv
+        table, names, what, _, extra = COMMANDS[command]
+        reads = self.reads[command]
+        values = {dest: OPTIONS[dest][1] for dest in reads + extra}
+        name = None
+        unread = []
+        tokens = iter(rest)
+        for token in tokens:
+            if not token.startswith("-"):
+                if name is not None:
+                    unread.append(token)
+                elif token in names:
+                    name = token
+                else:
+                    raise UsageError(f"unknown {command} {what} {token!r}: "
+                                     f"choose from {', '.join(names)}")
+                continue
+            flag, equals, value = token.partition("=")
+            dest = self.flags.get(flag)
+            if dest not in values:
+                unread.append(token)
+                continue
+            kind = OPTIONS[dest][0]
+            if kind is None:
+                if equals:
+                    raise UsageError(f"{flag} takes no value")
+                values[dest] = True
+                continue
+            if not equals:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"{flag} needs a value")
+            values[dest] = _option_value(flag, kind, value)
+        if unread:
+            raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
+        if name is None:
+            raise UsageError(f"{command} needs a {what}: choose from {', '.join(names)}")
+        # an option that this name does not read; `all` reads every one
+        own = reads if name == "all" else table[name][0]
+        for dest in reads:
+            if values[dest] is not None and dest not in own:
+                raise UsageError(f"{command} {name} does not take {_flag(dest)}")
+        return SimpleNamespace(command=command, **{what: name}, **values)
+
+
+def _option_value(flag: str, kind, value: str):
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+    if kind is not str and value not in kind:
+        raise UsageError(f"{flag} takes one of {', '.join(kind)}, not {value!r}")
+    return value
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def _write_stdout(text: str) -> bool:
@@ -445,10 +534,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     atexit.register(gc.freeze)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return 0 if _write_stdout(parser.usage()) else 2
         run = (cmd_series if args.command == "series" else cmd_verify)(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

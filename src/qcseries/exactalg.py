@@ -57,7 +57,13 @@ Design notes that the rest of the package relies on:
   - in a/F + b/G, a factor whose multiplicity differs between F and G
     divides exactly one of the two cross-multiplied terms, so not their
     sum; only factors of equal multiplicity are tried;
-  - the reciprocal F/a shares no factor with its numerator F.
+  - the reciprocal F/a shares no factor with its numerator F;
+  - a linear dividend is divisible by a factor only when the two are equal,
+    since both are primitive with a positive lead, so it is compared, not
+    divided (`_cancel`);
+  - a numerator given as factors (`from_factored`) cancels each linear one
+    against an equal denominator factor by key, and only a nonlinear one is
+    trial-divided.
   Each rule only skips a division that would fail, so results never depend
   on it.  By Gauss's lemma an exact quotient of primitive integer
   polynomials is again primitive, which keeps every numerator canonical
@@ -90,7 +96,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -754,8 +760,12 @@ def _merge_factor(fac: dict[tuple, tuple[MultiPoly, int]], p: MultiPoly, mult: i
 def _cancel(num: MultiPoly, f: MultiPoly, mult: int) -> tuple[MultiPoly, int]:
     """Divide f out of num up to mult times; the quotient and the multiplicity left.
 
-    A nonconstant f never divides a constant num, so that needs no division.
+    num and the linear f are primitive with a positive lead, so a nonconstant
+    f never divides a constant num, and divides a linear num only when the
+    two are equal, with quotient 1: neither needs a division.
     """
+    if mult and max(num.terms, default=0) >> num.registry._deg_shift == 1:
+        return (num.registry.one(), mult - 1) if num.terms == f.terms else (num, mult)
     while mult and not num.is_const:
         q = num.divide_exact(f)
         if q is None:
@@ -824,26 +834,65 @@ class RatFunc:
         raise TypeError(f"cannot interpret {type(x).__name__} as RatFunc")
 
     @staticmethod
-    def from_factored(num: MultiPoly, dens: Iterable[MultiPoly],
+    def from_factored(num: MultiPoly | Sequence[MultiPoly], dens: Iterable[MultiPoly],
                       scale: Coeff = 1) -> "RatFunc":
-        """Build num / (scale-adjusted product of dens), keeping dens factored."""
-        registry = num.registry
-        scalar = Fraction(scale)
-        if scalar == 0:
+        """Build num / (scale * the product of dens), keeping dens factored.
+
+        `num` is a polynomial or a nonempty sequence of polynomial factors.
+        Every content is folded into the scalar in ints, which meet `scale`
+        in one Fraction.  A linear numerator factor cancels against an equal
+        denominator factor by key; the numerator factors left are multiplied
+        out once, and only the nonlinear ones are trial-divided (see the
+        module docstring).
+        """
+        nums = (num,) if isinstance(num, MultiPoly) else tuple(num)
+        if not nums:
+            raise ValueError("a numerator needs at least one factor")
+        registry = nums[0].registry
+        scale = Fraction(scale)
+        if scale == 0:
             raise ZeroDivisionError("zero denominator scale")
-        s, prim = num.primitive()
-        if s == 0:
-            return RatFunc.zero(registry)
-        scalar = s / scalar
+        up, down = scale.denominator, scale.numerator
+        prims = []
+        for p in nums:
+            _check_same_registry(nums[0], p)
+            s, prim = p.primitive()
+            if s == 0:
+                return RatFunc.zero(registry)
+            up *= s.numerator
+            down *= s.denominator
+            if not prim.is_const:
+                prims.append(prim)
         fac: dict[tuple, tuple[MultiPoly, int]] = {}
         for d in dens:
-            _check_same_registry(num, d)
+            _check_same_registry(nums[0], d)
             if d.is_zero:
                 raise ZeroDivisionError("zero denominator factor")
             ds, dp = d.primitive()
-            scalar = scalar / ds
+            up *= ds.denominator
+            down *= ds.numerator
             _merge_factor(fac, dp, 1)
-        return RatFunc._reduced(registry, scalar, prim, fac)
+        kept: list[MultiPoly] = []
+        nonlinear: list[MultiPoly] = []
+        for p in prims:
+            if max(p.terms) >> registry._deg_shift > 1:
+                nonlinear.append(p)
+                continue
+            k = p.key()
+            if k in fac and fac[k][1]:
+                fac[k] = (fac[k][0], fac[k][1] - 1)
+            else:
+                kept.append(p)
+        if nonlinear:
+            # a kept linear factor differs from every factor left in fac, so
+            # only the nonlinear part can lose one
+            rest = prod(nonlinear)
+            for k, (f, m) in fac.items():
+                rest, m = _cancel(rest, f, m)
+                fac[k] = (f, m)
+            kept.append(rest)
+        num = prod(kept) if kept else registry.one()
+        return RatFunc._reduced(registry, Fraction(up, down), num, fac, ())
 
     @staticmethod
     def _reduced(registry: VarRegistry, scalar: Fraction, num: MultiPoly,

@@ -75,7 +75,7 @@ def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
     n = sum(curves[alpha])
     a_form = system.root_form(alpha)
 
-    num = reg.one()
+    num = [reg.one()]
     dens: list[MultiPoly] = []
     c1 = 0
     for gamma in curves:
@@ -89,11 +89,11 @@ def coeff_C_id(system: RootSystem, alpha: tuple[int, ...], k: int,
                 dens.append(g_form - a_form.scale(Fraction(m, k)))
         elif c < 0:
             for m in range(0, -k * c):
-                num = num * (g_form + a_form.scale(Fraction(m, k)))
+                num.append(g_form + a_form.scale(Fraction(m, k)))
 
     e = k * n - 2 * k + 1
     if e >= 0:
-        num = num * a_form**e
+        num.extend([a_form] * e)
     else:
         dens.extend([a_form] * (-e))
     sign = -1 if (k * (n + 1)) % 2 else 1
@@ -231,32 +231,40 @@ def solve_flag_recursion(system: RootSystem, total_max: int,
 A2_THETA = (1, 1)
 
 
-@cache
-def a2_closed_coeff(i: int, j: int) -> RatFunc:
-    """Closed bidegree-(i,j) coefficient of the rank-two type-A identity table.
+def a2_closed_factors(i: int, j: int, a1: MultiPoly, a2: MultiPoly, h: MultiPoly):
+    """The rank-two type-A closed form at bidegree (i, j) as its linear factors.
 
     With (x)_p = (h + x)(2h + x)...(ph + x) and theta = alpha_1 + alpha_2,
     the coefficient is (theta)_(i+j) over i! j! (alpha_1)_i (theta)_i
     (alpha_2)_j (theta)_j.  A factor mh + theta with m <= i + j occurs once
-    above and [m <= i] + [m <= j] times below, so the quotient is built
+    above and [m <= i] + [m <= j] times below, so the quotient is written
     cancelled: the mh + theta with max(i, j) < m <= i + j over i! j!
-    (alpha_1)_i (alpha_2)_j (theta)_min(i,j).  The linear forms mh + alpha_1,
-    mh + alpha_2 and mh + theta are distinct primes, so no two are
-    associates and nothing else cancels: `from_factored`'s trial divisions
-    all fail, and its value is the canonical form of the uncancelled quotient.
+    (alpha_1)_i (alpha_2)_j (theta)_min(i,j).  Returns (numerator factors,
+    denominator factors, scale) in the forms a1, a2 and h given for alpha_1,
+    alpha_2 and h, for `RatFunc.from_factored`; the numerator list starts
+    with the constant 1, so it is never empty.
+    """
+    th = a1 + a2
+    num = [h.registry.one()] + [h.scale(m) + th for m in range(max(i, j) + 1, i + j + 1)]
+    dens = [h.scale(m) + a1 for m in range(1, i + 1)]
+    dens += [h.scale(m) + a2 for m in range(1, j + 1)]
+    dens += [h.scale(m) + th for m in range(1, min(i, j) + 1)]
+    return num, dens, factorial(i) * factorial(j)
+
+
+@cache
+def a2_closed_coeff(i: int, j: int) -> RatFunc:
+    """Closed bidegree-(i,j) coefficient of the rank-two type-A identity table.
+
+    Built from `a2_closed_factors` in the roots alpha_1, alpha_2 and h.  The
+    linear forms mh + alpha_1, mh + alpha_2 and mh + theta are distinct
+    primes, so nothing cancels and `from_factored` makes no division.
     """
     if i < 0 or j < 0:
         raise ValueError("bidegree must be nonnegative")
     reg = RootSystem.type_A(2).registry
     a1, a2, h = map(reg.var, ("alpha_1", "alpha_2", "h"))
-    th = a1 + a2
-    num = reg.one()
-    for m in range(max(i, j) + 1, i + j + 1):
-        num = num * (h.scale(m) + th)
-    dens = [h.scale(m) + a1 for m in range(1, i + 1)]
-    dens += [h.scale(m) + a2 for m in range(1, j + 1)]
-    dens += [h.scale(m) + th for m in range(1, min(i, j) + 1)]
-    return RatFunc.from_factored(num, dens, scale=factorial(i) * factorial(j))
+    return RatFunc.from_factored(*a2_closed_factors(i, j, a1, a2, h))
 
 
 # -- verification: rank one against the projective line -------------------------------
@@ -371,11 +379,10 @@ def verify_lemma_3_4(i: int, j: int) -> VerificationReport:
         )
         labels = [(r, k) for r, (_, poles, _) in enumerate(families) for k in range(1, poles + 1)]
         factors = [h.scale(k) + system.root_form(families[r][0]) for r, k in labels]
-        num = reg.one()
-        for m in range(j + 1, i + j + 1):
-            num = num * (h.scale(m) + th)
         # the hand-derived form of the value, split and compared with it
-        derived = RatFunc.from_factored(num, factors, scale=factorial(i) * factorial(j))
+        derived = RatFunc.from_factored(
+            [reg.one()] + [h.scale(m) + th for m in range(j + 1, i + j + 1)], factors,
+            scale=factorial(i) * factorial(j))
         parts = partial_fractions(derived, "h", factors)
         report.check_equal("recombined", recombine(parts, reg), value)
 

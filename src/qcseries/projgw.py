@@ -388,8 +388,9 @@ def euler_prefactor_identity(setup: ProjSetup, i: int, j: int, k: int,
         report.check_equal("m=0 slice", slice_m0, euler_e(setup, i))
 
         pole = h + (li - lj).scale(Fraction(1, k))
+        # the Euler class and the weight power as their linear factors
         lhs = RatFunc.from_factored(
-            euler_e(setup, i) * weight**d,
+            [li - setup.lam(b) for b in setup.points() if b != i] + [weight] * d,
             [pole] + [f for _, _, f in big],
             scale=k,
         )

@@ -170,15 +170,23 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
     (the memoization rule of `projgw`).  Every value, zero included, is
     over the rank-two root system's registry.
     """
-    from . import flaggw
     from .roots import RootSystem
 
     reg = RootSystem.type_A(2).registry
+    return _over_h_power(i, j, *map(reg.var, ("alpha_1", "alpha_2", "h")))
+
+
+def _over_h_power(i: int, j: int, a1: MultiPoly, a2: MultiPoly, h: MultiPoly) -> RatFunc:
+    """The rank-two closed form over h^(i+j), from its linear factors in a1, a2 and h.
+
+    Zero, over h's registry, outside the quadrant.
+    """
+    from . import flaggw
+
     if i < 0 or j < 0:
-        return RatFunc.zero(reg)
-    return flaggw.a2_closed_coeff(i, j) * RatFunc.from_factored(
-        reg.one(), [reg.var("h")] * (i + j)
-    )
+        return RatFunc.zero(h.registry)
+    num, dens, scale = flaggw.a2_closed_factors(i, j, a1, a2, h)
+    return RatFunc.from_factored(num, dens + [h] * (i + j), scale)
 
 
 def _part3_chart(weights) -> dict:
@@ -192,8 +200,9 @@ def _part3_chart(weights) -> dict:
 
 @cache
 def _lambda_coeff(i: int, j: int) -> RatFunc:
-    return substitute(closed_a_equivariant(i, j), _part3_chart(LAMBDA_WEIGHTS[:3]),
-                      LAMBDA_REGISTRY)
+    """closed_a_equivariant(i, j) in the weights: each linear factor goes through Part III's chart."""
+    al1, al2 = _part3_chart(LAMBDA_WEIGHTS[:3]).values()
+    return _over_h_power(i, j, al1, al2, LAMBDA_WEIGHTS[3])
 
 
 def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int], object]:
@@ -229,11 +238,10 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
             if (i, j) == (0, 0):
                 report.check_equal("i=0 j=0 base", a(0, 0), 1)
                 continue
-            # two linear factors, so that a quotient by bracket stays factored
+            # the bracket h * linear, multiplied in one linear factor at a time
             linear = h * (i * i - i * j + j * j) + al1 * i + al2 * j
-            bracket = h * linear
             report.check_equal(
-                f"{loc} second-order", bracket * a(i, j), a(i - 1, j) + a(i, j - 1)
+                f"{loc} second-order", a(i, j) * linear * h, a(i - 1, j) + a(i, j - 1)
             )
             eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l012
             report.check_equal(
@@ -244,8 +252,8 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
             if i >= 1 and j >= 1:
                 report.check_equal(
                     f"{loc} cross-ratio",
-                    (h * i) * (h * i + al1) * (h * i + theta) * a(i, j - 1),
-                    (h * j) * (h * j + al2) * (h * j + theta) * a(i - 1, j),
+                    a(i, j - 1) * (h * i) * (h * i + al1) * (h * i + theta),
+                    a(i - 1, j) * (h * j) * (h * j + al2) * (h * j + theta),
                 )
             if j == 0:
                 row = 1

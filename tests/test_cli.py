@@ -570,6 +570,78 @@ def test_verify_all_names_the_check_that_rejects_n(capsys, n):
     assert err == "error: --n must be in 1..2 for euler-prefactor\n"
 
 
+# -- the parser ------------------------------------------------------------------------
+
+
+def test_options_come_in_either_spelling_anywhere_and_the_last_wins(capsys):
+    want = run(capsys, "verify", "batyrev", "--max", "2")
+    assert want[0] == 0
+    for argv in (
+        ("verify", "batyrev", "--max=2"),
+        ("verify", "--max", "2", "batyrev"),
+        ("verify", "--max=5", "batyrev", "--level", "full", "--max", "2"),
+        ("verify", "--level=full", "--level", "quick", "batyrev", "--max=2"),
+    ):
+        assert run(capsys, *argv) == want, argv
+    _, table, _ = run(capsys, "series", "proj", "--n", "1", "--max-d", "2", "--chart", "part1")
+    assert run(capsys, "series", "--chart=part1", "--max-d=2", "proj", "--n=1")[1] == table
+    # an int value may be negative, in either spelling, and reaches the bound check
+    for value in (("--max", "-1"), ("--max=-1",)):
+        assert run(capsys, "verify", "batyrev", *value) == (
+            2, "", "error: --max must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("-h",), ("verify", "-h"), ("series", "toda", "--max", "2", "--help"),
+    ("verify", "nonsense", "--max", "x", "--help"),
+], ids=" ".join)
+def test_help_anywhere_prints_the_usage_the_tables_give(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qcseries series TARGET [OPTION...]\n")
+    words = set(out.split())
+    assert {*cli.SERIES, *cli.CHECKS, "all"} <= words
+    assert {"--n", "--max-d", "--max", "--chart", "--level", "--json", "--out"} <= words
+
+
+SERIES_NAMES = ", ".join(cli.SERIES)
+CHECK_NAMES = ", ".join((*cli.CHECKS, "all"))
+
+
+USAGE_ERRORS = [
+    ((), "missing command: choose from series, verify"),
+    (("tables", "toda"), "unknown command 'tables': choose from series, verify"),
+    (("series",), f"series needs a target: choose from {SERIES_NAMES}"),
+    (("verify", "--max", "2"), f"verify needs a check: choose from {CHECK_NAMES}"),
+    (("series", "nonsense"), f"unknown series target 'nonsense': choose from {SERIES_NAMES}"),
+    (("verify", "batyrev", "toda-eq"), "unrecognized arguments: toda-eq"),
+    (("verify", "batyrev", "--chart=part1"), "unrecognized arguments: --chart=part1"),
+    (("series", "toda", "--n", "2", "--max", "2"), "series toda does not take --n"),
+    (("verify", "batyrev", "--max", "two"), "--max takes an integer, not 'two'"),
+    (("verify", "batyrev", "--level", "deep"), "--level takes one of quick, full, not 'deep'"),
+    (("series", "proj", "--chart=part2"), "--chart takes one of part1, part3, not 'part2'"),
+    (("verify", "batyrev", "--max"), "--max needs a value"),
+    (("verify", "batyrev", "--json=yes"), "--json takes no value"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])
+def test_each_usage_error_is_one_line_before_any_work(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "batyrev", "--lev", "full"),
+    ("verify", "batyrev", "--ma=2"),
+    ("series", "proj", "--max-", "2"),
+], ids=" ".join)
+def test_an_abbreviated_option_is_a_usage_error(capsys, argv):
+    # every option is spelled in full: a prefix is an argument nothing reads
+    assert run(capsys, *argv) == (
+        2, "", f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+
+
 # -- exit ----------------------------------------------------------------------------
 
 # registered before main runs, so atexit, last in first out, calls it after any

@@ -1123,3 +1123,88 @@ def test_substitute_into_another_registry_matches_per_factor_division(data):
     got = f.substitute(bindings, TREG)
     assert got.registry is TREG
     assert got.text() == want.text()
+
+
+# -- numerators given as factors, and products with a linear form -----------------
+
+
+def to_sympy_ratfunc(f, symbols):
+    return to_sympy(f.numerator, symbols) / to_sympy(f.denominator, symbols)
+
+
+def assert_matches_sympy(ours, theirs, symbols):
+    import sympy
+
+    num, den = sympy.fraction(sympy.cancel(theirs))
+    our_num = to_sympy(ours.numerator, symbols)
+    our_den = to_sympy(ours.denominator, symbols)
+    assert sympy.expand(our_num * den - num * our_den) == 0
+    assert sympy.cancel(our_den / den).is_number
+
+
+@st.composite
+def numerator_factors(draw, pool):
+    # associates of the denominator forms (negated or scaled copies), other
+    # linear forms, monomials, constants (zero among them), and at most one
+    # nonlinear factor; repeats come from drawing a pool form twice
+    index = st.integers(0, len(pool) - 1)
+    factor = st.one_of(
+        st.builds(lambda i, c: pool[i].scale(c), index, coeffs().filter(bool)),
+        linear_forms(),
+        monomial_polys(),
+        coeffs().map(PREG.const),
+    )
+    factors = draw(st.lists(factor, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        factors.insert(draw(st.integers(0, len(factors))), draw(nonzero_polys()))
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_numerator_factors_give_the_value_of_their_product(data):
+    # a sequence numerator is the numerator its product is: linear factors
+    # cancel by key, the nonlinear one by trial division, and sympy agrees
+    sympy = pytest.importorskip("sympy")
+    pool = data.draw(st.lists(linear_forms(), min_size=1, max_size=3))
+    dens = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))]
+    nums = data.draw(numerator_factors(pool))
+    scale = data.draw(coeffs().filter(bool))
+    ours = RatFunc.from_factored(nums, dens, scale)
+    product = PREG.one()
+    for p in nums:
+        product = product * p
+    assert canonical(ours) == canonical(RatFunc.from_factored(product, dens, scale))
+    symbols = sympy.symbols("x y z")
+    theirs = to_sympy(product, symbols) / sympy.Rational(scale.numerator, scale.denominator)
+    for d in dens:
+        theirs /= to_sympy(d, symbols)
+    assert_matches_sympy(ours, theirs, symbols)
+
+
+def test_numerator_factors_need_one_registry_and_one_factor():
+    with pytest.raises(ValueError):
+        RatFunc.from_factored([], [H])
+    with pytest.raises(ValueError):
+        RatFunc.from_factored([ALPHA, PREG.var("x")], [H])
+    # an associate of a denominator factor cancels, and its content stays
+    assert RatFunc.from_factored([ALPHA.scale(-2) - H.scale(2)], [H + ALPHA]) == -2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_with_a_linear_form_matches_sympy(data):
+    # the linear operand is compared with each factor, not divided by it
+    sympy = pytest.importorskip("sympy")
+    pool = data.draw(st.lists(linear_forms(), min_size=1, max_size=3))
+    f = data.draw(linear_ratfuncs(pool))
+    g = data.draw(st.one_of(
+        st.builds(lambda p, c: p.scale(c), st.sampled_from(pool), coeffs().filter(bool)),
+        linear_forms(),
+    ))
+    symbols = sympy.symbols("x y z")
+    theirs = to_sympy_ratfunc(f, symbols) * to_sympy(g, symbols)
+    oracle = RatFunc.from_factored(f.numerator * g, expanded_factors(f))
+    for ours in (f * g, g * f):
+        assert canonical(ours) == canonical(oracle)
+        assert_matches_sympy(ours, theirs, symbols)

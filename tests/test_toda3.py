@@ -361,3 +361,25 @@ def test_apply_commutes_with_specialization():
         left = specialize(apply(eq_op, coeffs, 2), flat)
         right = apply(plain_op, specialize(coeffs, flat), 2)
         assert nonzero(left) == right
+
+
+def test_closed_forms_build_from_their_factors_with_no_division(monkeypatch):
+    # every factor of the rank-two closed form is linear and prime, so each
+    # value is built by comparing keys; here a trial division fails the test
+    RootSystem.type_A(2)
+    for built in (flaggw.a2_closed_coeff, closed_a_equivariant, toda3._lambda_coeff):
+        built.cache_clear()
+
+    def refuse(self, g):
+        raise AssertionError("a closed form tried a division")
+
+    with monkeypatch.context() as m:
+        m.setattr(MultiPoly, "divide_exact", refuse)
+        values = {(i, j): (flaggw.a2_closed_coeff(i, j), closed_a_equivariant(i, j),
+                           toda3._lambda_coeff(i, j))
+                  for i in range(5) for j in range(5 - i)}
+    # the weights' value is the root-variable one through Part III's chart
+    chart = toda3._part3_chart(toda3.LAMBDA_WEIGHTS[:3])
+    for (i, j), (closed, over_h, weights) in values.items():
+        assert over_h == closed / RootSystem.type_A(2).registry.var("h") ** (i + j)
+        assert weights == over_h.substitute(chart, LREG)
