@@ -17,7 +17,10 @@ Design notes that the rest of the package relies on:
   `*` and `/` in either order, and the result is a `RatFunc` when one
   operand is.  `MultiPoly`'s operators return ``NotImplemented`` for an
   operand they do not know, so a `RatFunc` operand's reflected method
-  coerces the polynomial; a number over a polynomial is a `RatFunc`.
+  coerces the polynomial.  A polynomial over a number is a polynomial
+  (``ZeroDivisionError`` for 0); a polynomial over a polynomial, and a
+  number over a polynomial, is a `RatFunc`.  A bool is no coefficient and
+  no exponent: arithmetic with one, `**` included, raises ``TypeError``.
 * Each monomial is packed into one int (Monagan & Pearce, CASC 2007): 16-bit
   fields, the total degree in the top one, then one per variable with the
   first registry variable most significant.  The top bit of every field is
@@ -62,20 +65,21 @@ Design notes that the rest of the package relies on:
     since both are primitive with a positive lead, so it is compared, not
     divided (`_cancel`);
   - a numerator given as factors (`from_factored`) cancels each linear one
-    against an equal denominator factor by key, and only a nonlinear one is
-    trial-divided.
+    against an equal denominator factor by key, and the product is
+    trial-divided only when a nonlinear factor is in it.
   Each rule only skips a division that would fail, so results never depend
   on it.  By Gauss's lemma an exact quotient of primitive integer
   polynomials is again primitive, which keeps every numerator canonical
-  without renormalizing, and lets `divide_exact` stay in integer arithmetic
-  when the divisor is primitive.
+  without renormalizing.
 * `divide_exact` divides by a divisor g of total degree 1 by long division
-  in one variable.  In the graded order the leading monomial of such a g is
-  its lex-first variable x, so g = a*x + r with a a nonzero constant and r
-  free of x.  Over the ring of polynomials in the other variables, g then
+  in one variable, on the primitive parts of the two operands, and scales
+  the quotient by the ratio of their contents.  In the graded order the
+  leading monomial of such a g is its lex-first variable x, so g = a*x + r
+  with a a positive integer and r free of x.  Over Q[other variables], g
   has degree 1 in x and a unit leading coefficient, so division by g leaves
-  a unique quotient and a remainder free of x, and g divides exactly when
-  that remainder is 0.
+  a unique quotient and a remainder free of x; g divides exactly when that
+  remainder is 0, and as the quotient is integral (Gauss's lemma) the
+  division stops at the first coefficient that a does not divide.
 * Substitution maps a polynomial of total degree at most 1 (every
   denominator factor) as an integer linear map.  Each variable's
   image is built once per substitution, times D, the lcm of the
@@ -101,6 +105,8 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, ...]
+# the content `MultiPoly.primitive` gives a polynomial that is its own primitive part
+_ONE = Fraction(1)
 
 
 class PoleError(ZeroDivisionError):
@@ -327,7 +333,8 @@ class MultiPoly:
         return self.registry == other.registry and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.registry, self.key()))
+        # a constant equals its value, so it hashes as one
+        return hash(self.const_value() if self.is_const else (self.registry, self.key()))
 
     # -- ring operations ------------------------------------------------
 
@@ -404,12 +411,20 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "MultiPoly | RatFunc":
+        # a RatFunc divisor is left to its reflected method
+        if isinstance(other, (int, Fraction)):
+            return self.scale(Fraction(1, _as_coeff(other)))
+        return RatFunc.from_poly(self) / other if isinstance(other, MultiPoly) else NotImplemented
+
     def __rtruediv__(self, other) -> "RatFunc":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return RatFunc.coerce(self.registry, other) / self
 
     def __pow__(self, n: int) -> "MultiPoly":
+        if isinstance(n, bool):
+            raise TypeError("exponent must be an int, not bool")
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
         if n and self.terms and (max(self.terms) >> self.registry._deg_shift) * n > MAX_DEGREE:
@@ -430,7 +445,7 @@ class MultiPoly:
 
         The zero polynomial returns (0, 1) so that callers can fold the zero
         into a scalar uniformly.  A polynomial that already is primitive is
-        returned as its own primitive part, not copied.
+        its own primitive part, not a copy, with the shared content `_ONE`.
         """
         if self.is_zero:
             return Fraction(0), self.registry.one()
@@ -445,7 +460,7 @@ class MultiPoly:
             if terms[max(terms)] < 0:
                 num_gcd = -num_gcd
             if num_gcd == 1:
-                return Fraction(1), self
+                return _ONE, self
             return Fraction(num_gcd), MultiPoly._raw(
                 self.registry, {m: v // num_gcd for m, v in terms.items()})
         den_lcm = 1
@@ -467,8 +482,8 @@ class MultiPoly:
     def divide_exact(self, g: "MultiPoly") -> "MultiPoly | None":
         """Exact polynomial quotient self/g, or None if g does not divide.
 
-        g must have total degree at most 1 (see the module docstring);
-        ValueError otherwise.
+        g must have total degree at most 1, ValueError otherwise; the long
+        division runs on the primitive parts (see the module docstring).
         """
         _check_same_registry(self, g)
         if g.is_zero:
@@ -492,7 +507,10 @@ class MultiPoly:
         diff = min(self.terms) - min(g.terms)
         if diff < 0 or diff & guard:
             return None
-        return _divide_linear(self, g, glead)
+        s, p = self.primitive()
+        t, g = g.primitive()
+        q = _divide_linear(p, g, glead)
+        return q if q is None or s is t else q.scale(s / t)
 
     # -- substitution ----------------------------------------------------
 
@@ -518,32 +536,21 @@ class MultiPoly:
         return f"<MultiPoly {self.text()}>"
 
 
-def _integral(p: MultiPoly, g: MultiPoly) -> bool:
-    """Whether p and g are integer polynomials with g primitive.
-
-    An exact quotient p/g is then integral (Gauss's lemma), so a quotient
-    coefficient that does not divide in Z already proves failure.
-    """
-    return (all(type(c) is int for c in g.terms.values())
-            and gcd(*g.terms.values()) == 1
-            and all(type(c) is int for c in p.terms.values()))
-
-
 def _divide_linear(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
-    """p / g for g = a*x + r of total degree 1, by long division in x, or None.
+    """p / g for primitive integer p and g = a*x + r of total degree 1, or None.
 
-    x is the variable of g's leading monomial glead, and r is free of x (see
-    the module docstring).  p is split once into its x-slices N_E ... N_0,
+    x is the variable of g's leading monomial glead, a > 0 and r is free of x
+    (see the module docstring).  p is split once into its x-slices N_E ... N_0,
     each keyed by its monomials with x^e removed.  With Q_E = 0, the slice
     R_e = N_e - r*Q_e gives the quotient slice Q_(e-1) = R_e / a for e >= 1,
-    and g divides p exactly when R_0 = 0.
+    and g divides p exactly when R_0 = 0; a remainder mod a proves failure.
     """
     reg = p.registry
     a = g.terms[glead]
     rest = [(m, c) for m, c in g.terms.items() if m != glead]
     shift = (glead & reg._lex_mask).bit_length() - 1
     field = (1 << _FIELD_BITS) - 1
-    slices: dict[int, dict[int, Coeff]] = {}
+    slices: dict[int, dict[int, int]] = {}
     for m, c in p.terms.items():
         e = m >> shift & field
         got = slices.get(e)
@@ -551,22 +558,16 @@ def _divide_linear(p: MultiPoly, g: MultiPoly, glead: int) -> MultiPoly | None:
             slices[e] = {m - e * glead: c}
         else:
             got[m - e * glead] = c
-    # dividing by a unit a needs no test
-    integral = a not in (1, -1) and _integral(p, g)
-    q: dict[int, Coeff] = {}
-    prev: dict[int, Coeff] = {}
+    q: dict[int, int] = {}
+    prev: dict[int, int] = {}
     for e in range(max(slices), 0, -1):
         cur = _minus_product(slices.get(e, {}), rest, prev)
-        if a == -1:
-            cur = {m: -c for m, c in cur.items()}
-        elif integral:
+        if a != 1:
             for m, c in cur.items():
                 c, rem = divmod(c, a)
                 if rem:
                     return None
                 cur[m] = c
-        elif a != 1:
-            cur = {m: _as_coeff(Fraction(c) / a) for m, c in cur.items()}
         offset = (e - 1) * glead
         for m, c in cur.items():
             q[m + offset] = c
@@ -842,8 +843,8 @@ class RatFunc:
         Every content is folded into the scalar in ints, which meet `scale`
         in one Fraction.  A linear numerator factor cancels against an equal
         denominator factor by key; the numerator factors left are multiplied
-        out once, and only the nonlinear ones are trial-divided (see the
-        module docstring).
+        out once, and the product is trial-divided only when one of them is
+        nonlinear (see the module docstring).
         """
         nums = (num,) if isinstance(num, MultiPoly) else tuple(num)
         if not nums:
@@ -873,26 +874,20 @@ class RatFunc:
             down *= ds.numerator
             _merge_factor(fac, dp, 1)
         kept: list[MultiPoly] = []
-        nonlinear: list[MultiPoly] = []
+        trial: tuple | None = ()
         for p in prims:
             if max(p.terms) >> registry._deg_shift > 1:
-                nonlinear.append(p)
-                continue
-            k = p.key()
-            if k in fac and fac[k][1]:
-                fac[k] = (fac[k][0], fac[k][1] - 1)
+                # a kept linear factor differs from every factor left in
+                # fac, so only this one can cancel one: try them all
+                trial = None
             else:
-                kept.append(p)
-        if nonlinear:
-            # a kept linear factor differs from every factor left in fac, so
-            # only the nonlinear part can lose one
-            rest = prod(nonlinear)
-            for k, (f, m) in fac.items():
-                rest, m = _cancel(rest, f, m)
-                fac[k] = (f, m)
-            kept.append(rest)
+                k = p.key()
+                if k in fac and fac[k][1]:
+                    fac[k] = (fac[k][0], fac[k][1] - 1)
+                    continue
+            kept.append(p)
         num = prod(kept) if kept else registry.one()
-        return RatFunc._reduced(registry, Fraction(up, down), num, fac, ())
+        return RatFunc._reduced(registry, Fraction(up, down), num, fac, trial)
 
     @staticmethod
     def _reduced(registry: VarRegistry, scalar: Fraction, num: MultiPoly,
@@ -1036,6 +1031,8 @@ class RatFunc:
         return RatFunc.coerce(self.registry, other) * self.reciprocal()
 
     def __pow__(self, n: int) -> "RatFunc":
+        if isinstance(n, bool):
+            raise TypeError("exponent must be an int, not bool")
         if not isinstance(n, int):
             raise ValueError("exponent must be an int")
         if n < 0:

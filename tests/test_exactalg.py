@@ -77,16 +77,44 @@ def test_values_over_different_registries_compare_unequal():
 
 
 def test_bool_is_not_a_coefficient():
-    # a bool is an int to Python but no coefficient of either type: arithmetic
-    # with it raises, in either order, and == says False without raising
+    # a bool is an int to Python but no coefficient or exponent of either
+    # type: arithmetic with it raises, in either order, and == says False
+    # without raising
     for value in (ALPHA, REG.one(), rf(ALPHA) / rf(H), RatFunc.one(REG)):
         for flag in (True, False):
-            for op in (operator.add, operator.sub, operator.mul):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                       operator.pow):
                 with pytest.raises(TypeError):
                     op(value, flag)
                 with pytest.raises(TypeError):
                     op(flag, value)
             assert (value == flag, flag == value, value != flag) == (False, False, True)
+
+
+def test_a_constant_polynomial_hashes_as_its_value():
+    # equal objects hash equal: a constant equals its value
+    for c in (3, Fraction(-5, 7), 0):
+        assert REG.const(c) == c and hash(REG.const(c)) == hash(c)
+        assert len({REG.const(c), c}) == 1
+
+
+def test_a_polynomial_divides_by_a_number_or_a_polynomial():
+    # a number scales; a polynomial gives the RatFunc quotient, and a RatFunc
+    # divisor goes to the RatFunc's reflected method
+    p = ALPHA**2 + 3 * H
+    assert p / 2 == p.scale(Fraction(1, 2)) and isinstance(p / 2, MultiPoly)
+    assert p / Fraction(1, 3) == 3 * p
+    assert (p / (ALPHA + H)) * (ALPHA + H) == p
+    assert p / H == rf(p) / rf(H) and isinstance(p / H, RatFunc)
+    f = rf(ALPHA) / rf(H)
+    assert p / f == rf(p) * rf(H) / rf(ALPHA)
+    for zero in (0, Fraction(0), REG.zero()):
+        with pytest.raises(ZeroDivisionError):
+            p / zero
+    with pytest.raises(ValueError):
+        p / (ALPHA**2 + H)
+    with pytest.raises(ValueError):
+        p / VarRegistry(["x"]).var("x")
 
 
 def test_divide_exact_roundtrip_and_failure():
@@ -439,9 +467,12 @@ def test_polynomials_and_rational_functions_mix(p, q, f, n):
     # a polynomial operand acts as the rational function it equals, on
     # either side, and a number over a polynomial is a rational function
     rp, rq = RatFunc.from_poly(p), RatFunc.from_poly(q)
-    mixed = (p * f, p + f, p - f, f - p, n / q)
-    assert mixed == (rp * f, rp + f, rp - f, f - rp, n / rq)
+    mixed = (p * f, p + f, p - f, f - p, n / q, p / q)
+    assert mixed == (rp * f, rp + f, rp - f, f - rp, n / rq, rp / rq)
     assert all(isinstance(value, RatFunc) for value in mixed)
+    if n:
+        # a polynomial over a number stays a polynomial
+        assert p / n == rp / n and isinstance(p / n, MultiPoly)
     stranger = VarRegistry(["u"]).var("u")
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(ValueError):
@@ -736,12 +767,14 @@ def test_divide_exact_fraction_and_nonprimitive_paths():
 
 def test_linear_division_takes_no_heap(monkeypatch):
     # a divisor of total degree 1 is divided slice by slice in its
-    # lex-first variable, and no other division loop is left to take
+    # lex-first variable, and no other division loop is left to take; the
+    # long division only ever sees primitive integer operands
     assert not hasattr(exactalg, "heapq") and not hasattr(exactalg, "_divide_heap")
     calls = []
     linear = exactalg._divide_linear
 
     def counted(p, g, glead):
+        assert p.primitive()[1] is p and g.primitive()[1] is g
         calls.append(g)
         return linear(p, g, glead)
 
@@ -754,8 +787,9 @@ def test_linear_division_takes_no_heap(monkeypatch):
         assert (q * g).divide_exact(g) == q
     assert (q * (x + y) + 1).divide_exact(x + y) is None
     assert (y * q + z).divide_exact(y - z) is None
-    # the constant 1 fails the trailing-monomial test before any loop runs
-    assert calls == [*divisors, y - z]
+    # the constant 1 fails the trailing-monomial test before any loop runs;
+    # -x and z + 1/3 are divided as x and 3*z + 1
+    assert calls == [x + y - 2, y - z, 3 * y + 2 * z + 1, x, 3 * z + 1, y - z]
 
 
 @st.composite
@@ -773,7 +807,8 @@ def linear_divisors(draw, reg):
 @given(st.data())
 def test_linear_division_matches_sympy(data):
     # the dividend is g*q + e, integral or not; a small e makes both
-    # outcomes common, and the unit, integer and rational paths all run
+    # outcomes common, and unit, negative, integer and rational leads all
+    # reach the long division through divide_exact's primitive parts
     sympy = pytest.importorskip("sympy")
     reg = data.draw(st.sampled_from(SYMPY_REGS[:3]))
     g = data.draw(linear_divisors(reg))
@@ -783,16 +818,11 @@ def test_linear_division_matches_sympy(data):
     num = g * q + e
     if num.is_zero:
         return
-    fast = exactalg._divide_linear(num, g, max(g.terms))
-    if fast is not None:
-        assert fast * g == num
-    _, rem = sympy.div(sympy_of(num), sympy_of(g), *sympy.symbols(reg.names), domain="QQ")
-    assert (fast is None) == (rem != 0)
-    # divide_exact reaches the same answer through its rejections in front
     got = num.divide_exact(g)
-    assert (got is None) == (fast is None)
     if got is not None:
-        assert got == fast
+        assert got * g == num
+    _, rem = sympy.div(sympy_of(num), sympy_of(g), *sympy.symbols(reg.names), domain="QQ")
+    assert (got is None) == (rem != 0)
 
 
 def primitive_by_the_general_loop(p):
