@@ -874,12 +874,12 @@ class RatFunc:
             down *= ds.numerator
             _merge_factor(fac, dp, 1)
         kept: list[MultiPoly] = []
-        trial: tuple | None = ()
+        trial: Container[tuple] = ()
         for p in prims:
             if max(p.terms) >> registry._deg_shift > 1:
                 # a kept linear factor differs from every factor left in
                 # fac, so only this one can cancel one: try them all
-                trial = None
+                trial = fac
             else:
                 k = p.key()
                 if k in fac and fac[k][1]:
@@ -892,8 +892,8 @@ class RatFunc:
     @staticmethod
     def _reduced(registry: VarRegistry, scalar: Fraction, num: MultiPoly,
                  fac: dict[tuple, tuple[MultiPoly, int]],
-                 trial: Container[tuple] | None = None) -> "RatFunc":
-        """Cancel the factors keyed in `trial` (all when None) from num, and sort.
+                 trial: Container[tuple]) -> "RatFunc":
+        """Cancel the factors keyed in `trial` from num, and sort.
 
         num must be primitive with a positive leading coefficient.  An exact
         quotient by a primitive factor keeps both properties (Gauss's lemma),
@@ -905,7 +905,7 @@ class RatFunc:
         out: list[tuple[MultiPoly, int]] = []
         for k in sorted(fac):
             f, mult = fac[k]
-            if trial is None or k in trial:
+            if k in trial:
                 num, mult = _cancel(num, f, mult)
             if mult:
                 out.append((f, mult))
@@ -1101,7 +1101,7 @@ class RatFunc:
             down *= a ** m
             _merge_factor(fac, prim, m)
         a, b, num = ev.primitive_image(self.num)
-        return RatFunc._reduced(ev.target, Fraction(up * a, down * b), num, fac)
+        return RatFunc._reduced(ev.target, Fraction(up * a, down * b), num, fac, fac)
 
     # -- text -------------------------------------------------------------------
 

@@ -41,6 +41,21 @@ LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
 LAMBDA_WEIGHTS = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
 
 
+def _a2():
+    """A2, the one root system this module reads.
+
+    `roots` is imported on first call: verify batyrev and series toda must not load it.
+    """
+    from .roots import RootSystem
+
+    return RootSystem.type_A(2)
+
+
+def _triangle(n: int):
+    """(i, j) with i + j <= n, i outer and j inner: the order rows and failures print in."""
+    return ((i, j) for i in range(n + 1) for j in range(n + 1 - i))
+
+
 # -- the matrix side -------------------------------------------------------------------
 
 
@@ -170,10 +185,7 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
     (the memoization rule of `projgw`).  Every value, zero included, is
     over the rank-two root system's registry.
     """
-    from .roots import RootSystem
-
-    reg = RootSystem.type_A(2).registry
-    return _over_h_power(i, j, *map(reg.var, ("alpha_1", "alpha_2", "h")))
+    return _over_h_power(i, j, *map(_a2().registry.var, ("alpha_1", "alpha_2", "h")))
 
 
 def _over_h_power(i: int, j: int, a1: MultiPoly, a2: MultiPoly, h: MultiPoly) -> RatFunc:
@@ -191,11 +203,7 @@ def _over_h_power(i: int, j: int, a1: MultiPoly, a2: MultiPoly, h: MultiPoly) ->
 
 def _part3_chart(weights) -> dict:
     """alpha_a -> lambda_a - lambda_(a-1): Part III's chart, the lambda chart of -weights."""
-    # on first use, so that the runs that read no root system (verify
-    # batyrev, series toda) do not load roots
-    from .roots import RootSystem
-
-    return RootSystem.type_A(2).lambda_chart([-w for w in weights])
+    return _a2().lambda_chart([-w for w in weights])
 
 
 @cache
@@ -212,7 +220,7 @@ def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int
     plain flavor.
     """
     coeff = _lambda_coeff if equivariant else closed_a
-    return {(i, j): coeff(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
+    return {(i, j): coeff(i, j) for i, j in _triangle(order)}
 
 
 # -- verification: coefficient recursions ----------------------------------------------
@@ -232,41 +240,40 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     theta = al1 + al2
     l012 = l0 * l1 * l2
     rebuilt = {(0, 0): 1}
-    for i in range(n_max + 1):
-        for j in range(n_max + 1 - i):
-            loc = f"i={i} j={j}"
-            if (i, j) == (0, 0):
-                report.check_equal("i=0 j=0 base", a(0, 0), 1)
-                continue
-            # the bracket h * linear, multiplied in one linear factor at a time
-            linear = h * (i * i - i * j + j * j) + al1 * i + al2 * j
+    for i, j in _triangle(n_max):
+        loc = f"i={i} j={j}"
+        if (i, j) == (0, 0):
+            report.check_equal("i=0 j=0 base", a(0, 0), 1)
+            continue
+        # the bracket h * linear, multiplied in one linear factor at a time
+        linear = h * (i * i - i * j + j * j) + al1 * i + al2 * j
+        report.check_equal(
+            f"{loc} second-order", a(i, j) * linear * h, a(i - 1, j) + a(i, j - 1)
+        )
+        eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l012
+        report.check_equal(
+            f"{loc} third-order",
+            eig3 * a(i, j),
+            (l0 - h * i) * a(i, j - 1) + (l2 + h * j) * a(i - 1, j),
+        )
+        if i >= 1 and j >= 1:
             report.check_equal(
-                f"{loc} second-order", a(i, j) * linear * h, a(i - 1, j) + a(i, j - 1)
+                f"{loc} cross-ratio",
+                a(i, j - 1) * (h * i) * (h * i + al1) * (h * i + theta),
+                a(i - 1, j) * (h * j) * (h * j + al2) * (h * j + theta),
             )
-            eig3 = (h * i - l0) * (h * (i - j) + l1) * (h * j + l2) + l012
-            report.check_equal(
-                f"{loc} third-order",
-                eig3 * a(i, j),
-                (l0 - h * i) * a(i, j - 1) + (l2 + h * j) * a(i - 1, j),
-            )
-            if i >= 1 and j >= 1:
-                report.check_equal(
-                    f"{loc} cross-ratio",
-                    a(i, j - 1) * (h * i) * (h * i + al1) * (h * i + theta),
-                    a(i - 1, j) * (h * j) * (h * j + al2) * (h * j + theta),
-                )
-            if j == 0:
-                row = 1
-                for m in range(1, i + 1):
-                    row = row / (h * m) / (h * m + al1)
-                report.check_equal(f"{loc} row", a(i, 0), row)
-            # uniqueness scaffold: the second-order recursion pins every
-            # coefficient once the base is fixed
-            if i + j <= rebuild_max:
-                rebuilt[(i, j)] = (
-                    rebuilt.get((i - 1, j), 0) + rebuilt.get((i, j - 1), 0)
-                ) / h / linear
-                report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a(i, j))
+        if j == 0:
+            row = 1
+            for m in range(1, i + 1):
+                row = row / (h * m) / (h * m + al1)
+            report.check_equal(f"{loc} row", a(i, 0), row)
+        # uniqueness scaffold: the second-order recursion pins every
+        # coefficient once the base is fixed
+        if i + j <= rebuild_max:
+            rebuilt[(i, j)] = (
+                rebuilt.get((i - 1, j), 0) + rebuilt.get((i, j - 1), 0)
+            ) / h / linear
+            report.check_equal(f"{loc} rebuilt", rebuilt[(i, j)], a(i, j))
 
 
 def verify_recursions_plain(n_max: int) -> VerificationReport:
@@ -274,12 +281,9 @@ def verify_recursions_plain(n_max: int) -> VerificationReport:
     with VerificationReport("toda-plain", {"max_total": n_max}) as report:
         flat = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
         _check_identities(report, n_max, closed_a, flat, rebuild_max=8)
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                if (i, j) != (0, 0):
-                    report.check_equal(
-                        f"i={i} j={j} symmetry", closed_a(i, j), closed_a(j, i)
-                    )
+        for i, j in _triangle(n_max):
+            if (i, j) != (0, 0):
+                report.check_equal(f"i={i} j={j} symmetry", closed_a(i, j), closed_a(j, i))
     return report
 
 
@@ -287,25 +291,21 @@ def verify_recursions_equivariant(n_max: int) -> VerificationReport:
     """Weighted coefficient identities over the lambda chart, exact."""
     with VerificationReport("toda-eq", {"max_total": n_max}) as report:
         _check_identities(report, n_max, _lambda_coeff, LAMBDA_WEIGHTS, rebuild_max=5)
-
-        from .roots import RootSystem
-
         # symmetry in the weight registry: swap both indices and weights
-        reg = RootSystem.type_A(2).registry
+        reg = _a2().registry
         swap = {"alpha_1": reg.var("alpha_2"), "alpha_2": reg.var("alpha_1")}
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                report.check_equal(
-                    f"i={i} j={j} symmetry",
-                    closed_a_equivariant(i, j),
-                    substitute(closed_a_equivariant(j, i), swap),
-                )
-                specialized = closed_a_equivariant(i, j).substitute(
-                    {"alpha_1": 0, "alpha_2": 0, "h": 1}
-                )
-                report.check_equal(
-                    f"i={i} j={j} specialized", specialized.const_value(), closed_a(i, j)
-                )
+        for i, j in _triangle(n_max):
+            report.check_equal(
+                f"i={i} j={j} symmetry",
+                closed_a_equivariant(i, j),
+                substitute(closed_a_equivariant(j, i), swap),
+            )
+            specialized = closed_a_equivariant(i, j).substitute(
+                {"alpha_1": 0, "alpha_2": 0, "h": 1}
+            )
+            report.check_equal(
+                f"i={i} j={j} specialized", specialized.const_value(), closed_a(i, j)
+            )
     return report
 
 
@@ -365,16 +365,12 @@ def verify_corollary_3_5(n_max: int) -> VerificationReport:
     """
     with VerificationReport("corollary35", {"max_total": n_max}) as report:
         from . import flaggw
-        from .roots import RootSystem
 
-        system = RootSystem.type_A(2)
+        system = _a2()
         z_id = flaggw.solve_flag_recursion(system, n_max)
         h = system.registry.var("h")
-        for i in range(n_max + 1):
-            for j in range(n_max + 1 - i):
-                report.check_equal(
-                    f"i={i} j={j}",
-                    z_id[(i, j)] / h ** (i + j),
-                    closed_a_equivariant(i, j),
-                )
+        for i, j in _triangle(n_max):
+            report.check_equal(
+                f"i={i} j={j}", z_id[(i, j)] / h ** (i + j), closed_a_equivariant(i, j)
+            )
     return report
