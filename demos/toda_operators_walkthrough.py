@@ -35,9 +35,10 @@ for label, op in (("second", plain2), ("third", plain3)):
 moved = toda3.apply(plain2, {(0, 0): 1}, 2)
 print("control image coefficients:", moved[(1, 0)], "and", moved[(0, 1)])
 
-# the equivariant closed solution specializes to the plain one at
-# lambda = 0, h = 1, and the equivariant operators kill it as well
-flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
+# the equivariant closed solution, in the roots alpha_1, alpha_2 and h,
+# specializes to the plain one at alpha = 0, h = 1, and the equivariant
+# operators kill it as well
+flat = {"alpha_1": 0, "alpha_2": 0, "h": 1}
 eq_series = toda3.closed_solution(4, equivariant=True)
 assert not toda3.apply(eq2, eq_series, 4)
 assert not toda3.apply(eq3, eq_series, 4)

@@ -141,8 +141,7 @@ def _series_flag(rank: int, option: str, cap: int):
 
 
 def _series_toda(args, equivariant: bool):
-    # the equivariant lattice's cross-multiplied numerators grow fast in
-    # four variables
+    # the equivariant numerators grow fast in the roots and h
     cap = 8 if equivariant else 16
     n_max = _bound(args.max, 3, cap, "--max")
     target = "toda-eq" if equivariant else "toda"
@@ -156,16 +155,9 @@ def _series_toda(args, equivariant: bool):
     def run() -> list[str]:
         from . import toda3
 
-        if equivariant and args.chart is None:
-            table = {
-                (i, j): toda3.closed_a_equivariant(i, j)
-                for i in range(n_max + 1)
-                for j in range(n_max + 1 - i)
-            }
-        else:
-            # the solution series is written over the part3 chart already
-            table = toda3.closed_solution(n_max, equivariant)
-        for (i, j), c in table.items():
+        for (i, j), c in toda3.closed_solution(n_max, equivariant).items():
+            if args.chart is not None:
+                c = toda3.to_lambda(c)
             lines.append(f"row i={i} j={j} {value_text(c)}")
         return lines
     return run

@@ -253,8 +253,7 @@ def solve_recursion(setup: ProjSetup, d_max: int) -> dict[int, dict[int, RatFunc
 # -- verification --------------------------------------------------------------------
 
 
-def verify_theorem_3_3(setup: ProjSetup, d_max: int,
-                       method: str = "direct") -> VerificationReport:
+def verify_theorem_3_3(setup: ProjSetup, d_max: int, method: str) -> VerificationReport:
     """Check that the closed-form table satisfies the fixed-point recursion.
 
     method='direct' sums the full right side and compares; method='residue'

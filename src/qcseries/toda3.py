@@ -15,10 +15,23 @@ degree.  The solutions have coefficients given in closed form three ways
 (plain, binomial-sum, equivariant); verification routines check the
 hand-derived coefficient recursions and, independently, that the built
 operators annihilate the closed series through the certified truncation
-order.  The coefficient identities and the operators are coded once, in the
-weights lambda_0, lambda_1, lambda_2 and h: the plain flavor runs them at
-zero weights and h = 1 over the rationals, the equivariant one over lambda,
-h polynomials and rational functions.
+order.  The identities and the operators are coded once, in the weights
+lambda_0, lambda_1, lambda_2 and h: the plain flavor runs them at zero
+weights and h = 1 over the rationals, the equivariant one at lambda_0 = 0
+over A2's roots, at the weights (0, alpha_1, alpha_1 + alpha_2, h) of Part
+III's chart alpha_a = lambda_a - lambda_(a-1).  `to_lambda` writes a value
+in the weights, for printing only.
+
+That is exact.  Every coefficient depends only on the roots and h, and so
+does every identity but the third-order one.  Shifting every lambda_a by c
+sends u_a to u_a + c, so det(t + M) becomes det(t + c + M) and
+d_k(lambda + c) = sum over j <= k of C(3 - j, k - j) c^(k - j) d_j(lambda),
+with d_0 = 0.  d_1 vanishes identically (`build_operators` asserts it), so
+d_2 and d_3 kill the series at every lambda exactly when they do at
+lambda_0 = 0.  Both sides of the third-order identity change by
+c h L a(i, j), with L = h (i^2 - ij + j^2) + alpha_1 i + alpha_2 j the
+second-order bracket, once the second-order identity, checked in the same
+loop, holds at (i, j).
 """
 
 from __future__ import annotations
@@ -27,18 +40,12 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-from .exactalg import (
-    MultiPoly,
-    RatFunc,
-    VarRegistry,
-    substitute,
-)
+from .exactalg import MultiPoly, RatFunc, VarRegistry, substitute
 from .report import VerificationReport
 
 UV_REGISTRY = VarRegistry(["u_0", "u_1", "u_2", "v_1", "v_2"])
+# the registry an equivariant value prints in, under series toda-eq --chart part3
 LAMBDA_REGISTRY = VarRegistry(["lambda_0", "lambda_1", "lambda_2", "h"])
-# the equivariant weights (lambda_0, lambda_1, lambda_2, h)
-LAMBDA_WEIGHTS = tuple(LAMBDA_REGISTRY.var(n) for n in LAMBDA_REGISTRY)
 
 
 def _a2():
@@ -92,8 +99,8 @@ class TodaOperator:
     In each monomial of p_k the shift acts first, so the eigenvalues are read
     at the shifted index; sigma_k = p_k(lambda, 0), from p_k's v-free
     monomials, is a constant.  The weights, and so the image's coefficients,
-    are rationals in the plain flavor and lambda, h polynomials in the
-    equivariant one.
+    are rationals in the plain flavor and polynomials in the roots and h in
+    the equivariant one.
     """
 
     __slots__ = ("poly", "sigma", "weights", "max_shift")
@@ -142,15 +149,22 @@ def apply(opr: TodaOperator, coeffs: dict, order: int) -> dict:
 # -- building the operators ------------------------------------------------------------
 
 
-def build_operators(equivariant: bool = True) -> tuple[TodaOperator, TodaOperator]:
-    """The two nontrivial lattice operators, over lambda_0..lambda_2, h.
+def _weights(equivariant: bool) -> tuple:
+    """(lambda_0, lambda_1, lambda_2, h): 0 and A2's roots, or zero weights and h = 1."""
+    if not equivariant:
+        return (0, 0, 0, 1)
+    a1, a2, h = map(_a2().registry.var, ("alpha_1", "alpha_2", "h"))
+    return (0, a1, a1 + a2, h)
+
+
+def build_operators(equivariant: bool) -> tuple[TodaOperator, TodaOperator]:
+    """The two nontrivial lattice operators, at lambda_0 = 0 over A2's roots and h.
 
     Plain mode fixes the weights to zero and the deformation scale to one,
     and so acts over the rationals.  The trace operator vanishes identically
     in ratio coordinates, which is asserted.
     """
-    weights = LAMBDA_WEIGHTS if equivariant else (0, 0, 0, 1)
-    d1, d2, d3 = (TodaOperator(p, weights) for p in char_poly())
+    d1, d2, d3 = (TodaOperator(p, _weights(equivariant)) for p in char_poly())
     # p_1 is linear in u, so each d_1 weight is affine in (i, j): zero at
     # three non-collinear points means zero everywhere
     if any(d1.act_monomial(beta) for beta in ((0, 0), (1, 0), (0, 1))):
@@ -182,22 +196,16 @@ def closed_a_equivariant(i: int, j: int) -> RatFunc:
 
     The 1/h^(i+j) normalization makes the h=1, zero-weight limit the plain
     coefficient.  An input the checks read, so it is built once per process
-    (the memoization rule of `projgw`).  Every value, zero included, is
-    over the rank-two root system's registry.
-    """
-    return _over_h_power(i, j, *map(_a2().registry.var, ("alpha_1", "alpha_2", "h")))
-
-
-def _over_h_power(i: int, j: int, a1: MultiPoly, a2: MultiPoly, h: MultiPoly) -> RatFunc:
-    """The rank-two closed form over h^(i+j), from its linear factors in a1, a2 and h.
-
-    Zero, over h's registry, outside the quadrant.
+    (the memoization rule of `projgw`).  Every value, zero included, is over
+    the rank-two root system's registry.
     """
     from . import flaggw
 
+    reg = _a2().registry
     if i < 0 or j < 0:
-        return RatFunc.zero(h.registry)
-    num, dens, scale = flaggw.a2_closed_factors(i, j, a1, a2, h)
+        return RatFunc.zero(reg)
+    h = reg.var("h")
+    num, dens, scale = flaggw.a2_closed_factors(i, j, reg.var("alpha_1"), reg.var("alpha_2"), h)
     return RatFunc.from_factored(num, dens + [h] * (i + j), scale)
 
 
@@ -207,19 +215,23 @@ def _part3_chart(weights) -> dict:
 
 
 @cache
-def _lambda_coeff(i: int, j: int) -> RatFunc:
-    """closed_a_equivariant(i, j) in the weights: each linear factor goes through Part III's chart."""
-    al1, al2 = _part3_chart(LAMBDA_WEIGHTS[:3]).values()
-    return _over_h_power(i, j, al1, al2, LAMBDA_WEIGHTS[3])
+def _lambda_chart() -> dict:
+    """Part III's chart into LAMBDA_REGISTRY, built once."""
+    return _part3_chart([LAMBDA_REGISTRY.var(f"lambda_{a}") for a in range(3)])
 
 
-def closed_solution(order: int, equivariant: bool = True) -> dict[tuple[int, int], object]:
+def to_lambda(value: RatFunc) -> RatFunc:
+    """A value over A2's roots and h, in lambda_0, lambda_1, lambda_2 and h through Part III's chart."""
+    return substitute(value, _lambda_chart(), LAMBDA_REGISTRY)
+
+
+def closed_solution(order: int, equivariant: bool) -> dict[tuple[int, int], object]:
     """The closed-form solution {(i, j): coefficient}, i+j <= order.
 
-    Coefficients are RatFuncs over the lambda registry, or Fractions in the
+    Coefficients are RatFuncs over A2's roots and h, or Fractions in the
     plain flavor.
     """
-    coeff = _lambda_coeff if equivariant else closed_a
+    coeff = closed_a_equivariant if equivariant else closed_a
     return {(i, j): coeff(i, j) for i, j in _triangle(order)}
 
 
@@ -231,7 +243,8 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     """The lattice coefficient identities at weights (lambda_0, lambda_1, lambda_2, h).
 
     a(i, j) is the coefficient lookup, zero outside the quadrant; the values
-    are Fractions with Fraction weights, or RatFuncs with polynomial weights.
+    are Fractions with rational weights, or RatFuncs with polynomial weights;
+    the row and rebuilt values start at Fraction(1), exact over int weights.
     """
     if n_max < 0:
         raise ValueError("total-degree bound must be >= 0")
@@ -239,7 +252,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
     al1, al2 = _part3_chart((l0, l1, l2)).values()
     theta = al1 + al2
     l012 = l0 * l1 * l2
-    rebuilt = {(0, 0): 1}
+    rebuilt = {(0, 0): Fraction(1)}
     for i, j in _triangle(n_max):
         loc = f"i={i} j={j}"
         if (i, j) == (0, 0):
@@ -263,7 +276,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
                 a(i - 1, j) * (h * j) * (h * j + al2) * (h * j + theta),
             )
         if j == 0:
-            row = 1
+            row = Fraction(1)
             for m in range(1, i + 1):
                 row = row / (h * m) / (h * m + al1)
             report.check_equal(f"{loc} row", a(i, 0), row)
@@ -279,8 +292,7 @@ def _check_identities(report: VerificationReport, n_max: int, a, weights,
 def verify_recursions_plain(n_max: int) -> VerificationReport:
     """Hand-derived identities for the plain coefficients, exact over Q."""
     with VerificationReport("toda-plain", {"max_total": n_max}) as report:
-        flat = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-        _check_identities(report, n_max, closed_a, flat, rebuild_max=8)
+        _check_identities(report, n_max, closed_a, _weights(False), rebuild_max=8)
         for i, j in _triangle(n_max):
             if (i, j) != (0, 0):
                 report.check_equal(f"i={i} j={j} symmetry", closed_a(i, j), closed_a(j, i))
@@ -288,32 +300,28 @@ def verify_recursions_plain(n_max: int) -> VerificationReport:
 
 
 def verify_recursions_equivariant(n_max: int) -> VerificationReport:
-    """Weighted coefficient identities over the lambda chart, exact."""
+    """Weighted coefficient identities at lambda_0 = 0 over A2's roots, exact."""
     with VerificationReport("toda-eq", {"max_total": n_max}) as report:
-        _check_identities(report, n_max, _lambda_coeff, LAMBDA_WEIGHTS, rebuild_max=5)
-        # symmetry in the weight registry: swap both indices and weights
+        _check_identities(report, n_max, closed_a_equivariant, _weights(True), rebuild_max=5)
+        # symmetry in A2's roots: swap both indices and roots
         reg = _a2().registry
         swap = {"alpha_1": reg.var("alpha_2"), "alpha_2": reg.var("alpha_1")}
+        plain = {"alpha_1": 0, "alpha_2": 0, "h": 1}
         for i, j in _triangle(n_max):
             report.check_equal(
                 f"i={i} j={j} symmetry",
                 closed_a_equivariant(i, j),
                 substitute(closed_a_equivariant(j, i), swap),
             )
-            specialized = closed_a_equivariant(i, j).substitute(
-                {"alpha_1": 0, "alpha_2": 0, "h": 1}
-            )
-            report.check_equal(
-                f"i={i} j={j} specialized", specialized.const_value(), closed_a(i, j)
-            )
+            specialized = closed_a_equivariant(i, j).substitute(plain).const_value()
+            report.check_equal(f"i={i} j={j} specialized", specialized, closed_a(i, j))
     return report
 
 
 # -- verification: operator annihilation ----------------------------------------------
 
 
-def verify_operator_annihilation(n_max: int,
-                                 equivariant: bool = True) -> VerificationReport:
+def verify_operator_annihilation(n_max: int, equivariant: bool) -> VerificationReport:
     """The built operators kill the closed series; a nonzero control is kept."""
     name = "toda-eq-operators" if equivariant else "toda-operators"
     with VerificationReport(

@@ -169,7 +169,7 @@ def test_11_binomial_table_equivalence():
 def test_12_toda_equivariant_recursions_and_specialization():
     _ok(toda3.verify_recursions_equivariant(5))
     _ok(toda3.verify_operator_annihilation(5, equivariant=True))
-    flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
+    flat = {"alpha_1": 0, "alpha_2": 0, "h": 1}
     eq = toda3.closed_solution(5, equivariant=True)
     plain = toda3.closed_solution(5, equivariant=False)
     assert {ij: c.substitute(flat) for ij, c in eq.items()} == plain

@@ -134,6 +134,18 @@ def test_series_toda_eq_chart(capsys):
     assert "row i=1 j=0 -1/((lambda_0 - lambda_1 - h)h)" in lines
 
 
+@pytest.mark.parametrize("chart, golden", [
+    ((), "series_toda-eq_max_8.out"),
+    (("--chart", "part3"), "series_toda-eq_chart_part3_max_8.out"),
+])
+def test_series_toda_eq_bytes_at_the_cap(capsys, chart, golden):
+    # both print paths at the cap: the values as computed, in the roots, and
+    # written in the weights through Part III's chart
+    code, out, err = run(capsys, "series", "toda-eq", "--max", "8", *chart)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (ROOT / "tests" / golden).read_bytes()
+
+
 def test_series_flag_a2_identity_rows(capsys):
     code, out, _ = run(capsys, "series", "flag-a2", "--max", "2")
     assert code == 0

@@ -10,7 +10,8 @@ the language and are exempt.
 
 A second scan fails on a knob that only tests set: a defaulted parameter of
 a package function that no call in the package, the demos or the benchmark
-harness passes, by keyword or by position.
+harness passes, by keyword or by position.  It also fails on a default that
+every such call overrides, since no call reads it.
 
 A third keeps each module's private names inside it: no package module
 reads a private name that another one defines, by import or as an
@@ -124,7 +125,7 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
 
 
 def passed_arguments(source: str, calls: dict) -> None:
-    """Fold into calls, per callee name, the most positionals and the keywords its calls pass.
+    """Append to calls, per callee name, the positional count and the keywords of each call.
 
     A starred argument passes every parameter.
     """
@@ -133,31 +134,42 @@ def passed_arguments(source: str, calls: dict) -> None:
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        count, keywords = calls.get(name, (0, set()))
-        count = max(count, len(node.args))
+        count = len(node.args)
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
                 k.arg is None for k in node.keywords):
             count = float("inf")
-        calls[name] = (count, keywords | {k.arg for k in node.keywords})
+        calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
 
 
-def knobs(package_sources, caller_sources) -> list[str]:
+def defaults_by_calls(package_sources, caller_sources):
+    """("label: function(parameter)", whether each call passes it) per defaulted parameter."""
     calls: dict = {}
     for source in caller_sources:
         passed_arguments(source, calls)
-    found = []
     for label, source in package_sources:
         for function, parameter, index in defaulted_parameters(source):
-            count, keywords = calls.get(function, (0, set()))
-            if parameter not in keywords and (index is None or count <= index):
-                found.append(f"{label}: {function}({parameter})")
-    return found
+            passes = [parameter in keywords or (index is not None and count > index)
+                      for count, keywords in calls.get(function, [])]
+            yield f"{label}: {function}({parameter})", passes
+
+
+def knobs(package_sources, caller_sources) -> list[str]:
+    """Each defaulted parameter that no call passes."""
+    return [name for name, passes in defaults_by_calls(package_sources, caller_sources)
+            if not any(passes)]
+
+
+def overridden_defaults(package_sources, caller_sources) -> list[str]:
+    """Each defaulted parameter that every call passes, so that no call reads its default."""
+    return [name for name, passes in defaults_by_calls(package_sources, caller_sources)
+            if passes and all(passes)]
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     package = [(path.name, source) for path, source in sources(PACKAGE)]
     callers = [source for top in CALLERS for _, source in sources(top)]
     assert [k for k in knobs(package, callers) if k not in KNOBS_KEPT] == []
+    assert [k for k in overridden_defaults(package, callers) if k not in KNOBS_KEPT] == []
 
 
 def test_knob_scan_finds_a_default_nothing_passes():
@@ -173,6 +185,24 @@ def test_knob_scan_finds_a_default_nothing_passes():
     assert knobs([("m.py", source)], [source]) == [
         "m.py: solve(strict)", "m.py: chart(shift)",
     ]
+
+
+def test_knob_scan_finds_a_default_every_call_overrides():
+    source = (
+        "def solve(table, bound=3, *, fast=False, strict=True): pass\n"
+        "def run(n, levels=()): pass\n"
+        "solve(1, 2, fast=True, strict=False)\n"
+        "solve(1, fast=False, strict=True)\n"
+        "solve(1, bound=4, strict=True)\n"
+        "run(1, ())\n"
+        "run(2, levels=(1,))\n"
+    )
+    # some call reads the default of bound and of fast; none that of strict
+    # or of levels
+    assert overridden_defaults([("m.py", source)], [source]) == [
+        "m.py: solve(strict)", "m.py: run(levels)",
+    ]
+    assert knobs([("m.py", source)], [source]) == []
 
 
 def private_names(source: str) -> set[str]:

@@ -415,6 +415,23 @@ def test_verify_a2_recursion_report():
     assert rep.ok, rep.render()
 
 
+def test_verify_a2_recursion_fails_on_a_doubled_shift(monkeypatch):
+    # each term reads its lower table at h -> -(w alpha)/k; doubling that
+    # shift leaves every term that reads a constant table right, so only
+    # the bidegrees with i + j >= 2 read a wrong value
+    terms = flaggw._recursion_terms
+
+    def doubled(system, total_max, w, levi=()):
+        return [(lw, step, weight, {"h": shift["h"].scale(2)})
+                for lw, step, weight, shift in terms(system, total_max, w, levi)]
+
+    monkeypatch.setattr(flaggw, "_recursion_terms", doubled)
+    rep = verify_a2_theorem_3_2(3)
+    assert [loc for loc, _, _ in rep.failures] == [
+        "i=0 j=2", "i=0 j=3", "i=1 j=1", "i=1 j=2", "i=2 j=0", "i=2 j=1", "i=3 j=0",
+    ]
+
+
 def test_verify_a2_recursion_fails_on_a_wrong_lower_coefficient(monkeypatch):
     # the check reads its lower bidegrees from a2_closed_coeff, so a wrong
     # value there must break the recursion one step up, also once the

@@ -460,6 +460,25 @@ def test_the_recursion_routes_read_no_root_coupling(monkeypatch):
             assert verify_theorem_3_3(ProjSetup(n), 2, method).ok, (n, method)
 
 
+def test_direct_route_fails_on_a_doubled_shift(monkeypatch):
+    # a term reads point j's table at h -> (lambda_j - lambda_i)/k; at degree
+    # 1 it reads only closed_b(j, 0) = 1, which no shift moves, so exactly
+    # the degrees from 2 up fail, at every point
+    terms = projgw._recursion_terms
+
+    def doubled(setup, k_max):
+        return {i: [(j, step, weight, {"h": shift["h"].scale(2)})
+                    for j, step, weight, shift in ts]
+                for i, ts in terms(setup, k_max).items()}
+
+    monkeypatch.setattr(projgw, "_recursion_terms", doubled)
+    for n in (1, 2):
+        rep = verify_theorem_3_3(ProjSetup(n), 3, "direct")
+        assert [loc for loc, _, _ in rep.failures] == [
+            f"i={i} d={d}" for i in range(n + 1) for d in (2, 3)
+        ]
+
+
 def test_euler_prefactor_fails_on_a_wrong_coupling(monkeypatch):
     # the identity's right side is recursion_coeff(0, 1, 1); the two slices
     # are built from the cover characters alone and must still hold
@@ -489,7 +508,7 @@ def test_first_order_split_fails_on_a_wrong_residue(monkeypatch):
 
 
 def test_verify_recursion_dimension_zero():
-    rep = verify_theorem_3_3(ProjSetup(0), 3)
+    rep = verify_theorem_3_3(ProjSetup(0), 3, "direct")
     assert rep.ok and rep.notes
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from qcseries import flaggw, toda3
 from qcseries.exactalg import MultiPoly, RatFunc
+from qcseries.report import VerificationReport
 from qcseries.roots import RootSystem
 from qcseries.toda3 import (
     LAMBDA_REGISTRY,
@@ -28,6 +29,9 @@ from qcseries.toda3 import (
 )
 
 LREG = LAMBDA_REGISTRY
+# the general weights (lambda_0, lambda_1, lambda_2, h)
+LAMBDA_WEIGHTS = tuple(LREG.var(n) for n in LREG)
+AREG = RootSystem.type_A(2).registry
 
 
 # -- characteristic polynomial ---------------------------------------------------------
@@ -50,6 +54,18 @@ GRID = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (3, 3))
 
 def nonzero(image):
     return {k: c for k, c in image.items() if not c.is_zero}
+
+
+def lambda_operators():
+    """d_2 and d_3 at the general weights lambda_0, lambda_1, lambda_2 and h."""
+    _, d2, d3 = (TodaOperator(p, LAMBDA_WEIGHTS) for p in char_poly())
+    return d2, d3
+
+
+def root_weights():
+    """(lambda_0, lambda_1, lambda_2, h) of the equivariant flavor: lambda_0 = 0 in A2's roots."""
+    a1, a2, h = (AREG.var(n) for n in AREG.names)
+    return AREG.zero(), a1, a1 + a2, h
 
 
 def test_plain_operators_match_hand_expansion():
@@ -79,9 +95,9 @@ def test_trace_operator_check_is_exact(monkeypatch):
 
 def test_sigma_is_read_off_the_continuant():
     # sigma_k is p_k at u = lambda, v = 0: e_k of the weights, for numbers
-    # (the plain flavor's and others) and for lambda, h polynomials alike
-    lam = tuple(LREG.var(f"lambda_{a}") for a in range(3))
-    for weights in ((0, 0, 0, 1), (Fraction(1, 2), 3, -5, 7), lam + (LREG.var("h"),)):
+    # (the plain flavor's and others) and for polynomial weights alike, the
+    # equivariant flavor's last
+    for weights in ((0, 0, 0, 1), (Fraction(1, 2), 3, -5, 7), LAMBDA_WEIGHTS, root_weights()):
         x0, x1, x2, _ = weights
         e = [x0 + x1 + x2, x0 * x1 + x0 * x2 + x1 * x2, x0 * x1 * x2]
         assert [TodaOperator(p, weights).sigma for p in char_poly()] == e
@@ -89,33 +105,65 @@ def test_sigma_is_read_off_the_continuant():
     assert (d2.sigma, d3.sigma) == (e[1], e[2])
 
 
+# the general-weight operators, and the equivariant flavor's at lambda_0 = 0
+FLAVORS = (
+    (lambda_operators, lambda: LAMBDA_WEIGHTS),
+    (lambda: build_operators(equivariant=True), root_weights),
+)
+
+
 def test_equivariant_second_operator_monomial_action():
-    d2, _ = build_operators(equivariant=True)
-    l0, l1, l2, h = (RatFunc.from_poly(LREG.var(n)) for n in LREG.names)
-    a1, a2 = l1 - l0, l2 - l1
-    one = RatFunc.one(LREG)
-    for i, j in ((1, 0), (0, 1), (2, 1), (3, 3)):
-        image = d2.act_monomial((i, j))
-        eigen = -(h * h * (i * i - i * j + j * j) + a1 * h * i + a2 * h * j)
-        assert image == {(i, j): eigen, (i + 1, j): one, (i, j + 1): one}
-    # at the origin only the shifts survive
-    assert d2.act_monomial((0, 0)) == {(1, 0): one, (0, 1): one}
+    # the weights enter only through the roots alpha_a = lambda_a - lambda_(a-1)
+    for operators, weights in FLAVORS:
+        d2, _ = operators()
+        l0, l1, l2, h = (RatFunc.from_poly(w) for w in weights())
+        a1, a2 = l1 - l0, l2 - l1
+        one = RatFunc.one(h.registry)
+        for i, j in ((1, 0), (0, 1), (2, 1), (3, 3)):
+            image = d2.act_monomial((i, j))
+            eigen = -(h * h * (i * i - i * j + j * j) + a1 * h * i + a2 * h * j)
+            assert image == {(i, j): eigen, (i + 1, j): one, (i, j + 1): one}
+        # at the origin only the shifts survive
+        assert d2.act_monomial((0, 0)) == {(1, 0): one, (0, 1): one}
 
 
 def test_equivariant_third_operator_monomial_action():
-    _, d3 = build_operators(equivariant=True)
-    l0, l1, l2, h = (RatFunc.from_poly(LREG.var(n)) for n in LREG.names)
-    for i, j in GRID:
-        e0, e1, e2 = l0 - h * i, l1 + h * (i - j), l2 + h * j
-        assert d3.act_monomial((i, j)) == nonzero(
-            {(i, j): e0 * e1 * e2 - l0 * l1 * l2, (i, j + 1): e0, (i + 1, j): e2}
-        )
+    for operators, weights in FLAVORS:
+        _, d3 = operators()
+        l0, l1, l2, h = (RatFunc.from_poly(w) for w in weights())
+        for i, j in GRID:
+            e0, e1, e2 = l0 - h * i, l1 + h * (i - j), l2 + h * j
+            assert d3.act_monomial((i, j)) == nonzero(
+                {(i, j): e0 * e1 * e2 - l0 * l1 * l2, (i, j + 1): e0, (i + 1, j): e2}
+            )
+
+
+def test_shifting_the_weights_mixes_the_operators_binomially():
+    # d_k(lambda + c) = sum over j <= k of C(3 - j, k - j) c^(k - j) d_j(lambda),
+    # with d_0 = 0: the general weights are those at lambda_0 = 0 shifted by
+    # c = lambda_0, and a numeric shift obeys the same rule
+    l0 = LREG.var("lambda_0")
+    *lam, h = LAMBDA_WEIGHTS
+    at_zero = tuple(w - l0 for w in lam) + (h,)
+    for base, c in ((at_zero, l0), (LAMBDA_WEIGHTS, LREG.const(5))):
+        shifted = tuple(w + c for w in base[:3]) + (h,)
+        low = [TodaOperator(p, base) for p in char_poly()]
+        high = [TodaOperator(p, shifted) for p in char_poly()]
+        for k, op in enumerate(high, start=1):
+            for beta in GRID:
+                expected = {}
+                for j, d in enumerate(low[:k], start=1):
+                    for key, w in d.act_monomial(beta).items():
+                        term = w * c ** (k - j) * comb(3 - j, k - j)
+                        expected[key] = expected[key] + term if key in expected else term
+                assert op.act_monomial(beta) == nonzero(expected), (k, beta)
 
 
 def test_equivariant_specializes_to_plain():
-    # the equivariant images are lambda, h polynomials; at zero weights and
-    # h = 1 they are the plain images, which are rationals
-    flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
+    # the equivariant images are polynomials in the roots and h; at zero
+    # roots, where every weight is zero, and h = 1 they are the plain
+    # images, which are rationals
+    flat = {"alpha_1": 0, "alpha_2": 0, "h": 1}
     eq_ops = build_operators(equivariant=True)
     plain_ops = build_operators(equivariant=False)
     for eq_op, plain_op in zip(eq_ops, plain_ops):
@@ -258,14 +306,20 @@ def test_plain_recursions_fail_on_a_wrong_coefficient(monkeypatch):
 
 
 def test_equivariant_recursions_fail_on_a_wrong_coefficient(monkeypatch):
-    coeff = toda3._lambda_coeff
+    coeff = toda3.closed_a_equivariant
     monkeypatch.setattr(
-        toda3, "_lambda_coeff",
+        toda3, "closed_a_equivariant",
         lambda i, j: coeff(i, j) * (2 if (i, j) == (1, 1) else 1),
     )
     report = verify_recursions_equivariant(3)
     assert report.status == "fail"
-    assert any(loc.startswith("i=1 j=1 ") for loc, _, _ in report.failures)
+    # every identity that reads a(1, 1) fails, not only the specialization
+    assert [loc for loc, _, _ in report.failures] == [
+        "i=1 j=1 second-order", "i=1 j=1 third-order", "i=1 j=1 rebuilt",
+        "i=1 j=2 second-order", "i=1 j=2 third-order", "i=1 j=2 cross-ratio",
+        "i=2 j=1 second-order", "i=2 j=1 third-order", "i=2 j=1 cross-ratio",
+        "i=1 j=1 specialized",
+    ]
 
 
 def test_operator_annihilation_both_modes():
@@ -339,7 +393,7 @@ def specialize(coeffs, flat):
 
 
 def test_closed_solution_specialization_tower():
-    flat = {"lambda_0": 0, "lambda_1": 0, "lambda_2": 0, "h": 1}
+    flat = {"alpha_1": 0, "alpha_2": 0, "h": 1}
     eq = closed_solution(3, equivariant=True)
     plain = closed_solution(3, equivariant=False)
     assert specialize(eq, flat) == plain
@@ -354,9 +408,8 @@ def test_apply_commutes_with_specialization():
         for i in range(3)
         for j in range(3 - i)
     }
-    eq_ops = build_operators(equivariant=True)
     plain_ops = build_operators(equivariant=False)
-    for eq_op, plain_op in zip(eq_ops, plain_ops):
+    for eq_op, plain_op in zip(lambda_operators(), plain_ops):
         assert eq_op.max_shift == plain_op.max_shift
         left = specialize(apply(eq_op, coeffs, 2), flat)
         right = apply(plain_op, specialize(coeffs, flat), 2)
@@ -367,7 +420,7 @@ def test_closed_forms_build_from_their_factors_with_no_division(monkeypatch):
     # every factor of the rank-two closed form is linear and prime, so each
     # value is built by comparing keys; here a trial division fails the test
     RootSystem.type_A(2)
-    for built in (flaggw.a2_closed_coeff, closed_a_equivariant, toda3._lambda_coeff):
+    for built in (flaggw.a2_closed_coeff, closed_a_equivariant):
         built.cache_clear()
 
     def refuse(self, g):
@@ -375,11 +428,37 @@ def test_closed_forms_build_from_their_factors_with_no_division(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(MultiPoly, "divide_exact", refuse)
-        values = {(i, j): (flaggw.a2_closed_coeff(i, j), closed_a_equivariant(i, j),
-                           toda3._lambda_coeff(i, j))
+        values = {(i, j): (flaggw.a2_closed_coeff(i, j), closed_a_equivariant(i, j))
                   for i in range(5) for j in range(5 - i)}
-    # the weights' value is the root-variable one through Part III's chart
-    chart = toda3._part3_chart(toda3.LAMBDA_WEIGHTS[:3])
-    for (i, j), (closed, over_h, weights) in values.items():
-        assert over_h == closed / RootSystem.type_A(2).registry.var("h") ** (i + j)
-        assert weights == over_h.substitute(chart, LREG)
+    for (i, j), (closed, over_h) in values.items():
+        assert over_h == closed / AREG.var("h") ** (i + j)
+
+
+def test_lambda_operators_kill_the_closed_series_in_the_weights():
+    # at general weights: the series mapped into lambda_0..lambda_2 through
+    # Part III's chart is killed by the general-weight d_2 and d_3
+    series = {ij: toda3.to_lambda(c) for ij, c in closed_solution(5, equivariant=True).items()}
+    assert all(c.registry is LREG for c in series.values())
+    for op in lambda_operators():
+        assert apply(op, series, 5) == {}
+    # a wrong coefficient is seen at general weights too
+    series[(1, 1)] = series[(1, 1)] * 2
+    assert all(apply(op, series, 5) for op in lambda_operators())
+
+
+def test_identities_hold_at_general_weights():
+    # the third-order identity is the one that reads lambda_0; at general
+    # weights it holds as at lambda_0 = 0
+    def identities(wrong):
+        def in_weights(i, j):
+            value = toda3.to_lambda(closed_a_equivariant(i, j))
+            return value * 2 if (i, j) == wrong else value
+
+        with VerificationReport("toda-eq", {"max_total": 4}) as report:
+            toda3._check_identities(report, 4, in_weights, LAMBDA_WEIGHTS, rebuild_max=3)
+        return report
+
+    assert identities(None).ok
+    # the same checks see a wrong coefficient, the third-order one included
+    failed = {loc for loc, _, _ in identities((2, 2)).failures}
+    assert {"i=2 j=2 second-order", "i=2 j=2 third-order"} <= failed
